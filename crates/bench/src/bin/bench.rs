@@ -6,7 +6,7 @@
 //!   bench digest [--out-dir DIR] [--scan-slowdown FACTOR]
 //!   bench compare <old.json> <new.json>
 //!   bench fleet [--roster NAME] [--seed N] [--out PATH] [--policy NAME]
-//!               [--digest-dir DIR] [--series-cap N] [--scan-workers N]
+//!               [--digest-dir DIR] [--series-cap N]
 //!   bench evacuate [--seed N] [--out PATH] [--policy NAME]
 //!                  [--pin-placement DEST]
 //!   bench cold [--out PATH] [--delta-cache N] [--cold-fraction F[,F..]]
@@ -44,11 +44,8 @@
 //! writes each policy's full fleet digest (for baseline gating via
 //! `bench compare`, which dispatches on the digest's schema);
 //! `--series-cap` shrinks the observatory's sample ring — capping it
-//! below 16 blinds the detector, the seeded regression CI drills.
-//! `--scan-workers N` runs every per-VM migration session on an N-worker
-//! scan pool — the sharded pipeline is bit-identical to the serial one,
-//! so the document does not change, which `tests/parallel_determinism.rs`
-//! locks. The document is deterministic for a fixed roster + seed.
+//! below 16 blinds the detector, the seeded regression CI drills. The
+//! document is deterministic for a fixed roster + seed.
 //!
 //! `bench digest` runs the fixed roster of recorded migrations and writes
 //! one `DIGEST_<scenario>.json` (plus a `.prom` Prometheus exposition) per
@@ -68,14 +65,8 @@
 //!    word-granular pipeline the engine now uses and with a per-bit
 //!    reference that replicates the seed engine's scan loop
 //!    (`next_set_at` / `clear` / per-PFN bitmap queries); both must
-//!    produce identical tallies. On top, the sharded classify kernel runs
-//!    at 1/2/4/8 shards: every sharded tally must match the serial word
-//!    scan exactly, and each row reports the measured per-shard costs.
-//! 2. **Allocation micro-bench** — a counting global allocator measures
-//!    the scan hot path with a fresh `ScanScratch` per walk vs the
-//!    persistent per-session arena the engine actually uses; the arena
-//!    must allocate strictly less (steady state: nothing).
-//! 3. **Harness scaling** — a roster of independent end-to-end migration
+//!    produce identical tallies.
+//! 2. **Harness scaling** — a roster of independent end-to-end migration
 //!    cells runs serially (measuring per-cell cost), then through
 //!    `runner::par_map_workers` at 1/2/4/8 workers. Every row's output
 //!    must be byte-identical to the serial pass. Because wall-clock
@@ -88,18 +79,15 @@
 //!
 //! Worker counts honour `JAVMM_BENCH_WORKERS` (oversubscription allowed,
 //! with a warning when the request exceeds the hardware) and
-//! `JAVMM_SERIALIZE_POOL=1` (everything collapses to one worker and the
-//! modeled speedup honestly reports ~1.0 — the seeded gate drill).
+//! `JAVMM_SERIALIZE_POOL=1` (the harness runs its cells on one worker and
+//! the modeled speedup honestly reports ~1.0 — the seeded gate drill).
 
 use javmm::orchestrator::{run_scenario, Scenario};
 use javmm::vm::JavaVmConfig;
 use javmm_bench::runner;
 use migrate::config::MigrationConfig;
-use migrate::scanpool::{classify_range, shard_range, ScanScratch, WordClass, CHUNK_WORDS};
 use simkit::rng::DetRng;
 use simkit::SimDuration;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use vmem::{Bitmap, Pfn};
 use workloads::spec::WorkloadSpec;
@@ -108,41 +96,8 @@ use workloads::spec::WorkloadSpec;
 const NPAGES: u64 = 524_288;
 /// Timed repetitions per scan kernel.
 const REPS: u32 = 40;
-/// Walks per arm of the allocation micro-bench.
-const ALLOC_REPS: u32 = 32;
-/// Words walked per allocation-bench rep (64 chunks).
-const ALLOC_WORDS: usize = 64 * CHUNK_WORDS;
 /// Seeds per (workload, mode) harness cell group.
 const HARNESS_SEEDS: u64 = 3;
-
-// ---------------------------------------------------------------------------
-// Counting allocator: the evidence behind the "no steady-state allocation"
-// claim on `ScanScratch`. One relaxed atomic bump per alloc/realloc; the
-// delta across a region is its allocation count.
-// ---------------------------------------------------------------------------
-
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 #[derive(PartialEq, Eq, Debug, Default)]
 struct Tallies {
@@ -264,120 +219,6 @@ fn time_scans(fixtures: &[Fixture], scan: fn(&Fixture) -> Tallies) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded raw-scan rows.
-// ---------------------------------------------------------------------------
-
-struct ShardRow {
-    shards: usize,
-    /// CPU actually spent classifying all shards (serial sum).
-    wall_secs: f64,
-    /// Makespan if the shards ran concurrently: the slowest shard. Shards
-    /// are independent and near-equal, so this is the pool's lower bound.
-    modeled_secs: f64,
-}
-
-/// Times the classify kernel shard-by-shard at each shard count, asserting
-/// every sharded tally equal to the serial word scan (the merge is a sum
-/// over a partition, so any divergence is a bug, not noise).
-fn sharded_scan_rows(fixtures: &[Fixture]) -> Vec<ShardRow> {
-    let mut rows = Vec::new();
-    let mut out: Vec<WordClass> = Vec::new();
-    for &shards in &[1usize, 2, 4, 8] {
-        let mut shard_secs = vec![0.0f64; shards];
-        for fix in fixtures {
-            let len = fix.to_send.word_count();
-            out.clear();
-            out.resize(len, WordClass::default());
-            for _ in 0..REPS {
-                for (i, secs) in shard_secs.iter_mut().enumerate() {
-                    let r = shard_range(len, shards, i);
-                    let t0 = Instant::now();
-                    classify_range(
-                        &mut out[r.clone()],
-                        &fix.to_send.words()[r.clone()],
-                        &fix.dirty.words()[r.clone()],
-                        Some(&fix.transfer.words()[r]),
-                    );
-                    *secs += t0.elapsed().as_secs_f64();
-                }
-                std::hint::black_box(&out);
-            }
-            let mut t = Tallies::default();
-            for c in &out {
-                t.sends += u64::from(c.sends.count_ones());
-                t.skip_dirty += u64::from(c.skips_dirty.count_ones());
-                t.skip_transfer += u64::from(c.skips_transfer.count_ones());
-            }
-            t.deferred = t.skip_transfer;
-            assert_eq!(
-                t,
-                word_scan(fix),
-                "sharded scan diverged at {shards} shards on {}",
-                fix.name
-            );
-        }
-        rows.push(ShardRow {
-            shards,
-            wall_secs: shard_secs.iter().sum(),
-            modeled_secs: shard_secs.iter().cloned().fold(0.0, f64::max),
-        });
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
-// Allocation micro-bench.
-// ---------------------------------------------------------------------------
-
-/// Deterministic word soup (splitmix64) for the allocation walks.
-fn soup(seed: u64, len: usize) -> Vec<u64> {
-    let mut x = seed;
-    (0..len)
-        .map(|_| {
-            x = x.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        })
-        .collect()
-}
-
-/// Counts allocations for the same chunked walk done two ways: a fresh
-/// `ScanScratch` per walk (what a naive per-iteration implementation
-/// would do) vs one persistent arena recycled across walks (what the
-/// engine does). Returns `(fresh_allocs, arena_allocs)`.
-fn alloc_microbench() -> (u64, u64) {
-    let ts = soup(31, ALLOC_WORDS);
-    let d = soup(32, ALLOC_WORDS);
-    let t = soup(33, ALLOC_WORDS);
-    let walk = |scratch: &mut ScanScratch| {
-        scratch.begin_quantum();
-        for wi in 0..ALLOC_WORDS {
-            scratch.ensure(wi, &ts, &d, Some(&t));
-            std::hint::black_box(scratch.class_at(wi));
-        }
-    };
-    let before = ALLOC_COUNT.load(Ordering::Relaxed);
-    for _ in 0..ALLOC_REPS {
-        let mut scratch = ScanScratch::new(1);
-        walk(&mut scratch);
-        walk(&mut scratch); // second quantum: the prefetch-armed shape
-    }
-    let fresh = ALLOC_COUNT.load(Ordering::Relaxed) - before;
-
-    let mut scratch = ScanScratch::new(1);
-    walk(&mut scratch);
-    walk(&mut scratch); // warm the arenas into their steady-state capacity
-    let before = ALLOC_COUNT.load(Ordering::Relaxed);
-    for _ in 0..ALLOC_REPS {
-        walk(&mut scratch);
-    }
-    let arena = ALLOC_COUNT.load(Ordering::Relaxed) - before;
-    (fresh, arena)
-}
-
-// ---------------------------------------------------------------------------
 // Harness scaling rows.
 // ---------------------------------------------------------------------------
 
@@ -388,16 +229,15 @@ struct HarnessJob {
 }
 
 /// One end-to-end migration cell: warm up, migrate, render the report
-/// facts that must not depend on who ran the cell or how the scan pool
-/// was sized. The returned string is the byte-identity contract.
-fn run_cell(w: &WorkloadSpec, job: &HarnessJob, shard_workers: usize) -> String {
+/// facts that must not depend on who ran the cell. The returned string is
+/// the byte-identity contract.
+fn run_cell(w: &WorkloadSpec, job: &HarnessJob) -> String {
     let vm = JavaVmConfig::paper(w.clone(), job.assisted, job.seed);
-    let mut migration = if job.assisted {
+    let migration = if job.assisted {
         MigrationConfig::javmm_default()
     } else {
         MigrationConfig::xen_default()
     };
-    migration.scan_workers = shard_workers;
     let o = run_scenario(&Scenario::quick(
         vm,
         migration,
@@ -440,7 +280,6 @@ fn makespan(costs: &[f64], workers: usize) -> f64 {
 struct HarnessRow {
     workers: usize,
     cell_workers: usize,
-    shard_workers: usize,
     wall_secs: f64,
     modeled_secs: f64,
 }
@@ -479,7 +318,7 @@ fn run_harness(plan: &runner::WorkerPlan) -> HarnessResult {
     let mut reference = Vec::with_capacity(jobs.len());
     for job in &jobs {
         let t0 = Instant::now();
-        reference.push(run_cell(&workloads[job.widx], job, 1));
+        reference.push(run_cell(&workloads[job.widx], job));
         costs.push(t0.elapsed().as_secs_f64());
     }
     let serial_secs: f64 = costs.iter().sum();
@@ -492,17 +331,17 @@ fn run_harness(plan: &runner::WorkerPlan) -> HarnessResult {
     }
     let mut rows = Vec::new();
     for &w in &worker_counts {
-        let (cell_workers, shard_workers) = if plan.serialized {
-            (1, 1)
+        let cell_workers = if plan.serialized {
+            1
         } else {
-            runner::split_workers(w, jobs.len())
+            w.min(jobs.len())
         };
         let (wall_secs, outputs) = if w == 1 {
             (serial_secs, None)
         } else {
             let t0 = Instant::now();
             let outs = runner::par_map_workers(cell_workers, &jobs, |job| {
-                run_cell(&workloads[job.widx], job, shard_workers)
+                run_cell(&workloads[job.widx], job)
             });
             (t0.elapsed().as_secs_f64(), Some(outs))
         };
@@ -522,7 +361,6 @@ fn run_harness(plan: &runner::WorkerPlan) -> HarnessResult {
         rows.push(HarnessRow {
             workers: w,
             cell_workers,
-            shard_workers,
             wall_secs,
             modeled_secs,
         });
@@ -622,8 +460,6 @@ fn cmd_fleet(args: &[String]) {
     let digest_dir = flag("--digest-dir");
     let series_cap =
         flag("--series-cap").map(|s| s.parse::<usize>().expect("--series-cap takes an integer"));
-    let scan_workers = flag("--scan-workers")
-        .map(|s| s.parse::<usize>().expect("--scan-workers takes an integer"));
     let policies: Vec<cluster::FleetPolicy> = match flag("--policy") {
         None => cluster::FleetPolicy::ALL.to_vec(),
         Some(name) => match cluster::FleetPolicy::parse(&name) {
@@ -642,11 +478,6 @@ fn cmd_fleet(args: &[String]) {
         // Regression drill: starve the observatory's sample ring (below
         // 16 samples the detector refuses to certify anything).
         host.sense_capacity = cap;
-    }
-    if let Some(workers) = scan_workers {
-        // Pooled per-VM scanning: changes wall-clock only, never the
-        // digest (tests/parallel_determinism.rs locks that).
-        host.scan_workers = workers.max(1);
     }
     // Rows stream out of the scheduler in completion order; narrate them
     // so long drains show progress instead of going dark.
@@ -903,29 +734,6 @@ fn main() {
         "scan: per-bit {bit_rate:.3e} pages/s, word {word_rate:.3e} pages/s, \
          speedup {scan_speedup:.1}x over {total_pages} pages"
     );
-    let shard_rows = sharded_scan_rows(&fixtures);
-    let shard_base = shard_rows[0].modeled_secs;
-    for r in &shard_rows {
-        eprintln!(
-            "scan: {} shards wall {:.4}s, modeled {:.4}s ({:.2}x), tallies identical",
-            r.shards,
-            r.wall_secs,
-            r.modeled_secs,
-            shard_base / r.modeled_secs
-        );
-    }
-
-    // -- Allocation micro-bench ---------------------------------------------
-    let (fresh_allocs, arena_allocs) = alloc_microbench();
-    assert!(
-        arena_allocs < fresh_allocs,
-        "persistent arena must allocate less than fresh scratch \
-         ({arena_allocs} vs {fresh_allocs})"
-    );
-    eprintln!(
-        "alloc: fresh scratch {fresh_allocs} allocs over {ALLOC_REPS} walks, \
-         persistent arena {arena_allocs}"
-    );
 
     // -- Harness scaling ----------------------------------------------------
     let harness = if scan_only {
@@ -952,26 +760,7 @@ fn main() {
         "  \"scan\": {{\n    \"pages_per_rep\": {pages_per_rep},\n    \"reps\": {REPS},\n    \
          \"per_bit_pages_per_sec\": {bit_rate:.0},\n    \
          \"word_pages_per_sec\": {word_rate:.0},\n    \
-         \"speedup\": {scan_speedup:.2},\n    \"sharded\": [\n"
-    ));
-    for (i, r) in shard_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"shards\": {}, \"wall_secs\": {:.6}, \"modeled_secs\": {:.6}, \
-             \"modeled_speedup\": {:.3}}}{}\n",
-            r.shards,
-            r.wall_secs,
-            r.modeled_secs,
-            shard_base / r.modeled_secs,
-            if i + 1 < shard_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("    ]\n  },\n");
-    json.push_str(&format!(
-        "  \"alloc\": {{\n    \"walks\": {ALLOC_REPS},\n    \
-         \"words_per_walk\": {ALLOC_WORDS},\n    \
-         \"fresh_scratch_allocs\": {fresh_allocs},\n    \
-         \"persistent_arena_allocs\": {arena_allocs},\n    \"reduction\": {:.1}\n  }},\n",
-        fresh_allocs as f64 / (arena_allocs.max(1)) as f64
+         \"speedup\": {scan_speedup:.2}\n  }},\n"
     ));
     match &harness {
         None => json.push_str("  \"harness\": null\n"),
@@ -983,12 +772,11 @@ fn main() {
             ));
             for (i, r) in h.rows.iter().enumerate() {
                 json.push_str(&format!(
-                    "      {{\"workers\": {}, \"cell_workers\": {}, \"shard_workers\": {}, \
+                    "      {{\"workers\": {}, \"cell_workers\": {}, \
                      \"wall_secs\": {:.3}, \"modeled_secs\": {:.3}, \
                      \"modeled_speedup\": {:.3}, \"outputs_identical\": true}}{}\n",
                     r.workers,
                     r.cell_workers,
-                    r.shard_workers,
                     r.wall_secs,
                     r.modeled_secs,
                     h.serial_secs / r.modeled_secs,

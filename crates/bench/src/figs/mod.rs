@@ -29,12 +29,11 @@ pub fn run_one(
 ) -> ScenarioOutcome {
     let mut vm = JavaVmConfig::paper(workload.clone(), assisted, seed);
     vm.young_max = young_max;
-    let mut migration = if assisted {
+    let migration = if assisted {
         MigrationConfig::javmm_default()
     } else {
         MigrationConfig::xen_default()
     };
-    migration.scan_workers = opts.shard_workers.max(1);
     let recorder = if opts.trace.is_some() {
         Recorder::new()
     } else {

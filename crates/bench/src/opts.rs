@@ -22,12 +22,6 @@ pub struct FigOpts {
     /// turns this off). Output is byte-identical either way; see
     /// [`crate::runner`] for the determinism contract.
     pub parallel: bool,
-    /// Scan-pool workers inside each cell's migration session — the second
-    /// level of the cells × shards scheme (see
-    /// [`crate::runner::split_workers`]). The sharded scan is bit-identical
-    /// to the serial one, so this never changes any figure; it only spends
-    /// leftover worker budget when there are fewer cells than workers.
-    pub shard_workers: usize,
 }
 
 impl FigOpts {
@@ -40,7 +34,6 @@ impl FigOpts {
             profile: SimDuration::from_secs(300),
             trace: None,
             parallel: true,
-            shard_workers: 1,
         }
     }
 
@@ -53,7 +46,6 @@ impl FigOpts {
             profile: SimDuration::from_secs(60),
             trace: None,
             parallel: true,
-            shard_workers: 1,
         }
     }
 

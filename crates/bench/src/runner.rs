@@ -45,8 +45,9 @@ pub struct WorkerPlan {
     /// wall-clock speedup is capped at `available` even though all
     /// `effective` workers run (outputs are identical regardless).
     pub capped: bool,
-    /// `JAVMM_SERIALIZE_POOL` collapsed the plan to one worker (the CI
-    /// drill that must fail the parallel-efficiency gate).
+    /// `JAVMM_SERIALIZE_POOL` collapsed the plan to one worker, so every
+    /// cell runs serially (the CI drill that must fail the
+    /// parallel-efficiency gate).
     pub serialized: bool,
 }
 
@@ -102,18 +103,6 @@ pub fn worker_plan_from(env: Option<&str>, serialized: bool, available: usize) -
 /// parallelism (or 1 when it cannot be determined).
 pub fn worker_count() -> usize {
     worker_plan().effective
-}
-
-/// Splits a total worker budget across the two levels of the harness:
-/// cell-level concurrency (independent scenario runs) first, then
-/// intra-run scan-pool shards from whatever budget is left per cell.
-/// Returns `(cell_workers, shard_workers)`; both are at least 1 and
-/// `cell_workers * shard_workers <= max(total, 1)`.
-pub fn split_workers(total: usize, cells: usize) -> (usize, usize) {
-    let total = total.max(1);
-    let cell_workers = total.min(cells.max(1));
-    let shard_workers = (total / cell_workers).max(1);
-    (cell_workers, shard_workers)
 }
 
 /// Maps `f` over `items` on a scoped thread pool, returning results in
@@ -240,17 +229,5 @@ mod tests {
         assert_eq!(plan.source, "serialized");
         assert!(plan.serialized);
         assert!(!plan.capped);
-    }
-
-    #[test]
-    fn split_workers_covers_both_levels() {
-        // Plenty of cells: all budget goes to cell-level concurrency.
-        assert_eq!(split_workers(4, 24), (4, 1));
-        // Fewer cells than workers: the surplus shards inside each run.
-        assert_eq!(split_workers(8, 2), (2, 4));
-        assert_eq!(split_workers(7, 2), (2, 3));
-        // Degenerate inputs stay sane.
-        assert_eq!(split_workers(0, 0), (1, 1));
-        assert_eq!(split_workers(1, 100), (1, 1));
     }
 }

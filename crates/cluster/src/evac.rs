@@ -1263,15 +1263,7 @@ fn admit_host(
                 .and_then(|r| r.runner_up.map(|ru| dests[ru].spec.name.clone())),
             runner_up_score: rationale.as_ref().and_then(|r| r.runner_up_score),
         });
-        let mut migration = slot.tenant.migration.clone();
-        if spec.scan_workers > 1 {
-            // Host-wide scan pool: every admitted session shards its scan
-            // across the host's workers. Bit-identical to inline scanning,
-            // so pooled and serial drains produce the same digest bytes
-            // (locked by tests/parallel_determinism.rs).
-            migration.scan_workers = spec.scan_workers;
-        }
-        let engine = PrecopyEngine::new(migration);
+        let engine = PrecopyEngine::new(slot.tenant.migration.clone());
         let session = engine.begin(&mut slot.vm, &mut slot.clock, Recorder::new())?;
         let applied = slot.tenant.migration.bandwidth;
         slot.active = Some(Active {

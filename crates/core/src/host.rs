@@ -134,12 +134,6 @@ pub struct HostSpec {
     /// shrinking this below that deliberately blinds the observatory
     /// (used by regression drills).
     pub sense_capacity: usize,
-    /// Scan-pool workers each admitted migration session runs with; `1`
-    /// keeps every per-VM scan inline. Overrides the per-tenant
-    /// `migration.scan_workers` at admission, and — because the sharded
-    /// pipeline is bit-identical to the serial path — never changes a
-    /// drain's digest, only its wall-clock.
-    pub scan_workers: usize,
 }
 
 impl HostSpec {
@@ -159,14 +153,7 @@ impl HostSpec {
             tick: SimDuration::from_millis(2),
             sense_cadence: SimDuration::from_millis(500),
             sense_capacity: 256,
-            scan_workers: 1,
         }
-    }
-
-    /// Sets the per-session scan-pool worker count.
-    pub fn scan_workers(mut self, workers: usize) -> Self {
-        self.scan_workers = workers;
-        self
     }
 
     /// Appends a tenant (roster order is admission order under FIFO).
@@ -212,9 +199,6 @@ impl HostSpec {
                 .is_multiple_of(self.tick.as_nanos())
         {
             return Err(ConfigError::SenseCadenceMisaligned);
-        }
-        if self.scan_workers == 0 {
-            return Err(ConfigError::ZeroScanWorkers);
         }
         // `Bandwidth` is positive by construction, so uplink and min-rate
         // floors need no re-check here; weights are plain f64s and do.
@@ -299,12 +283,6 @@ impl HostSpecBuilder {
     /// Sets the sensing ring capacity.
     pub fn sense_capacity(mut self, capacity: usize) -> Self {
         self.spec.sense_capacity = capacity;
-        self
-    }
-
-    /// Sets the per-session scan-pool worker count.
-    pub fn scan_workers(mut self, workers: usize) -> Self {
-        self.spec.scan_workers = workers;
         self
     }
 
@@ -451,14 +429,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::SenseCadenceMisaligned,
             "cadence must align to the 2 ms tick"
-        );
-        assert_eq!(
-            HostSpec::builder("h", 1)
-                .tenant(tenant())
-                .scan_workers(0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroScanWorkers
         );
         assert_eq!(
             HostSpec::builder("h", 1)

@@ -130,12 +130,6 @@ pub struct MigrationConfig {
     pub cpu_cost_per_byte: f64,
     /// Daemon CPU cost per page examined during scans.
     pub cpu_cost_per_page_scan: SimDuration,
-    /// Worker threads for the sharded scan/classify pipeline
-    /// ([`crate::scanpool`]). `1` (the default) keeps the pipeline inline on
-    /// the engine thread; any value produces bit-identical reports — the
-    /// knob only changes who does the classification work, never what it
-    /// computes.
-    pub scan_workers: usize,
     /// The cold-page assist (defer / delta actions). Off by default; the
     /// zero-config path is locked byte-identical by the inertness goldens.
     pub cold: ColdAssistConfig,
@@ -162,7 +156,6 @@ impl MigrationConfig {
             compression: CompressionPolicy::Off,
             cpu_cost_per_byte: 1.1e-9,
             cpu_cost_per_page_scan: SimDuration::from_nanos(250),
-            scan_workers: 1,
             cold: ColdAssistConfig::off(),
             coord: CoordPolicy::default(),
             fallback: FallbackPolicy::default(),
@@ -208,9 +201,6 @@ impl MigrationConfig {
         }
         if !self.faults.is_valid() {
             return Err(ConfigError::InvalidFaultPlan);
-        }
-        if self.scan_workers == 0 {
-            return Err(ConfigError::ZeroScanWorkers);
         }
         self.cold.validate(self.assisted)?;
         Ok(())
@@ -263,12 +253,6 @@ impl MigrationConfigBuilder {
     /// Sets the compression policy.
     pub fn compression(mut self, compression: CompressionPolicy) -> Self {
         self.config.compression = compression;
-        self
-    }
-
-    /// Sets the scan-pool worker count (0 is rejected at build time).
-    pub fn scan_workers(mut self, workers: usize) -> Self {
-        self.config.scan_workers = workers;
         self
     }
 
@@ -370,19 +354,5 @@ mod tests {
             MigrationConfig::builder().faults(plan).build().unwrap_err(),
             ConfigError::InvalidFaultPlan
         );
-        assert_eq!(
-            MigrationConfig::builder()
-                .scan_workers(0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroScanWorkers
-        );
-    }
-
-    #[test]
-    fn scan_workers_default_is_inline() {
-        assert_eq!(MigrationConfig::xen_default().scan_workers, 1);
-        let c = MigrationConfig::builder().scan_workers(4).build().unwrap();
-        assert_eq!(c.scan_workers, 4);
     }
 }

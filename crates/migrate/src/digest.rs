@@ -923,12 +923,19 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the cap turns hostile input into a
+/// [`DigestError`] instead of a stack overflow; committed documents nest
+/// at most 4 deep.
+const MAX_JSON_DEPTH: usize = 64;
+
 impl Json {
-    /// Parses a JSON document.
+    /// Parses a JSON document nested at most 64 arrays/objects deep.
     pub fn parse(text: &str) -> Result<Json, DigestError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -997,6 +1004,8 @@ impl std::error::Error for DigestError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -1041,11 +1050,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(DigestError::parse(self.pos, "expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a nesting level deeper, refusing to go
+    /// past [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, DigestError>,
+    ) -> Result<Json, DigestError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(DigestError::parse(self.pos, "nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, DigestError> {
@@ -1549,12 +1573,13 @@ pub const BENCH_PRECOPY_SCHEMA: &str = "javmm-bench-precopy-v2";
 
 /// The pre-copy benchmark regression gate. `harness.parallel_speedup` is
 /// the *modeled* 4-worker makespan speedup (`speedup_basis` in the
-/// document says so) — a drop past 35% means the multi-core pipeline
-/// degenerated (the seeded `JAVMM_SERIALIZE_POOL=1` drill collapses it to
-/// ~1.0 and must trip exactly this metric). `scan.speedup` guards the
-/// word-granular kernel against returning to per-bit costs, and
-/// `harness.outputs_identical` is a boolean tripwire: any `true -> false`
-/// flip (parallel output diverging from serial) is a regression outright.
+/// document says so) — a drop past 35% means the harness stopped fanning
+/// cells out (the seeded `JAVMM_SERIALIZE_POOL=1` drill runs every cell on
+/// one worker, collapses it to ~1.0 and must trip exactly this metric).
+/// `scan.speedup` guards the word-granular kernel against returning to
+/// per-bit costs, and `harness.outputs_identical` is a boolean tripwire:
+/// any `true -> false` flip (parallel output diverging from serial) is a
+/// regression outright.
 const BENCH_COMPARE_METRICS: &[CompareMetric] = &[
     CompareMetric {
         path: &["harness", "parallel_speedup"],
@@ -1874,6 +1899,34 @@ mod tests {
         assert_eq!(v.get(&["e"]), Some(&Json::Bool(true)));
         assert!(Json::parse("{\"a\": }").is_err());
         assert!(Json::parse("[1,2] trailing").is_err());
+    }
+
+    #[test]
+    fn parser_rejects_deep_nesting_and_truncation_without_panicking() {
+        let deep = "[".repeat(100_000);
+        assert!(matches!(Json::parse(&deep), Err(DigestError::Parse(..))));
+        let at_cap = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(Json::parse(&past_cap).is_err());
+
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/DIGEST_derby-assisted-seed3.json"
+        );
+        let golden = std::fs::read_to_string(path).expect("committed digest");
+        let doc = golden.trim_end();
+        assert!(Json::parse(doc).is_ok());
+        // Every strict prefix leaves the top-level object open.
+        for end in 0..doc.len() {
+            if let Some(prefix) = doc.get(..end) {
+                assert!(Json::parse(prefix).is_err(), "prefix of {end} bytes parsed");
+            }
+        }
     }
 
     #[test]

@@ -29,8 +29,6 @@ pub enum ConfigError {
     /// The fault plan is self-contradictory (e.g. a negative link factor
     /// or an out-of-range probability).
     InvalidFaultPlan,
-    /// The scan pool needs at least one worker.
-    ZeroScanWorkers,
     /// The cold assist needs the assisted protocol: the cold-region map
     /// arrives through the LKM.
     ColdRequiresAssist,
@@ -64,7 +62,6 @@ impl core::fmt::Display for ConfigError {
             Self::ZeroCoordTimeout => "coordination timeouts must be non-zero",
             Self::BackoffBelowOne => "retry backoff multiplier must be >= 1",
             Self::InvalidFaultPlan => "fault plan is invalid",
-            Self::ZeroScanWorkers => "scan pool needs at least one worker",
             Self::ColdRequiresAssist => "cold assist requires the assisted protocol",
             Self::ZeroDeltaCache => "delta page cache needs at least one entry",
             Self::EmptyRoster => "host drain needs at least one tenant",

@@ -30,7 +30,6 @@ pub mod policy;
 pub mod postcopy;
 pub mod precopy;
 pub mod report;
-pub mod scanpool;
 pub mod sla;
 pub mod vmhost;
 

@@ -43,7 +43,8 @@
 //! the hypervisor dirty log and the LKM transfer bitmap — are dense
 //! `u64`-word bitmaps, and the guest only runs *between* quanta, so within
 //! a quantum the sendable set is exactly `to_send & transfer & !dirty`
-//! computed 64 pages at a time. Skip classification and the per-class
+//! computed 64 pages at a time ([`WordClass::of`], applied to each word
+//! where the walk reads it). Skip classification and the per-class
 //! traffic/CPU accounting are batched per word run; only the pages actually
 //! transferred are visited individually.
 
@@ -53,7 +54,6 @@ use crate::config::{CompressionPolicy, FallbackPolicy, MigrationConfig};
 use crate::destination::DestinationVm;
 use crate::error::{CoordPhase, MigrateError, MigrationOutcome};
 use crate::report::{DowntimeBreakdown, EngineEvent, IterationStats, MigrationReport, StopReason};
-use crate::scanpool::{ScanPool, ScanScratch};
 use crate::vmhost::MigratableVm;
 use guestos::coord::CoordPayload;
 use guestos::lkm::DaemonPort;
@@ -136,6 +136,32 @@ struct RunState {
     /// Pending link-degrade fault, consumed when its time arrives.
     link_plan: Option<LinkDegrade>,
     base_bandwidth: Bandwidth,
+}
+
+/// One snapshot word, classified: the three disjoint masks the walk needs.
+/// `sends | skips_transfer | skips_dirty` reassembles the snapshot word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WordClass {
+    /// `ts & t & !d` — pages to put on the wire.
+    pub sends: u64,
+    /// `ts & !t` — pages the LKM's transfer bitmap vetoes (deferred skips).
+    pub skips_transfer: u64,
+    /// `ts & t & d` — pages already re-dirtied (Xen's redundancy skip).
+    pub skips_dirty: u64,
+}
+
+impl WordClass {
+    /// Classifies snapshot word `ts` against dirty-log word `d` and LKM
+    /// transfer word `t`. `t: None` — a vanilla or degraded run, which
+    /// consults no transfer bitmap — behaves as all-ones.
+    pub fn of(ts: u64, d: u64, t: Option<u64>) -> Self {
+        let t = t.unwrap_or(u64::MAX);
+        WordClass {
+            sends: ts & t & !d,
+            skips_transfer: ts & !t,
+            skips_dirty: ts & t & d,
+        }
+    }
 }
 
 /// Running totals of one live iteration, shared by its scan quanta.
@@ -312,7 +338,6 @@ impl PrecopyEngine {
             npages,
             iterations: Vec::new(),
             to_send: Bitmap::new_all_set(npages),
-            scratch: ScanScratch::new(self.config.scan_workers),
             t_enter_last: None,
             stop_reason: None,
             finished: false,
@@ -348,10 +373,6 @@ pub struct MigrationSession {
     npages: u64,
     iterations: Vec<IterationStats>,
     to_send: Bitmap,
-    /// Reusable chunk buffers, staging arenas and per-worker counters for
-    /// the sharded scan pipeline; recycled across iterations so the scan
-    /// hot path performs no steady-state allocation.
-    scratch: ScanScratch,
     t_enter_last: Option<SimTime>,
     stop_reason: Option<StopReason>,
     finished: bool,
@@ -462,7 +483,6 @@ impl MigrationSession {
                 clock,
                 &mut self.state,
                 &mut self.to_send,
-                &mut self.scratch,
                 index,
                 self.port.as_ref(),
                 waiting,
@@ -690,7 +710,6 @@ impl MigrationSession {
         // Freeze the flight recorder and derive the downtime breakdown from
         // its spans where they exist; the LKM-message / VM-query fallbacks
         // keep unrecorded runs reporting identically.
-        self.scratch.flush_telemetry(&state.recorder);
         state
             .recorder
             .counter_add(Subsystem::Engine, "pages_scanned", state.scan_pages);
@@ -989,14 +1008,10 @@ impl PrecopyEngine {
     /// the LKM reports readiness — or when the coordination machinery gives
     /// up and degrades the run.
     ///
-    /// Scanning is word-granular and chunk-pipelined (see the module docs
-    /// and [`crate::scanpool`]): words are classified a chunk at a time —
-    /// sharded across the scan pool and double-buffered so the next chunk
-    /// classifies while this one's pages go on the wire — then retired
-    /// send-free words wholesale and sendable pages bit by bit, so the link
+    /// Scanning is word-granular (see the module docs): each step classifies
+    /// 64 pages with three word operations, retires send-free words
+    /// wholesale, and walks only the sendable pages bit by bit so the link
     /// budget cuts off at exactly the same page as a per-bit scan would.
-    /// Chunks never outlive a quantum, so every classification the walk
-    /// consumes equals what a per-word read would return at that moment.
     #[allow(clippy::too_many_arguments)]
     fn run_live_iteration(
         &self,
@@ -1004,7 +1019,6 @@ impl PrecopyEngine {
         clock: &mut SimClock,
         state: &mut RunState,
         to_send: &mut Bitmap,
-        scratch: &mut ScanScratch,
         index: u32,
         port: Option<&DaemonPort>,
         waiting: bool,
@@ -1020,15 +1034,11 @@ impl PrecopyEngine {
             let q_bytes = tally.bytes;
             let mut budget = state.link.budget(self.config.quantum) as i64;
             let mut cpu_budget = self.config.quantum;
-            // The guest ran since the last quantum: every classified chunk
-            // is stale. Re-arm the prefetch from last quantum's walk rate.
-            scratch.begin_quantum();
             loop {
                 match self.scan_quantum(
                     &*vm,
                     state,
                     to_send,
-                    scratch,
                     &mut tally,
                     &mut budget,
                     &mut cpu_budget,
@@ -1048,7 +1058,6 @@ impl PrecopyEngine {
                             *to_send = snap;
                             self.split_cold(state, to_send);
                             tally.cursor = 0;
-                            scratch.invalidate();
                             if to_send.all_clear() {
                                 // No hot work left: hand the rest of the
                                 // quantum to the cold bulk stream.
@@ -1158,21 +1167,17 @@ impl PrecopyEngine {
         })
     }
 
-    /// The scan half of one quantum: consume classified chunks, retiring
-    /// send-free words wholesale and walking sendable pages in PFN order,
-    /// until a budget runs out ([`ScanExit::Budget`]) or the snapshot has
-    /// no set bit at or after the cursor ([`ScanExit::Drained`]). The body
-    /// is the word walk of the serial scanner verbatim — only the source of
-    /// the per-word classification changed, from two bitmap reads to the
-    /// chunk pipeline — so every report field and budget cutoff is
-    /// bit-identical to the serial path at any worker count.
-    #[allow(clippy::too_many_arguments)]
+    /// The scan half of one quantum: classify snapshot words where the walk
+    /// reads them, retiring send-free words wholesale and walking sendable
+    /// pages in PFN order, until a budget runs out ([`ScanExit::Budget`])
+    /// or the snapshot has no set bit at or after the cursor
+    /// ([`ScanExit::Drained`]). The guest does not run inside a quantum, so
+    /// the dirty log and the transfer bitmap read here are frozen.
     fn scan_quantum(
         &self,
         vm: &dyn MigratableVm,
         state: &mut RunState,
         to_send: &mut Bitmap,
-        scratch: &mut ScanScratch,
         tally: &mut IterTally,
         budget: &mut i64,
         cpu_budget: &mut SimDuration,
@@ -1186,22 +1191,20 @@ impl PrecopyEngine {
             // word is still-pending work; whatever the scanner never
             // reaches is the leftover the stop-and-copy inherits.
             let w = to_send.words()[wi];
-            {
-                let kernel = vm.kernel();
-                let d_words = kernel.memory().dirty_log().peek_ref().words();
-                let t_words = if state.assist {
-                    kernel
-                        .lkm()
-                        .map(|l| l.transfer_bitmap().as_bitmap().words())
-                } else {
-                    None
-                };
-                scratch.ensure(wi, to_send.words(), d_words, t_words);
-            }
-            let wc = scratch.class_at(wi);
-            let skips_t = wc.skips_transfer;
-            let skips_d = wc.skips_dirty;
-            let sends = wc.sends;
+            let kernel = vm.kernel();
+            let d = kernel.memory().dirty_log().peek_ref().words()[wi];
+            let t = if state.assist {
+                kernel
+                    .lkm()
+                    .map(|l| l.transfer_bitmap().as_bitmap().words()[wi])
+            } else {
+                None
+            };
+            let WordClass {
+                sends,
+                skips_transfer: skips_t,
+                skips_dirty: skips_d,
+            } = WordClass::of(w, d, t);
 
             if sends == 0 {
                 // A word with no sendable page consumes no link budget:
@@ -1332,10 +1335,7 @@ impl PrecopyEngine {
             match vm.kernel().lkm() {
                 Some(lkm) => {
                     let tb = lkm.transfer_bitmap().as_bitmap();
-                    // The skip count is a popcount fold — sharded by region
-                    // across the scan pool, exact by partition additivity.
-                    let skipped = ScanPool::new(self.config.scan_workers)
-                        .sum_shards(sendable.word_count(), |r| sendable.count_and_not_in(tb, r));
+                    let skipped = sendable.count_and_not(tb);
                     sendable.intersect_with(tb);
                     skipped
                 }
@@ -1589,15 +1589,8 @@ impl PrecopyEngine {
             return log.dirty_count();
         }
         match vm.kernel().lkm() {
-            // An allocation-free word-AND popcount over both bitmaps,
-            // sharded by region across the scan pool (the partial popcounts
-            // sum exactly, so the sharded fold equals the serial one).
-            Some(lkm) => {
-                let dirty = log.peek_ref();
-                let tb = lkm.transfer_bitmap().as_bitmap();
-                ScanPool::new(self.config.scan_workers)
-                    .sum_shards(dirty.word_count(), |r| dirty.count_and_in(tb, r))
-            }
+            // An allocation-free word-AND popcount over both bitmaps.
+            Some(lkm) => log.peek_ref().count_and(lkm.transfer_bitmap().as_bitmap()),
             None => log.dirty_count(),
         }
     }

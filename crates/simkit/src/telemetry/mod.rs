@@ -34,7 +34,6 @@ pub mod hist;
 pub mod metrics;
 pub mod recorder;
 pub mod series;
-pub mod shard;
 pub mod span;
 
 pub use causal::{CausalEvent, CausalId, CausalKind, CausalLog};
@@ -42,7 +41,6 @@ pub use hist::Histogram;
 pub use metrics::{CounterValue, GaugeValue, HistogramValue};
 pub use recorder::{Event, EventKind, Recorder, RunTelemetry, Value};
 pub use series::{SampleSeries, SeriesValue};
-pub use shard::ShardLedger;
 pub use span::{SpanId, SpanRecord, SpanTableRow};
 
 /// The layer of the stack an event originates from.

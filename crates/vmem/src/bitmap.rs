@@ -256,39 +256,6 @@ impl Bitmap {
             .sum()
     }
 
-    /// Returns `popcount(self & other)` restricted to the backing words in
-    /// `range` — the shard-local slice of [`Bitmap::count_and`]. Summing the
-    /// results over a partition of `0..word_count()` equals the whole-map
-    /// count, which is what lets the scan pipeline split the work across
-    /// workers without changing the answer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ or `range` exceeds the word count.
-    pub fn count_and_in(&self, other: &Bitmap, range: core::ops::Range<usize>) -> u64 {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words[range.clone()]
-            .iter()
-            .zip(&other.words[range])
-            .map(|(a, b)| (a & b).count_ones() as u64)
-            .sum()
-    }
-
-    /// Returns `popcount(self & !other)` restricted to the backing words in
-    /// `range` — the shard-local slice of [`Bitmap::count_and_not`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ or `range` exceeds the word count.
-    pub fn count_and_not_in(&self, other: &Bitmap, range: core::ops::Range<usize>) -> u64 {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words[range.clone()]
-            .iter()
-            .zip(&other.words[range])
-            .map(|(a, b)| (a & !b).count_ones() as u64)
-            .sum()
-    }
-
     /// Calls `f(word_index, word)` for every *non-zero* backing word, in
     /// ascending index order. The hot-path alternative to [`Bitmap::iter_set`]
     /// when the consumer wants to apply set algebra a word at a time.
@@ -483,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn intersect_count_and_invert() {
+    fn popcounts_intersect_and_invert() {
         let mut a = Bitmap::new(130);
         let mut b = Bitmap::new(130);
         for p in [0u64, 63, 64, 100, 129] {

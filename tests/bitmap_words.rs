@@ -6,7 +6,7 @@
 //! maps). If the word algebra and the bit-at-a-time semantics ever
 //! disagree — including on bits beyond the tail — these fail.
 
-use migrate::scanpool::{classify_range, shard_range, WordClass};
+use migrate::precopy::WordClass;
 use proptest::prelude::*;
 use vmem::{Bitmap, Pfn};
 
@@ -136,19 +136,23 @@ proptest! {
         d in prop::collection::vec(any::<u64>(), 0..96),
         t in prop::collection::vec(any::<u64>(), 0..96),
     ) {
-        // The engine's word classification (send / skip-dirty /
-        // skip-transfer) against the per-bit rule it replaced.
+        // The engine's word classifier (send / skip-dirty / skip-transfer)
+        // against the per-bit rule it replaced.
         let (snap, sm) = build(len, &s);
         let (dirty, dm) = build(len, &d);
         let (transfer, tm) = build(len, &t);
         let (mut sends, mut skips_d, mut skips_t) = (0u64, 0u64, 0u64);
         for wi in 0..snap.word_count() {
             let w = snap.words()[wi];
-            let dw = dirty.words()[wi];
-            let tw = transfer.words()[wi];
-            skips_t += u64::from((w & !tw).count_ones());
-            skips_d += u64::from((w & tw & dw).count_ones());
-            sends += u64::from((w & tw & !dw).count_ones());
+            let c = WordClass::of(w, dirty.words()[wi], Some(transfer.words()[wi]));
+            // The three masks are disjoint and reassemble the word.
+            prop_assert_eq!(c.sends | c.skips_transfer | c.skips_dirty, w);
+            prop_assert_eq!(c.sends & c.skips_transfer, 0);
+            prop_assert_eq!(c.sends & c.skips_dirty, 0);
+            prop_assert_eq!(c.skips_transfer & c.skips_dirty, 0);
+            skips_t += u64::from(c.skips_transfer.count_ones());
+            skips_d += u64::from(c.skips_dirty.count_ones());
+            sends += u64::from(c.sends.count_ones());
         }
         let (mut nsends, mut nskips_d, mut nskips_t) = (0u64, 0u64, 0u64);
         for i in 0..len as usize {
@@ -166,97 +170,12 @@ proptest! {
         prop_assert_eq!((sends, skips_d, skips_t), (nsends, nskips_d, nskips_t));
     }
 
-    fn shard_range_partitions_the_word_index_space(
-        len in 0usize..500,
-        shards in 1usize..12,
+    fn absent_transfer_word_classifies_as_all_ones(
+        s in any::<u64>(),
+        d in any::<u64>(),
     ) {
-        // The shards are contiguous, in order, disjoint, and cover
-        // exactly 0..len — the precondition for every "sum over a
-        // partition equals the whole" argument in the scan pipeline.
-        let mut cursor = 0usize;
-        for i in 0..shards {
-            let r = shard_range(len, shards, i);
-            prop_assert_eq!(r.start, cursor);
-            prop_assert!(r.end >= r.start);
-            cursor = r.end;
-        }
-        prop_assert_eq!(cursor, len);
-    }
-
-    fn sharded_classify_concat_matches_serial(
-        len in 1u64..900,
-        shards in 1usize..12,
-        s in prop::collection::vec(any::<u64>(), 0..128),
-        d in prop::collection::vec(any::<u64>(), 0..128),
-        t in prop::collection::vec(any::<u64>(), 0..128),
-    ) {
-        // The tentpole determinism claim at the kernel level: classifying
-        // shard-local slices and concatenating in shard order is the
-        // identical word sequence the serial classifier produces — for
-        // any shard count, including counts that don't divide the length.
-        let (snap, _) = build(len, &s);
-        let (dirty, _) = build(len, &d);
-        let (transfer, _) = build(len, &t);
-        let words = snap.word_count();
-        let mut serial = vec![WordClass::default(); words];
-        classify_range(
-            &mut serial,
-            snap.words(),
-            dirty.words(),
-            Some(transfer.words()),
-        );
-        let mut sharded = vec![WordClass::default(); words];
-        for i in 0..shards {
-            let r = shard_range(words, shards, i);
-            classify_range(
-                &mut sharded[r.clone()],
-                &snap.words()[r.clone()],
-                &dirty.words()[r.clone()],
-                Some(&transfer.words()[r]),
-            );
-        }
-        prop_assert_eq!(&sharded, &serial);
-        // The stop-and-copy shape (no transferability mask) must agree
-        // with an explicit all-ones mask.
-        let mut no_mask = vec![WordClass::default(); words];
-        classify_range(&mut no_mask, snap.words(), dirty.words(), None);
-        let all_ones = vec![u64::MAX; words];
-        let mut ones_mask = vec![WordClass::default(); words];
-        classify_range(&mut ones_mask, snap.words(), dirty.words(), Some(&all_ones));
-        prop_assert_eq!(&no_mask, &ones_mask);
-    }
-
-    fn range_restricted_counts_sum_to_the_whole(
-        len in 1u64..600,
-        shards in 1usize..12,
-        a in prop::collection::vec(any::<u64>(), 0..96),
-        b in prop::collection::vec(any::<u64>(), 0..96),
-    ) {
-        // count_and_in / count_and_not_in over any partition sum to the
-        // whole-map folds the serial engine uses, and each shard-local
-        // value matches a per-bit count of the same index range.
-        let (x, xm) = build(len, &a);
-        let (y, ym) = build(len, &b);
-        let words = x.word_count();
-        let (mut and_sum, mut and_not_sum) = (0u64, 0u64);
-        for i in 0..shards {
-            let r = shard_range(words, shards, i);
-            let and_part = x.count_and_in(&y, r.clone());
-            let and_not_part = x.count_and_not_in(&y, r.clone());
-            let bits = (r.start as u64 * 64)..((r.end as u64 * 64).min(len));
-            let naive_and = bits
-                .clone()
-                .filter(|&i| xm[i as usize] && ym[i as usize])
-                .count() as u64;
-            let naive_and_not = bits
-                .filter(|&i| xm[i as usize] && !ym[i as usize])
-                .count() as u64;
-            prop_assert_eq!(and_part, naive_and);
-            prop_assert_eq!(and_not_part, naive_and_not);
-            and_sum += and_part;
-            and_not_sum += and_not_part;
-        }
-        prop_assert_eq!(and_sum, x.count_and(&y));
-        prop_assert_eq!(and_not_sum, x.count_and_not(&y));
+        // Vanilla and degraded runs consult no transfer bitmap; that must
+        // classify exactly as a transfer word with every page allowed.
+        prop_assert_eq!(WordClass::of(s, d, None), WordClass::of(s, d, Some(u64::MAX)));
     }
 }

@@ -4,12 +4,11 @@
 //! `tests/precopy_equivalence.rs` locks the engine's per-bit behaviour and
 //! `results/DIGEST_*.json` pins the digest bytes; this file locks the
 //! *absence* of the cold-page machinery on top: re-running the committed
-//! digest roster with `ColdAssistConfig::off()` spelled out explicitly —
-//! at both 1 and 8 scan workers — must reproduce every committed golden
-//! byte for byte, still under the v2 schema (no `cold` section), and the
-//! drain12 fleet golden likewise. If a disabled run ever grows a counter,
-//! shifts a histogram bucket, or bumps the schema, these comparisons
-//! break before any behavioural test does.
+//! digest roster with `ColdAssistConfig::off()` spelled out explicitly
+//! must reproduce every committed golden byte for byte, still under the v2
+//! schema (no `cold` section), and the drain12 fleet golden likewise. If a
+//! disabled run ever grows a counter, shifts a histogram bucket, or bumps
+//! the schema, these comparisons break before any behavioural test does.
 
 use cluster::{roster, run_fleet, FleetPolicy};
 use javmm::orchestrator::{run_scenario_recorded, Scenario};
@@ -28,15 +27,9 @@ fn committed(name: &str) -> String {
 }
 
 /// Runs one of the standard digest-roster scenarios with the cold assist
-/// explicitly disabled and the given scan pool size, returning the digest
-/// JSON under the scenario's committed name.
-fn digest_cold_off(
-    name: &str,
-    workload: &str,
-    assisted: bool,
-    seed: u64,
-    scan_workers: usize,
-) -> String {
+/// explicitly disabled, returning the digest JSON under the scenario's
+/// committed name.
+fn digest_cold_off(name: &str, workload: &str, assisted: bool, seed: u64) -> String {
     let spec = match workload {
         "derby" => catalog::derby(),
         "crypto" => catalog::crypto(),
@@ -47,7 +40,6 @@ fn digest_cold_off(
     } else {
         MigrationConfig::xen_default()
     };
-    migration.scan_workers = scan_workers;
     migration.cold = ColdAssistConfig::off();
     let outcome = run_scenario_recorded(
         &Scenario::quick(
@@ -72,7 +64,7 @@ fn digest_cold_off(
 }
 
 /// The three standard committed run digests, reproduced byte for byte
-/// with the subsystem off at serial and pooled scan widths.
+/// with the subsystem off.
 #[test]
 fn disabled_cold_assist_reproduces_committed_run_digests() {
     for (name, workload, assisted, seed) in [
@@ -85,35 +77,24 @@ fn disabled_cold_assist_reproduces_committed_run_digests() {
             golden.contains(&format!("\"schema\": \"{DIGEST_SCHEMA}\"")),
             "{name}: committed golden must still be the v2 (cold-free) schema"
         );
-        for workers in [1usize, 8] {
-            let digest = digest_cold_off(name, workload, assisted, seed, workers);
-            assert!(
-                !digest.contains("\"cold\""),
-                "{name} at {workers} workers: disabled run must emit no cold section"
-            );
-            assert_eq!(
-                digest, golden,
-                "{name} at {workers} scan workers diverged from the committed golden"
-            );
-        }
+        let digest = digest_cold_off(name, workload, assisted, seed);
+        assert!(
+            !digest.contains("\"cold\""),
+            "{name}: disabled run must emit no cold section"
+        );
+        assert_eq!(digest, golden, "{name} diverged from the committed golden");
     }
 }
 
 /// The drain12 fleet golden, reproduced byte for byte with the
-/// subsystem off at serial and pooled scan widths.
+/// subsystem off.
 #[test]
 fn disabled_cold_assist_reproduces_committed_fleet_golden() {
     let golden = committed("fleet_drain12_cycle");
-    for workers in [1usize, 8] {
-        let out = run_fleet(
-            &roster::drain12(7).scan_workers(workers),
-            FleetPolicy::CycleAware,
-        )
-        .expect("drain12 failed");
-        assert_eq!(
-            out.digest.to_json(),
-            golden,
-            "drain12 digest at {workers} scan workers diverged from the committed golden"
-        );
-    }
+    let out = run_fleet(&roster::drain12(7), FleetPolicy::CycleAware).expect("drain12 failed");
+    assert_eq!(
+        out.digest.to_json(),
+        golden,
+        "drain12 digest diverged from the committed golden"
+    );
 }
