@@ -1,5 +1,6 @@
 //! `bench` — performance evidence for the pre-copy scan pipeline, plus
-//! the migration observatory's digest/compare subcommands.
+//! the migration observatory's digest, compare, fleet, evacuation and
+//! cold-assist subcommands.
 //!
 //! Usage:
 //!   bench [--scan-only] [--out PATH]
@@ -8,54 +9,34 @@
 //!   bench fleet [--roster NAME] [--seed N] [--out PATH] [--policy NAME]
 //!               [--digest-dir DIR] [--series-cap N]
 //!   bench evacuate [--seed N] [--out PATH] [--policy NAME]
-//!                  [--pin-placement DEST]
+//!                  [--pin-placement DEST] [--eta-out PATH]
+//!                  [--trace-out PREFIX] [--freeze-eta]
 //!   bench cold [--out PATH] [--delta-cache N] [--cold-fraction F[,F..]]
 //!              [--warmup-secs S]
 //!
-//! `bench cold` migrates the cold-heavy cacheapp roster twice per guest —
-//! with the cold assist off (baseline) and with defer + delta on — and
-//! writes `BENCH_cold.json` (schema `javmm-bench-cold-v1`) recording the
-//! roster-wide savings ratios: total sent bytes, stop-and-copy bytes and
-//! the XBZRLE wire discount, plus page-for-page destination verification.
-//! `--cold-fraction` overrides the long-tail ladder (default
-//! `0.0,0.2,0.4,0.6,0.8` of the cache held by the rarely-written resident
-//! set); `--delta-cache 1` is the CI drill — a one-entry delta page cache
-//! evicts every prior page version before it can be reused, collapsing
-//! `delta.saved_bytes_ratio` so `bench compare` must fail naming it.
+//! Each subcommand writes deterministic documents, described by its
+//! library module: `digest` by [`javmm_bench::digests`] (one
+//! `DIGEST_<scenario>.json` and `.prom` per scenario into `--out-dir`,
+//! default `results`), `fleet` by [`javmm_bench::fleet`] (roster `solo`,
+//! `drain4`, `drain12` or `adversarial`; `--digest-dir` also writes each
+//! policy's fleet digest), `evacuate` by [`javmm_bench::evacuate`]
+//! (`--eta-out` the ETA-calibration companion, `--trace-out` the causal
+//! trace, causal log and pipe exposition), and `cold` by
+//! [`javmm_bench::cold`] (`--cold-fraction` overrides the ladder).
 //!
-//! `bench evacuate` drains the 48-VM four-rack evacuation fleet onto the
-//! 56-slot destination pool across the contended core switch, once per
-//! placement policy (SLA-cost-aware, greedy headroom, seeded random), and
-//! writes `BENCH_evacuate.json` comparing fleet eviction time, aggregate
-//! downtime, wire bytes, SLA cost and per-destination placement counts,
-//! plus the SLA policy's cost/eviction ratios against random placement.
-//! `--pin-placement DEST` is the CI drill: placement is disabled, every
-//! VM lands on destination index DEST, and the document records the
-//! crippled run under all three placement keys so `bench compare` trips
-//! its `placements.sla.eviction_ns` gate.
-//!
-//! `bench fleet` drains one multi-VM roster (`solo`, `drain4`, `drain12`
-//! or `adversarial`; default `drain12`) under every fleet scheduling
-//! policy (or just `--policy`) and writes `BENCH_fleet.json` comparing
-//! total eviction time, aggregate downtime, wire bytes, SLA cost and
-//! workload-observatory detection accuracy per policy, plus the
-//! cycle-aware policy's detected-vs-declared eviction ratio. Per-VM rows
-//! stream to stderr as migrations complete. `--digest-dir` additionally
-//! writes each policy's full fleet digest (for baseline gating via
-//! `bench compare`, which dispatches on the digest's schema);
-//! `--series-cap` shrinks the observatory's sample ring — capping it
-//! below 16 blinds the detector, the seeded regression CI drills. The
-//! document is deterministic for a fixed roster + seed.
-//!
-//! `bench digest` runs the fixed roster of recorded migrations and writes
-//! one `DIGEST_<scenario>.json` (plus a `.prom` Prometheus exposition) per
-//! scenario into `--out-dir` (default `results`). `--scan-slowdown 1.25`
-//! scales the engine's per-page scan CPU cost, seeding a deliberate
-//! scan-throughput regression for gate testing. `bench compare` diffs two
-//! digests under the built-in per-metric thresholds and exits 1 on
-//! regression (naming the metric) or 2 on a parse/schema error. It also
-//! understands `BENCH_precopy.json` v2 documents, gating the harness's
-//! parallel efficiency (`JAVMM_SERIALIZE_POOL=1` seeds that drill).
+//! `bench compare` diffs two documents under the baseline schema's row of
+//! `migrate::digest::GATES` and exits 1 on regression (naming the metric)
+//! or 2 on a parse/schema error. Each gate has a seeded drill that must
+//! trip it: `digest --scan-slowdown 1.25` scales the per-page scan CPU
+//! cost (`scan.pages_per_cpu_sec`); `fleet --series-cap 8` starves the
+//! observatory's sample ring below the detector's 16-sample minimum
+//! (`detect.window_hit_rate`); `evacuate --pin-placement DEST` lands every
+//! VM on one destination and records that run under all three placement
+//! keys (`placements.sla.eviction_ns`); `evacuate --freeze-eta` stops ETA
+//! re-projection (`eta.p90_abs_err`); `cold --delta-cache 1` evicts every
+//! prior page version before reuse (`delta.saved_bytes_ratio`); and
+//! `JAVMM_SERIALIZE_POOL=1` serializes the default run's harness
+//! (`harness.parallel_speedup`).
 //!
 //! The default (no subcommand) run writes `BENCH_precopy.json` (schema
 //! `javmm-bench-precopy-v2`; override the path with `--out`), all
@@ -86,6 +67,7 @@ use javmm::orchestrator::{run_scenario, Scenario};
 use javmm::vm::JavaVmConfig;
 use javmm_bench::runner;
 use migrate::config::MigrationConfig;
+use migrate::digest::{Json, BENCH_PRECOPY_SCHEMA};
 use simkit::rng::DetRng;
 use simkit::SimDuration;
 use std::time::Instant;
@@ -383,18 +365,33 @@ fn run_harness(plan: &runner::WorkerPlan) -> HarnessResult {
 // Subcommands.
 // ---------------------------------------------------------------------------
 
+/// The value following `name` in `args`, if any.
+fn flag(args: &[String], name: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == name)?;
+    args.get(i + 1).cloned()
+}
+
+/// The fleet policy named `name`; exits 2 on an unknown name.
+fn parse_policy(name: &str) -> cluster::FleetPolicy {
+    cluster::FleetPolicy::parse(name).unwrap_or_else(|| {
+        eprintln!("unknown policy {name}; use fifo, swsf, cycle or cycle-declared");
+        std::process::exit(2);
+    })
+}
+
+/// Writes `contents` (a `what`) to `path`, creating its directory.
+fn write_out(path: &str, contents: &str, what: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).expect("create output directory");
+    }
+    std::fs::write(path, contents).unwrap_or_else(|e| panic!("write {what}: {e}"));
+    eprintln!("wrote {path}");
+}
+
 /// Runs the digest roster, writing per-scenario JSON + Prometheus files.
 fn cmd_digest(args: &[String]) {
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out-dir")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "results".to_string());
-    let scan_slowdown = args
-        .iter()
-        .position(|a| a == "--scan-slowdown")
-        .and_then(|i| args.get(i + 1))
+    let out_dir = flag(args, "--out-dir").unwrap_or_else(|| "results".to_string());
+    let scan_slowdown = flag(args, "--scan-slowdown")
         .map(|s| s.parse::<f64>().expect("--scan-slowdown takes a number"))
         .unwrap_or(1.0);
     std::fs::create_dir_all(&out_dir).expect("create output directory");
@@ -413,7 +410,7 @@ fn cmd_digest(args: &[String]) {
     }
 }
 
-/// Diffs two digest files; exit 1 on regression, 2 on parse/schema error.
+/// Diffs two documents; exit 1 on regression, 2 on parse/schema error.
 fn cmd_compare(args: &[String]) {
     let (old_path, new_path) = match (args.first(), args.get(1)) {
         (Some(a), Some(b)) => (a, b),
@@ -429,7 +426,7 @@ fn cmd_compare(args: &[String]) {
         })
     };
     let (old_json, new_json) = (read(old_path), read(new_path));
-    match migrate::digest::compare_any(&old_json, &new_json) {
+    match migrate::digest::compare(&old_json, &new_json) {
         Ok(report) => {
             print!("{}", report.render());
             if report.has_regression() {
@@ -446,29 +443,17 @@ fn cmd_compare(args: &[String]) {
 /// Drains one roster under every fleet policy (or one, with `--policy`);
 /// writes the comparison and optional per-policy fleet digests.
 fn cmd_fleet(args: &[String]) {
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let roster_name = flag("--roster").unwrap_or_else(|| "drain12".to_string());
-    let seed = flag("--seed")
+    let roster_name = flag(args, "--roster").unwrap_or_else(|| "drain12".to_string());
+    let seed = flag(args, "--seed")
         .map(|s| s.parse::<u64>().expect("--seed takes an integer"))
         .unwrap_or(7);
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_fleet.json".to_string());
-    let digest_dir = flag("--digest-dir");
-    let series_cap =
-        flag("--series-cap").map(|s| s.parse::<usize>().expect("--series-cap takes an integer"));
-    let policies: Vec<cluster::FleetPolicy> = match flag("--policy") {
+    let out_path = flag(args, "--out").unwrap_or_else(|| "BENCH_fleet.json".to_string());
+    let digest_dir = flag(args, "--digest-dir");
+    let series_cap = flag(args, "--series-cap")
+        .map(|s| s.parse::<usize>().expect("--series-cap takes an integer"));
+    let policies = match flag(args, "--policy") {
         None => cluster::FleetPolicy::ALL.to_vec(),
-        Some(name) => match cluster::FleetPolicy::parse(&name) {
-            Some(p) => vec![p],
-            None => {
-                eprintln!("unknown policy {name}; use fifo, swsf, cycle or cycle-declared");
-                std::process::exit(2);
-            }
-        },
+        Some(name) => vec![parse_policy(&name)],
     };
     let Some(mut host) = javmm_bench::fleet::roster_by_name(&roster_name, seed) else {
         eprintln!("unknown roster {roster_name}; use solo, drain4, drain12 or adversarial");
@@ -493,23 +478,15 @@ fn cmd_fleet(args: &[String]) {
     });
     print!("{}", javmm_bench::fleet::render_table(&runs));
     let json = javmm_bench::fleet::to_json(&host, &runs);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, json).expect("write fleet results");
-    eprintln!("wrote {out_path}");
+    write_out(&out_path, &json, "fleet results");
     if let Some(dir) = digest_dir {
-        std::fs::create_dir_all(&dir).expect("create digest directory");
         for run in &runs {
             let path = format!(
                 "{dir}/DIGEST_fleet_{}_{}.json",
                 host.name,
                 run.policy.name()
             );
-            std::fs::write(&path, run.digest.to_json()).expect("write fleet digest");
-            eprintln!("wrote {path}");
+            write_out(&path, &run.digest.to_json(), "fleet digest");
         }
     }
 }
@@ -518,32 +495,18 @@ fn cmd_fleet(args: &[String]) {
 /// with every VM pinned to one destination — the CI drill); writes the
 /// placement comparison document.
 fn cmd_evacuate(args: &[String]) {
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let seed = flag("--seed")
+    let seed = flag(args, "--seed")
         .map(|s| s.parse::<u64>().expect("--seed takes an integer"))
         .unwrap_or(7);
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_evacuate.json".to_string());
-    let policy = match flag("--policy") {
-        None => cluster::FleetPolicy::CycleAware,
-        Some(name) => match cluster::FleetPolicy::parse(&name) {
-            Some(p) => p,
-            None => {
-                eprintln!("unknown policy {name}; use fifo, swsf, cycle or cycle-declared");
-                std::process::exit(2);
-            }
-        },
-    };
-    let pin = flag("--pin-placement").map(|s| {
+    let out_path = flag(args, "--out").unwrap_or_else(|| "BENCH_evacuate.json".to_string());
+    let policy =
+        flag(args, "--policy").map_or(cluster::FleetPolicy::CycleAware, |name| parse_policy(&name));
+    let pin = flag(args, "--pin-placement").map(|s| {
         s.parse::<usize>()
             .expect("--pin-placement takes a destination index")
     });
-    let eta_out = flag("--eta-out");
-    let trace_out = flag("--trace-out");
+    let eta_out = flag(args, "--eta-out");
+    let trace_out = flag(args, "--trace-out");
     let freeze_eta = args.iter().any(|a| a == "--freeze-eta");
     let narrate = |run: &javmm_bench::evacuate::PlacementRun| {
         eprintln!(
@@ -575,18 +538,9 @@ fn cmd_evacuate(args: &[String]) {
         }
     };
     print!("{}", javmm_bench::evacuate::render_table(&runs));
-    let write_out = |path: &str, contents: String, what: &str| {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create output directory");
-            }
-        }
-        std::fs::write(path, contents).unwrap_or_else(|e| panic!("write {what}: {e}"));
-        eprintln!("wrote {path}");
-    };
     write_out(
         &out_path,
-        javmm_bench::evacuate::to_json(seed, policy, &runs),
+        &javmm_bench::evacuate::to_json(seed, policy, &runs),
         "evacuation results",
     );
     let m = &observed.mission;
@@ -602,7 +556,7 @@ fn cmd_evacuate(args: &[String]) {
     if let Some(path) = eta_out {
         write_out(
             &path,
-            javmm_bench::evacuate::eta_to_json(seed, policy, freeze_eta, &observed),
+            &javmm_bench::evacuate::eta_to_json(seed, policy, freeze_eta, &observed),
             "eta calibration document",
         );
     }
@@ -610,17 +564,17 @@ fn cmd_evacuate(args: &[String]) {
         use simkit::telemetry::causal;
         write_out(
             &format!("{prefix}.trace.json"),
-            causal::chrome_trace_to_string(&m.causal),
+            &causal::chrome_trace_to_string(&m.causal),
             "causal Chrome trace",
         );
         write_out(
             &format!("{prefix}.causal.jsonl"),
-            causal::jsonl_to_string(&m.causal),
+            &causal::jsonl_to_string(&m.causal),
             "causal JSONL log",
         );
         write_out(
             &format!("{prefix}.pipes.prom"),
-            javmm_bench::evacuate::pipes_to_prometheus(&observed),
+            &javmm_bench::evacuate::pipes_to_prometheus(&observed),
             "pipe utilization exposition",
         );
     }
@@ -629,17 +583,11 @@ fn cmd_evacuate(args: &[String]) {
 /// Runs the cold-heavy cacheapp roster baseline-vs-assist and writes
 /// `BENCH_cold.json`.
 fn cmd_cold(args: &[String]) {
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_cold.json".to_string());
-    let delta_cache = flag("--delta-cache")
+    let out_path = flag(args, "--out").unwrap_or_else(|| "BENCH_cold.json".to_string());
+    let delta_cache = flag(args, "--delta-cache")
         .map(|s| s.parse::<u64>().expect("--delta-cache takes an integer"))
         .unwrap_or(javmm_bench::cold::COLD_DELTA_CACHE_PAGES);
-    let ladder: Vec<f64> = match flag("--cold-fraction") {
+    let ladder: Vec<f64> = match flag(args, "--cold-fraction") {
         None => javmm_bench::cold::COLD_LADDER.to_vec(),
         Some(list) => list
             .split(',')
@@ -656,7 +604,7 @@ fn cmd_cold(args: &[String]) {
             })
             .collect(),
     };
-    let warmup_secs = flag("--warmup-secs")
+    let warmup_secs = flag(args, "--warmup-secs")
         .map(|s| s.parse::<u64>().expect("--warmup-secs takes an integer"))
         .unwrap_or(20);
     let result = javmm_bench::cold::run_roster(
@@ -667,21 +615,7 @@ fn cmd_cold(args: &[String]) {
     );
     eprint!("{}", javmm_bench::cold::render_table(&result));
     let json = javmm_bench::cold::to_json(&result);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, json).expect("write cold benchmark document");
-    eprintln!("wrote {out_path}");
-}
-
-// ---------------------------------------------------------------------------
-// JSON assembly.
-// ---------------------------------------------------------------------------
-
-fn json_opt_usize(v: Option<usize>) -> String {
-    v.map_or_else(|| "null".to_string(), |n| n.to_string())
+    write_out(&out_path, &json, "cold benchmark document");
 }
 
 fn main() {
@@ -695,17 +629,12 @@ fn main() {
         _ => {}
     }
     let scan_only = args.iter().any(|a| a == "--scan-only");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_precopy.json".to_string());
+    let out_path = flag(&args, "--out").unwrap_or_else(|| "BENCH_precopy.json".to_string());
 
     let plan = runner::worker_plan();
     eprintln!(
         "workers: requested={} effective={} available={} source={} capped={} serialized={}",
-        json_opt_usize(plan.requested),
+        Json::from(plan.requested),
         plan.effective,
         plan.available,
         plan.source,
@@ -743,63 +672,58 @@ fn main() {
     };
 
     // -- JSON ---------------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"javmm-bench-precopy-v2\",\n");
-    json.push_str(&format!(
-        "  \"workers\": {{\n    \"requested\": {},\n    \"effective\": {},\n    \
-         \"available_parallelism\": {},\n    \"source\": \"{}\",\n    \
-         \"capped\": {},\n    \"serialized_pool\": {}\n  }},\n",
-        json_opt_usize(plan.requested),
-        plan.effective,
-        plan.available,
-        plan.source,
-        plan.capped,
-        plan.serialized
-    ));
-    json.push_str(&format!(
-        "  \"scan\": {{\n    \"pages_per_rep\": {pages_per_rep},\n    \"reps\": {REPS},\n    \
-         \"per_bit_pages_per_sec\": {bit_rate:.0},\n    \
-         \"word_pages_per_sec\": {word_rate:.0},\n    \
-         \"speedup\": {scan_speedup:.2}\n  }},\n"
-    ));
-    match &harness {
-        None => json.push_str("  \"harness\": null\n"),
-        Some(h) => {
-            json.push_str(&format!(
-                "  \"harness\": {{\n    \"cells\": {},\n    \"speedup_basis\": \"modeled\",\n    \
-                 \"serial_secs\": {:.3},\n    \"rows\": [\n",
-                h.cells, h.serial_secs
-            ));
-            for (i, r) in h.rows.iter().enumerate() {
-                json.push_str(&format!(
-                    "      {{\"workers\": {}, \"cell_workers\": {}, \
-                     \"wall_secs\": {:.3}, \"modeled_secs\": {:.3}, \
-                     \"modeled_speedup\": {:.3}, \"outputs_identical\": true}}{}\n",
-                    r.workers,
-                    r.cell_workers,
-                    r.wall_secs,
-                    r.modeled_secs,
-                    h.serial_secs / r.modeled_secs,
-                    if i + 1 < h.rows.len() { "," } else { "" }
-                ));
-            }
-            json.push_str(&format!(
-                "    ],\n    \"parallel_speedup\": {:.3},\n    \
-                 \"outputs_identical\": true\n  }}\n",
-                h.parallel_speedup
-            ));
-        }
-    }
-    json.push_str("}\n");
+    let harness_json = harness.as_ref().map(|h| {
+        let rows = h.rows.iter().map(|r| {
+            Json::line([
+                ("workers", r.workers.into()),
+                ("cell_workers", r.cell_workers.into()),
+                ("wall_secs", Json::fixed(r.wall_secs, 3)),
+                ("modeled_secs", Json::fixed(r.modeled_secs, 3)),
+                (
+                    "modeled_speedup",
+                    Json::fixed(h.serial_secs / r.modeled_secs, 3),
+                ),
+                ("outputs_identical", true.into()),
+            ])
+        });
+        Json::obj([
+            ("cells", h.cells.into()),
+            ("speedup_basis", "modeled".into()),
+            ("serial_secs", Json::fixed(h.serial_secs, 3)),
+            ("rows", Json::Arr(rows.collect())),
+            ("parallel_speedup", Json::fixed(h.parallel_speedup, 3)),
+            ("outputs_identical", true.into()),
+        ])
+    });
+    let json = Json::obj([
+        ("schema", BENCH_PRECOPY_SCHEMA.into()),
+        (
+            "workers",
+            Json::obj([
+                ("requested", plan.requested.into()),
+                ("effective", plan.effective.into()),
+                ("available_parallelism", plan.available.into()),
+                ("source", plan.source.into()),
+                ("capped", plan.capped.into()),
+                ("serialized_pool", plan.serialized.into()),
+            ]),
+        ),
+        (
+            "scan",
+            Json::obj([
+                ("pages_per_rep", pages_per_rep.into()),
+                ("reps", REPS.into()),
+                ("per_bit_pages_per_sec", Json::fixed(bit_rate, 0)),
+                ("word_pages_per_sec", Json::fixed(word_rate, 0)),
+                ("speedup", Json::fixed(scan_speedup, 2)),
+            ]),
+        ),
+        ("harness", harness_json.into()),
+    ])
+    .render();
 
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write benchmark results");
     println!("{json}");
-    eprintln!("wrote {out_path}");
+    write_out(&out_path, &json, "benchmark results");
 
     assert!(
         scan_speedup >= 2.0,

@@ -8,25 +8,26 @@
 //! reduces both runs into the savings ratios the CI digest gate watches:
 //! total sent bytes, last-iteration bytes, and the XBZRLE wire discount.
 //!
-//! The JSON layout matches [`migrate::digest::compare_cold_bench`]:
 //! `savings.total_bytes_ratio`, `savings.last_iter_bytes_ratio`,
-//! `delta.saved_bytes_ratio` and `harness.verified` are gate inputs, so
-//! their paths are part of the schema contract (`javmm-bench-cold-v1`).
+//! `delta.saved_bytes_ratio` and `harness.verified` are the inputs of the
+//! `javmm-bench-cold-v1` row of [`migrate::digest::GATES`], so their
+//! paths are part of the schema contract.
 
 use std::fmt::Write as _;
 
 use javmm::vm::{JavaVm, JavaVmConfig};
 use migrate::config::MigrationConfig;
+use migrate::digest::{Json, BENCH_COLD_SCHEMA};
 use migrate::precopy::PrecopyEngine;
 use migrate::report::MigrationReport;
-use migrate::ColdAssistConfig;
+use migrate::{ColdAssistConfig, ColdReport};
 use simkit::units::{Bandwidth, MIB};
 use simkit::{DetRng, SimClock, SimDuration};
 use workloads::cacheapp::{CacheApp, CacheAppConfig};
 use workloads::catalog;
 
-/// Roster name stamped into the JSON; `compare_cold_bench` refuses to diff
-/// documents whose rosters differ.
+/// Roster name stamped into the JSON; [`migrate::digest::compare`]
+/// refuses to diff documents whose rosters differ.
 pub const COLD_ROSTER: &str = "cacheapp-cold-ladder";
 
 /// The `--cold-fraction` ladder the roster spans.
@@ -73,27 +74,14 @@ pub struct ColdRunRow {
     pub assist_last_iter_bytes: u64,
     /// Pre-copy iterations with defer + delta enabled.
     pub assist_iterations: u32,
-    /// Pages the classifier routed into the cold bulk stream.
-    pub deferred_sent_pages: u64,
-    /// XBZRLE cache hits on the assist run.
-    pub delta_hits: u64,
-    /// Re-send consultations that found no cached prior version.
-    pub delta_misses: u64,
-    /// Consultations whose encoded delta lost to the full page.
-    pub delta_fallbacks: u64,
-    /// Cache inserts that evicted another page (capacity pressure).
-    pub delta_overflows: u64,
-    /// Bytes that went on the wire as deltas (headers included).
-    pub delta_wire_bytes: u64,
-    /// Bytes those sends would have cost at full size.
-    pub delta_full_bytes: u64,
+    /// What the cold assist did on the assist run.
+    pub cold: ColdReport,
     /// Destination digests matched page-for-page on *both* runs.
     pub verified: bool,
 }
 
 impl ColdRunRow {
     fn row(spec: &ColdVmSpec, baseline: &MigrationReport, assist: &MigrationReport) -> Self {
-        let cold = assist.cold.unwrap_or_default();
         Self {
             cold_fraction: spec.cold_fraction,
             baseline_bytes: baseline.total_bytes,
@@ -102,13 +90,7 @@ impl ColdRunRow {
             assist_bytes: assist.total_bytes,
             assist_last_iter_bytes: assist.last_iteration().bytes_sent,
             assist_iterations: assist.iteration_count(),
-            deferred_sent_pages: cold.deferred_sent_pages,
-            delta_hits: cold.delta_hits,
-            delta_misses: cold.delta_misses,
-            delta_fallbacks: cold.delta_fallbacks,
-            delta_overflows: cold.delta_overflows,
-            delta_wire_bytes: cold.delta_wire_bytes,
-            delta_full_bytes: cold.delta_full_bytes,
+            cold: assist.cold.unwrap_or_default(),
             verified: baseline.verification.is_correct()
                 && assist.verification.is_correct()
                 && !baseline.outcome.is_degraded()
@@ -152,8 +134,8 @@ impl ColdBenchResult {
     /// `1 - wire/full` over every delta-encoded send on the roster.
     pub fn delta_saved_bytes_ratio(&self) -> f64 {
         saved(
-            self.rows.iter().map(|(_, r)| r.delta_wire_bytes).sum(),
-            self.rows.iter().map(|(_, r)| r.delta_full_bytes).sum(),
+            self.rows.iter().map(|(_, r)| r.cold.delta_wire_bytes).sum(),
+            self.rows.iter().map(|(_, r)| r.cold.delta_full_bytes).sum(),
         )
     }
 
@@ -251,8 +233,8 @@ pub fn run_roster(
             row.baseline_last_iter_bytes,
             row.assist_last_iter_bytes,
             -100.0 * saved(row.assist_last_iter_bytes, row.baseline_last_iter_bytes),
-            row.deferred_sent_pages,
-            row.delta_hits,
+            row.cold.deferred_sent_pages,
+            row.cold.delta_hits,
             if row.verified { "" } else { " [VERIFY FAILED]" },
         ));
         rows.push((spec, row));
@@ -265,75 +247,61 @@ pub fn run_roster(
 
 /// Renders the `javmm-bench-cold-v1` document.
 pub fn to_json(result: &ColdBenchResult) -> String {
-    let mut o = String::new();
-    o.push_str("{\n");
-    o.push_str("  \"schema\": \"javmm-bench-cold-v1\",\n");
-    let _ = writeln!(o, "  \"roster\": \"{COLD_ROSTER}\",");
-    let _ = writeln!(o, "  \"delta_cache_pages\": {},", result.delta_cache_pages);
-    o.push_str("  \"savings\": {\n");
-    let _ = writeln!(
-        o,
-        "    \"total_bytes_ratio\": {:.6},",
-        result.total_bytes_ratio()
-    );
-    let _ = writeln!(
-        o,
-        "    \"last_iter_bytes_ratio\": {:.6}",
-        result.last_iter_bytes_ratio()
-    );
-    o.push_str("  },\n");
-    o.push_str("  \"delta\": {\n");
-    let _ = writeln!(
-        o,
-        "    \"saved_bytes_ratio\": {:.6}",
-        result.delta_saved_bytes_ratio()
-    );
-    o.push_str("  },\n");
-    o.push_str("  \"harness\": {\n");
-    let _ = writeln!(o, "    \"verified\": {}", result.verified());
-    o.push_str("  },\n");
-    o.push_str("  \"vms\": [\n");
-    let n = result.rows.len();
-    for (i, (spec, r)) in result.rows.iter().enumerate() {
-        o.push_str("    {\n");
-        let _ = writeln!(o, "      \"name\": \"{}\",", spec.name);
-        let _ = writeln!(o, "      \"seed\": {},", spec.seed);
-        let _ = writeln!(o, "      \"cold_fraction\": {:.2},", r.cold_fraction);
-        let _ = writeln!(o, "      \"baseline_bytes\": {},", r.baseline_bytes);
-        let _ = writeln!(
-            o,
-            "      \"baseline_last_iter_bytes\": {},",
-            r.baseline_last_iter_bytes
-        );
-        let _ = writeln!(
-            o,
-            "      \"baseline_iterations\": {},",
-            r.baseline_iterations
-        );
-        let _ = writeln!(o, "      \"assist_bytes\": {},", r.assist_bytes);
-        let _ = writeln!(
-            o,
-            "      \"assist_last_iter_bytes\": {},",
-            r.assist_last_iter_bytes
-        );
-        let _ = writeln!(o, "      \"assist_iterations\": {},", r.assist_iterations);
-        let _ = writeln!(
-            o,
-            "      \"deferred_sent_pages\": {},",
-            r.deferred_sent_pages
-        );
-        let _ = writeln!(o, "      \"delta_hits\": {},", r.delta_hits);
-        let _ = writeln!(o, "      \"delta_misses\": {},", r.delta_misses);
-        let _ = writeln!(o, "      \"delta_fallbacks\": {},", r.delta_fallbacks);
-        let _ = writeln!(o, "      \"delta_overflows\": {},", r.delta_overflows);
-        let _ = writeln!(o, "      \"delta_wire_bytes\": {},", r.delta_wire_bytes);
-        let _ = writeln!(o, "      \"delta_full_bytes\": {},", r.delta_full_bytes);
-        let _ = writeln!(o, "      \"verified\": {}", r.verified);
-        o.push_str(if i + 1 == n { "    }\n" } else { "    },\n" });
-    }
-    o.push_str("  ]\n");
-    o.push_str("}\n");
-    o
+    let vms = result.rows.iter().map(|(spec, r)| {
+        Json::obj([
+            ("name", spec.name.as_str().into()),
+            ("seed", spec.seed.into()),
+            ("cold_fraction", Json::fixed(r.cold_fraction, 2)),
+            ("baseline_bytes", r.baseline_bytes.into()),
+            (
+                "baseline_last_iter_bytes",
+                r.baseline_last_iter_bytes.into(),
+            ),
+            ("baseline_iterations", r.baseline_iterations.into()),
+            ("assist_bytes", r.assist_bytes.into()),
+            ("assist_last_iter_bytes", r.assist_last_iter_bytes.into()),
+            ("assist_iterations", r.assist_iterations.into()),
+            ("deferred_sent_pages", r.cold.deferred_sent_pages.into()),
+            ("delta_hits", r.cold.delta_hits.into()),
+            ("delta_misses", r.cold.delta_misses.into()),
+            ("delta_fallbacks", r.cold.delta_fallbacks.into()),
+            ("delta_overflows", r.cold.delta_overflows.into()),
+            ("delta_wire_bytes", r.cold.delta_wire_bytes.into()),
+            ("delta_full_bytes", r.cold.delta_full_bytes.into()),
+            ("verified", r.verified.into()),
+        ])
+    });
+    Json::obj([
+        ("schema", BENCH_COLD_SCHEMA.into()),
+        ("roster", COLD_ROSTER.into()),
+        ("delta_cache_pages", result.delta_cache_pages.into()),
+        (
+            "savings",
+            Json::obj([
+                (
+                    "total_bytes_ratio",
+                    Json::fixed(result.total_bytes_ratio(), 6),
+                ),
+                (
+                    "last_iter_bytes_ratio",
+                    Json::fixed(result.last_iter_bytes_ratio(), 6),
+                ),
+            ]),
+        ),
+        (
+            "delta",
+            Json::obj([(
+                "saved_bytes_ratio",
+                Json::fixed(result.delta_saved_bytes_ratio(), 6),
+            )]),
+        ),
+        (
+            "harness",
+            Json::obj([("verified", result.verified().into())]),
+        ),
+        ("vms", Json::Arr(vms.collect())),
+    ])
+    .render()
 }
 
 /// Human summary table for stderr.
@@ -398,6 +366,9 @@ mod tests {
             row.assist_bytes,
             row.baseline_bytes
         );
-        assert!(row.deferred_sent_pages > 0, "cold stream never drained");
+        assert!(
+            row.cold.deferred_sent_pages > 0,
+            "cold stream never drained"
+        );
     }
 }

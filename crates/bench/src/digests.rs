@@ -6,8 +6,9 @@
 //! [`migrate::digest::RunDigest`], and writes `DIGEST_<name>.json` (the
 //! compare baseline) and `DIGEST_<name>.prom` (Prometheus text exposition
 //! of the run's metrics registry) into the output directory. `bench
-//! compare <old> <new>` diffs two digest documents under the per-metric
-//! regression thresholds of [`migrate::digest::compare`].
+//! compare <old> <new>` diffs two digest documents with
+//! [`migrate::digest::compare`], under the run-digest row of
+//! [`migrate::digest::GATES`].
 //!
 //! Everything here is deterministic: same binary, same roster, same seeds
 //! produce byte-identical digests, which is what makes the committed

@@ -14,6 +14,7 @@
 //! so the `placements.sla.eviction_ns` gate trips.
 
 use cluster::{evacuate, roster, EvacOutcome, EvacuationPlan, FleetPolicy, PlacementPolicy};
+use migrate::digest::{Json, BENCH_EVACUATE_ETA_SCHEMA, BENCH_EVACUATE_SCHEMA};
 use simkit::telemetry::export::{pipes_prometheus_to_string, PipeSeriesView};
 use std::fmt::Write as _;
 
@@ -83,22 +84,13 @@ pub fn reduce(plan: &EvacuationPlan, out: &EvacOutcome) -> PlacementRun {
 }
 
 /// Runs the evacuation once per placement policy under `policy`
-/// (admission order), calling `on_done` after each run.
-pub fn run_placements(
-    seed: u64,
-    policy: FleetPolicy,
-    on_done: &mut dyn FnMut(&PlacementRun),
-) -> Vec<PlacementRun> {
-    run_placements_observed(seed, policy, false, on_done).0
-}
-
-/// [`run_placements`], keeping the SLA-aware run's full outcome — its
-/// mission-control readout (causal log, pipe timelines, ETA calibration,
-/// watchdog findings) feeds the observability artifacts. `freeze_eta`
-/// pins that run's ETA to the admission-time projection: the CI drill
-/// that must blow the `eta.p90_abs_err` gate. Mission control never
-/// touches a recorder, so the placement comparison stays byte-identical
-/// either way.
+/// (admission order), calling `on_done` after each run, and keeps the
+/// SLA-aware run's full outcome — its mission-control readout (causal
+/// log, pipe timelines, ETA calibration, watchdog findings) feeds the
+/// observability artifacts. `freeze_eta` pins that run's ETA to the
+/// admission-time projection: the CI drill that must blow the
+/// `eta.p90_abs_err` gate. Mission control never touches a recorder, so
+/// the placement comparison stays byte-identical either way.
 pub fn run_placements_observed(
     seed: u64,
     policy: FleetPolicy,
@@ -162,33 +154,21 @@ pub fn render_table(runs: &[PlacementRun]) -> String {
     o
 }
 
-fn write_placement(o: &mut String, key: &str, run: &PlacementRun, last: bool) {
-    let _ = writeln!(o, "    \"{key}\": {{");
-    let _ = writeln!(o, "      \"placement\": \"{}\",", run.placement.name());
-    let _ = writeln!(o, "      \"eviction_ns\": {},", run.eviction_ns);
-    let _ = writeln!(
-        o,
-        "      \"aggregate_downtime_ns\": {},",
-        run.aggregate_downtime_ns
-    );
-    let _ = writeln!(o, "      \"total_bytes\": {},", run.total_bytes);
-    let _ = writeln!(o, "      \"sla_cost\": {},", run.sla_cost);
-    let _ = writeln!(o, "      \"degraded\": {},", run.degraded);
-    let _ = writeln!(o, "      \"nonconverged\": {},", run.nonconverged);
-    o.push_str("      \"dest_counts\": {");
-    for (i, (name, count)) in run.dest_counts.iter().enumerate() {
-        let _ = write!(
-            o,
-            "\"{name}\": {count}{}",
-            if i + 1 < run.dest_counts.len() {
-                ", "
-            } else {
-                ""
-            }
-        );
-    }
-    o.push_str("}\n");
-    o.push_str(if last { "    }\n" } else { "    },\n" });
+fn placement_json(run: &PlacementRun) -> Json {
+    let dest_counts = run
+        .dest_counts
+        .iter()
+        .map(|(name, count)| (name.as_str(), (*count).into()));
+    Json::obj([
+        ("placement", run.placement.name().into()),
+        ("eviction_ns", run.eviction_ns.into()),
+        ("aggregate_downtime_ns", run.aggregate_downtime_ns.into()),
+        ("total_bytes", run.total_bytes.into()),
+        ("sla_cost", run.sla_cost.into()),
+        ("degraded", run.degraded.into()),
+        ("nonconverged", run.nonconverged.into()),
+        ("dest_counts", Json::line(dest_counts)),
+    ])
 }
 
 /// Serialises the comparison as the `BENCH_evacuate.json` document.
@@ -199,66 +179,49 @@ pub fn to_json(seed: u64, policy: FleetPolicy, runs: &[PlacementRun]) -> String 
     assert_eq!(runs.len(), 3, "sla, greedy and random runs expected");
     let (sla, random) = (&runs[0], &runs[2]);
     let plan = evacuate48_plan(seed, PlacementPolicy::SlaAware);
-    let mut o = String::new();
-    o.push_str("{\n");
-    o.push_str("  \"schema\": \"javmm-bench-evacuate-v1\",\n");
-    let _ = writeln!(o, "  \"plan\": \"{}\",", plan.name);
-    let _ = writeln!(o, "  \"seed\": {seed},");
-    let _ = writeln!(o, "  \"policy\": \"{}\",", policy.name());
-    let _ = writeln!(o, "  \"sources\": {},", plan.sources.len());
-    let _ = writeln!(o, "  \"tenants\": {},", plan.population());
     let core = plan.core.as_ref().expect("evacuate48 has a core switch");
-    let _ = writeln!(
-        o,
-        "  \"core_bytes_per_sec\": {},",
-        core.bandwidth.bytes_per_sec()
-    );
-    o.push_str("  \"destinations\": [\n");
-    for (i, d) in plan.destinations.iter().enumerate() {
-        let _ =
-            writeln!(
-            o,
-            "    {{\"name\": \"{}\", \"slots\": {}, \"ingress_bytes_per_sec\": {}, \"wan\": {}}}{}",
-            d.name,
-            d.slots,
-            d.ingress.bytes_per_sec(),
-            d.wan,
-            if i + 1 < plan.destinations.len() { "," } else { "" }
-        );
-    }
-    o.push_str("  ],\n");
-    o.push_str("  \"placements\": {\n");
-    write_placement(&mut o, "sla", &runs[0], false);
-    write_placement(&mut o, "greedy", &runs[1], false);
-    write_placement(&mut o, "random", &runs[2], true);
-    o.push_str("  },\n");
-    // The headline ratios: SLA-aware placement against random. Cost below
-    // 1.0 is the policy earning its keep; the compare gate watches both.
-    o.push_str("  \"sla_vs_random\": {\n");
-    let _ = writeln!(
-        o,
-        "    \"sla_cost_ratio\": {:.4},",
-        sla.sla_cost / random.sla_cost
-    );
-    let _ = writeln!(
-        o,
-        "    \"eviction_ratio\": {:.4}",
-        sla.eviction_ns as f64 / random.eviction_ns as f64
-    );
-    o.push_str("  }\n");
-    o.push_str("}\n");
-    o
-}
-
-fn json_opt_score(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |s| format!("{s:.4}"))
-}
-
-fn json_opt_str(v: Option<&str>) -> String {
-    v.map_or_else(
-        || "null".to_string(),
-        |s| format!("\"{}\"", simkit::telemetry::export::escape_json(s)),
-    )
+    let destinations = plan.destinations.iter().map(|d| {
+        Json::line([
+            ("name", d.name.as_str().into()),
+            ("slots", d.slots.into()),
+            ("ingress_bytes_per_sec", d.ingress.bytes_per_sec().into()),
+            ("wan", d.wan.into()),
+        ])
+    });
+    Json::obj([
+        ("schema", BENCH_EVACUATE_SCHEMA.into()),
+        ("plan", plan.name.as_str().into()),
+        ("seed", seed.into()),
+        ("policy", policy.name().into()),
+        ("sources", plan.sources.len().into()),
+        ("tenants", plan.population().into()),
+        ("core_bytes_per_sec", core.bandwidth.bytes_per_sec().into()),
+        ("destinations", Json::Arr(destinations.collect())),
+        (
+            "placements",
+            Json::obj([
+                ("sla", placement_json(&runs[0])),
+                ("greedy", placement_json(&runs[1])),
+                ("random", placement_json(&runs[2])),
+            ]),
+        ),
+        // The headline ratios: SLA-aware placement against random. Cost
+        // below 1.0 is the policy earning its keep; the gate watches both.
+        (
+            "sla_vs_random",
+            Json::obj([
+                (
+                    "sla_cost_ratio",
+                    Json::fixed(sla.sla_cost / random.sla_cost, 4),
+                ),
+                (
+                    "eviction_ratio",
+                    Json::fixed(sla.eviction_ns as f64 / random.eviction_ns as f64, 4),
+                ),
+            ]),
+        ),
+    ])
+    .render()
 }
 
 /// Serialises the SLA-aware run's mission-control readout as the
@@ -270,70 +233,69 @@ fn json_opt_str(v: Option<&str>) -> String {
 /// `eta.p90_abs_err` and `findings.total` gates watch this one.
 pub fn eta_to_json(seed: u64, policy: FleetPolicy, frozen: bool, out: &EvacOutcome) -> String {
     let m = &out.mission;
-    let mut o = String::new();
-    o.push_str("{\n");
-    o.push_str("  \"schema\": \"javmm-bench-evacuate-eta-v1\",\n");
-    o.push_str("  \"plan\": \"evacuate48\",\n");
-    let _ = writeln!(o, "  \"seed\": {seed},");
-    let _ = writeln!(o, "  \"policy\": \"{}\",", policy.name());
-    let _ = writeln!(o, "  \"frozen\": {frozen},");
-    let _ = writeln!(o, "  \"causal_events\": {},", m.causal.len());
-    o.push_str("  \"eta\": {\n");
-    let _ = writeln!(o, "    \"vms\": {},", m.eta.vms);
-    let _ = writeln!(o, "    \"predictions\": {},", m.eta.predictions);
-    let _ = writeln!(o, "    \"p50_abs_err\": {:.4},", m.eta.p50_abs_err);
-    let _ = writeln!(o, "    \"p90_abs_err\": {:.4},", m.eta.p90_abs_err);
-    let _ = writeln!(o, "    \"drift\": {:.4}", m.eta.drift);
-    o.push_str("  },\n");
-    o.push_str("  \"findings\": {\n");
-    let _ = writeln!(o, "    \"total\": {},", m.findings.len());
-    o.push_str("    \"rows\": [");
-    for (i, f) in m.findings.iter().enumerate() {
-        let _ = write!(
-            o,
-            "\n      {{\"rule\": \"{}\", \"subject\": \"{}\", \"at_ns\": {}, \"causal\": {}, \"detail\": \"{}\"}}{}",
-            f.rule,
-            simkit::telemetry::export::escape_json(&f.subject),
-            f.at_ns,
-            f.causal.0,
-            simkit::telemetry::export::escape_json(&f.detail),
-            if i + 1 < m.findings.len() { "," } else { "\n    " }
-        );
-    }
-    o.push_str("]\n");
-    o.push_str("  },\n");
-    o.push_str("  \"pipes\": [\n");
-    let pipes = m.pipes.pipes();
-    for (i, p) in pipes.iter().enumerate() {
-        let _ = writeln!(
-            o,
-            "    {{\"name\": \"{}\", \"samples\": {}, \"utilization_mean\": {:.4}, \"utilization_p95\": {:.4}, \"queued_demand_mean\": {:.0}, \"queued_demand_p95\": {:.0}}}{}",
-            simkit::telemetry::export::escape_json(&p.name),
-            p.utilization.len(),
-            p.utilization.mean(),
-            p.utilization.quantile(0.95),
-            p.queued_demand.mean(),
-            p.queued_demand.quantile(0.95),
-            if i + 1 < pipes.len() { "," } else { "" }
-        );
-    }
-    o.push_str("  ],\n");
-    o.push_str("  \"placements\": [\n");
-    for (i, p) in out.placements.iter().enumerate() {
-        let _ = writeln!(
-            o,
-            "    {{\"vm\": \"{}\", \"dest\": {}, \"chosen_score\": {}, \"runner_up\": {}, \"runner_up_score\": {}}}{}",
-            simkit::telemetry::export::escape_json(&p.vm),
-            json_opt_str(p.dest_name.as_deref()),
-            json_opt_score(p.chosen_score),
-            json_opt_str(p.runner_up.as_deref()),
-            json_opt_score(p.runner_up_score),
-            if i + 1 < out.placements.len() { "," } else { "" }
-        );
-    }
-    o.push_str("  ]\n");
-    o.push_str("}\n");
-    o
+    let score = |s: Option<f64>| s.map(|s| Json::fixed(s, 4));
+    let findings = m.findings.iter().map(|f| {
+        Json::line([
+            ("rule", f.rule.into()),
+            ("subject", f.subject.as_str().into()),
+            ("at_ns", f.at_ns.into()),
+            ("causal", f.causal.0.into()),
+            ("detail", f.detail.as_str().into()),
+        ])
+    });
+    let pipes = m.pipes.pipes().iter().map(|p| {
+        Json::line([
+            ("name", p.name.as_str().into()),
+            ("samples", p.utilization.len().into()),
+            ("utilization_mean", Json::fixed(p.utilization.mean(), 4)),
+            (
+                "utilization_p95",
+                Json::fixed(p.utilization.quantile(0.95), 4),
+            ),
+            ("queued_demand_mean", Json::fixed(p.queued_demand.mean(), 0)),
+            (
+                "queued_demand_p95",
+                Json::fixed(p.queued_demand.quantile(0.95), 0),
+            ),
+        ])
+    });
+    let placements = out.placements.iter().map(|p| {
+        Json::line([
+            ("vm", p.vm.as_str().into()),
+            ("dest", p.dest_name.as_deref().into()),
+            ("chosen_score", score(p.chosen_score).into()),
+            ("runner_up", p.runner_up.as_deref().into()),
+            ("runner_up_score", score(p.runner_up_score).into()),
+        ])
+    });
+    Json::obj([
+        ("schema", BENCH_EVACUATE_ETA_SCHEMA.into()),
+        ("plan", "evacuate48".into()),
+        ("seed", seed.into()),
+        ("policy", policy.name().into()),
+        ("frozen", frozen.into()),
+        ("causal_events", m.causal.len().into()),
+        (
+            "eta",
+            Json::obj([
+                ("vms", m.eta.vms.into()),
+                ("predictions", m.eta.predictions.into()),
+                ("p50_abs_err", Json::fixed(m.eta.p50_abs_err, 4)),
+                ("p90_abs_err", Json::fixed(m.eta.p90_abs_err, 4)),
+                ("drift", Json::fixed(m.eta.drift, 4)),
+            ]),
+        ),
+        (
+            "findings",
+            Json::obj([
+                ("total", m.findings.len().into()),
+                ("rows", Json::Arr(findings.collect())),
+            ]),
+        ),
+        ("pipes", Json::Arr(pipes.collect())),
+        ("placements", Json::Arr(placements.collect())),
+    ])
+    .render()
 }
 
 /// Renders the SLA-aware run's pipe timelines in Prometheus exposition

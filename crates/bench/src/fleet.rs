@@ -14,7 +14,7 @@
 
 use cluster::{roster, run_fleet_streamed, FleetPolicy, FleetRowSink};
 use javmm::host::HostSpec;
-use migrate::digest::{FleetDigest, FleetVmEntry};
+use migrate::digest::{FleetDigest, FleetVmEntry, Json};
 use std::fmt::Write as _;
 
 /// Looks up a roster by its CLI name.
@@ -65,11 +65,6 @@ pub fn run_policies_with(
         .collect()
 }
 
-/// Drains `host` once per policy, in [`FleetPolicy::ALL`] order.
-pub fn run_policies(host: &HostSpec) -> Vec<PolicyRun> {
-    run_policies_with(host, &FleetPolicy::ALL, &mut |_, _| {})
-}
-
 /// Renders the per-policy comparison as an aligned text table.
 pub fn render_table(runs: &[PolicyRun]) -> String {
     let mut o = String::new();
@@ -116,104 +111,61 @@ pub fn to_json(host: &HostSpec, runs: &[PolicyRun]) -> String {
         .find(|r| r.policy == FleetPolicy::Fifo)
         .map(|r| r.digest.eviction_ns)
         .unwrap_or(0);
-    let mut o = String::new();
-    o.push_str("{\n");
-    o.push_str("  \"schema\": \"javmm-bench-fleet-v2\",\n");
-    let _ = writeln!(o, "  \"roster\": \"{}\",", host.name);
-    let _ = writeln!(o, "  \"seed\": {},", host.seed);
-    let _ = writeln!(o, "  \"tenants\": {},", host.tenants.len());
-    let _ = writeln!(
-        o,
-        "  \"uplink_bytes_per_sec\": {},",
-        host.uplink.bytes_per_sec()
-    );
-    let _ = writeln!(o, "  \"max_concurrent\": {},", host.max_concurrent);
-    o.push_str("  \"policies\": [\n");
-    for (i, run) in runs.iter().enumerate() {
+    let policies = runs.iter().map(|run| {
         let d = &run.digest;
-        o.push_str("    {\n");
-        let _ = writeln!(o, "      \"policy\": \"{}\",", run.policy.name());
-        let _ = writeln!(o, "      \"eviction_ns\": {},", d.eviction_ns);
-        let _ = writeln!(
-            o,
-            "      \"eviction_vs_fifo\": {},",
-            if fifo_eviction > 0 {
-                format!("{:.4}", d.eviction_ns as f64 / fifo_eviction as f64)
-            } else {
-                "null".to_string()
-            }
-        );
-        let _ = writeln!(
-            o,
-            "      \"aggregate_downtime_ns\": {},",
-            d.aggregate_downtime_ns
-        );
-        let _ = writeln!(o, "      \"total_bytes\": {},", d.total_bytes);
-        let _ = writeln!(o, "      \"sla_cost\": {},", d.sla_total.total());
-        let _ = writeln!(o, "      \"sla_downtime\": {},", d.sla_total.downtime);
-        let _ = writeln!(o, "      \"sla_brownout\": {},", d.sla_total.brownout);
-        let _ = writeln!(o, "      \"sla_penalty\": {},", d.sla_total.penalty);
-        let _ = writeln!(o, "      \"degraded\": {},", d.degraded);
-        let _ = writeln!(o, "      \"nonconverged\": {},", d.nonconverged);
-        o.push_str("      \"detect\": {\n");
-        let _ = writeln!(o, "        \"estimated\": {},", d.detect.estimated);
-        let _ = writeln!(
-            o,
-            "        \"cyclic_declared\": {},",
-            d.detect.cyclic_declared
-        );
-        let _ = writeln!(
-            o,
-            "        \"window_hit_rate\": {},",
-            d.detect.window_hit_rate
-        );
-        let _ = writeln!(
-            o,
-            "        \"mean_confidence\": {},",
-            d.detect.mean_confidence
-        );
-        let _ = writeln!(
-            o,
-            "        \"period_accuracy\": {}",
-            d.detect.period_accuracy
-        );
-        o.push_str("      }\n");
-        o.push_str(if i + 1 < runs.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    o.push_str("  ],\n");
+        let vs_fifo = (fifo_eviction > 0)
+            .then(|| Json::fixed(d.eviction_ns as f64 / fifo_eviction as f64, 4));
+        Json::obj([
+            ("policy", run.policy.name().into()),
+            ("eviction_ns", d.eviction_ns.into()),
+            ("eviction_vs_fifo", vs_fifo.into()),
+            ("aggregate_downtime_ns", d.aggregate_downtime_ns.into()),
+            ("total_bytes", d.total_bytes.into()),
+            ("sla_cost", d.sla_total.total().into()),
+            ("sla_downtime", d.sla_total.downtime.into()),
+            ("sla_brownout", d.sla_total.brownout.into()),
+            ("sla_penalty", d.sla_total.penalty.into()),
+            ("degraded", d.degraded.into()),
+            ("nonconverged", d.nonconverged.into()),
+            (
+                "detect",
+                Json::obj([
+                    ("estimated", d.detect.estimated.into()),
+                    ("cyclic_declared", d.detect.cyclic_declared.into()),
+                    ("window_hit_rate", d.detect.window_hit_rate.into()),
+                    ("mean_confidence", d.detect.mean_confidence.into()),
+                    ("period_accuracy", d.detect.period_accuracy.into()),
+                ]),
+            ),
+        ])
+    });
     // The observatory's headline number: how much the cycle-aware policy
     // scheduled on *detected* estimates costs (or saves) relative to the
     // same deferral computed from the tenants' *declared* phase cycles.
     let cycle = runs.iter().find(|r| r.policy == FleetPolicy::CycleAware);
     let declared = runs.iter().find(|r| r.policy == FleetPolicy::CycleDeclared);
-    match (cycle, declared) {
-        (Some(c), Some(d)) if d.digest.eviction_ns > 0 => {
-            o.push_str("  \"detected_vs_declared\": {\n");
-            let _ = writeln!(o, "    \"detected_eviction_ns\": {},", c.digest.eviction_ns);
-            let _ = writeln!(o, "    \"declared_eviction_ns\": {},", d.digest.eviction_ns);
-            let _ = writeln!(
-                o,
-                "    \"eviction_ratio\": {:.4},",
-                c.digest.eviction_ns as f64 / d.digest.eviction_ns as f64
-            );
-            let _ = writeln!(
-                o,
-                "    \"window_hit_rate\": {},",
-                c.digest.detect.window_hit_rate
-            );
-            let _ = writeln!(
-                o,
-                "    \"period_accuracy\": {}",
-                c.digest.detect.period_accuracy
-            );
-            o.push_str("  }\n");
-        }
-        _ => o.push_str("  \"detected_vs_declared\": null\n"),
-    }
-    o.push_str("}\n");
-    o
+    let detected_vs_declared = match (cycle, declared) {
+        (Some(c), Some(d)) if d.digest.eviction_ns > 0 => Json::obj([
+            ("detected_eviction_ns", c.digest.eviction_ns.into()),
+            ("declared_eviction_ns", d.digest.eviction_ns.into()),
+            (
+                "eviction_ratio",
+                Json::fixed(c.digest.eviction_ns as f64 / d.digest.eviction_ns as f64, 4),
+            ),
+            ("window_hit_rate", c.digest.detect.window_hit_rate.into()),
+            ("period_accuracy", c.digest.detect.period_accuracy.into()),
+        ]),
+        _ => Json::Null,
+    };
+    Json::obj([
+        ("schema", "javmm-bench-fleet-v2".into()),
+        ("roster", host.name.as_str().into()),
+        ("seed", host.seed.into()),
+        ("tenants", host.tenants.len().into()),
+        ("uplink_bytes_per_sec", host.uplink.bytes_per_sec().into()),
+        ("max_concurrent", host.max_concurrent.into()),
+        ("policies", Json::Arr(policies.collect())),
+        ("detected_vs_declared", detected_vs_declared),
+    ])
+    .render()
 }

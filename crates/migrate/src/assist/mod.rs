@@ -87,8 +87,8 @@ impl ColdAssistConfig {
 }
 
 /// What the cold assist did during one migration; carried in
-/// [`crate::report::MigrationReport::cold`] and folded into the run digest
-/// (schema v3) when present.
+/// [`crate::report::MigrationReport::cold`] and folded into the run
+/// digest's `cold` section when present.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColdReport {
     /// Distinct pages the engine ever classified cold.

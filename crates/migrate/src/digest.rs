@@ -6,28 +6,29 @@
 //! phase and downtime attribution, skipped-vs-sent page accounting,
 //! histogram quantiles, scan throughput, fault attribution for degraded
 //! outcomes, and a findings list of rule-based anomalies. Digests are
-//! meant to be committed as baselines and diffed across runs: [`compare`]
-//! parses two digest documents (with the built-in minimal JSON reader — no
-//! external dependency) and applies per-metric regression thresholds.
+//! meant to be committed as baselines and diffed across runs.
+//!
+//! Every digest and bench document is a [`Json`] value rendered by one
+//! renderer, and every comparison is one row of [`GATES`]: [`compare`]
+//! parses two documents (with the built-in minimal JSON reader — no
+//! external dependency), looks the baseline's schema up in the table and
+//! applies that row's per-metric regression thresholds.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use simkit::telemetry::export::escape_json;
+use simkit::telemetry::hist::Histogram;
 use simkit::Subsystem;
 
+use crate::assist::ColdReport;
 use crate::report::{MigrationReport, StopReason};
 use crate::MigrationOutcome;
 
-/// Schema identifier embedded in (and required of) every digest document.
-/// v2 added the `series` section (workload-observatory sample rings).
+/// Schema identifier embedded in (and required of) every run digest.
+/// v2 added the `series` section (workload-observatory sample rings). The
+/// `cold` section appears only when the run had the cold assist enabled.
 pub const DIGEST_SCHEMA: &str = "javmm-run-digest-v2";
-
-/// Schema identifier of run digests carrying a `cold` section. Emitted
-/// *only* when the run's report has a cold-assist summary, so every
-/// digest produced with the subsystem disabled stays byte-identical to
-/// its committed v2 baseline. [`compare`] accepts both ids.
-pub const DIGEST_SCHEMA_V3: &str = "javmm-run-digest-v3";
 
 /// Enforced-GC pauses longer than this are flagged as a `gc_overrun`
 /// finding (the paper's enforced minor GC completes well under a second).
@@ -66,6 +67,33 @@ pub struct HistDigest {
     pub p99: u64,
 }
 
+impl HistDigest {
+    /// Summarises one histogram.
+    fn of(h: &Histogram) -> Self {
+        Self {
+            count: h.count(),
+            min: h.min(),
+            max: h.max(),
+            sum: h.sum(),
+            p50: h.quantile(0.50),
+            p95: h.quantile(0.95),
+            p99: h.quantile(0.99),
+        }
+    }
+
+    fn json(&self) -> Json {
+        Json::line([
+            ("count", self.count.into()),
+            ("min", self.min.into()),
+            ("max", self.max.into()),
+            ("sum", self.sum.into()),
+            ("p50", self.p50.into()),
+            ("p95", self.p95.into()),
+            ("p99", self.p99.into()),
+        ])
+    }
+}
+
 /// Summary of one sample series (a bounded telemetry ring) carried into
 /// the digest: the retained window's shape, not its raw samples.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,40 +112,6 @@ pub struct SeriesDigest {
     pub p50: f64,
     /// 95th percentile of the retained samples.
     pub p95: f64,
-}
-
-/// The cold-assist section of a v3 digest: what the defer and delta
-/// actions did, straight off the report's [`crate::assist::ColdReport`]
-/// plus its derived ratios (frozen into the document so gates read them
-/// without re-deriving).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ColdDigest {
-    /// Pages ever classified cold.
-    pub pages: u64,
-    /// Pages split out of hot snapshots into the bulk stream.
-    pub deferred_pages: u64,
-    /// Deferred pages actually shipped by the bulk stream.
-    pub deferred_sent_pages: u64,
-    /// Wire bytes the bulk stream shipped.
-    pub deferred_sent_bytes: u64,
-    /// Deferred pages still pending when the VM paused.
-    pub pending_at_pause: u64,
-    /// Delta-cache hits that produced a delta cheaper than the full page.
-    pub delta_hits: u64,
-    /// Delta-cache misses (first sends).
-    pub delta_misses: u64,
-    /// Hits whose encoding fell back to the full page.
-    pub delta_fallbacks: u64,
-    /// Cache evictions forced by the capacity bound.
-    pub delta_overflows: u64,
-    /// Wire bytes of the pages sent as deltas.
-    pub delta_wire_bytes: u64,
-    /// What those same pages would have cost sent whole.
-    pub delta_full_bytes: u64,
-    /// `1 - wire/full` over delta-sent pages.
-    pub delta_saved_bytes_ratio: f64,
-    /// Consults finding a prior version, over all consults.
-    pub delta_cache_hit_rate: f64,
 }
 
 /// A rule-based anomaly surfaced by the digest analyzer.
@@ -182,9 +176,10 @@ pub struct RunDigest {
     pub series: BTreeMap<String, SeriesDigest>,
     /// Counter values keyed `subsystem/name`, sorted.
     pub counters: BTreeMap<String, u64>,
-    /// Cold-assist summary; `None` (and absent from the JSON, keeping the
-    /// v2 schema) unless the run had the subsystem enabled.
-    pub cold: Option<ColdDigest>,
+    /// What the cold assist did, rendered with its derived ratios as the
+    /// `cold` section; `None` (and absent from the JSON) unless the run
+    /// had the subsystem enabled.
+    pub cold: Option<ColdReport>,
     /// Rule-based anomalies, in fixed rule order.
     pub findings: Vec<Finding>,
 }
@@ -218,15 +213,7 @@ impl RunDigest {
             .map(|h| {
                 (
                     format!("{}/{}", h.subsystem, h.name),
-                    HistDigest {
-                        count: h.hist.count(),
-                        min: h.hist.min(),
-                        max: h.hist.max(),
-                        sum: h.hist.sum(),
-                        p50: h.hist.quantile(0.50),
-                        p95: h.hist.quantile(0.95),
-                        p99: h.hist.quantile(0.99),
-                    },
+                    HistDigest::of(&h.hist),
                 )
             })
             .collect();
@@ -283,21 +270,7 @@ impl RunDigest {
             histograms,
             series,
             counters,
-            cold: report.cold.map(|c| ColdDigest {
-                pages: c.cold_pages,
-                deferred_pages: c.deferred_pages,
-                deferred_sent_pages: c.deferred_sent_pages,
-                deferred_sent_bytes: c.deferred_sent_bytes,
-                pending_at_pause: c.pending_at_pause,
-                delta_hits: c.delta_hits,
-                delta_misses: c.delta_misses,
-                delta_fallbacks: c.delta_fallbacks,
-                delta_overflows: c.delta_overflows,
-                delta_wire_bytes: c.delta_wire_bytes,
-                delta_full_bytes: c.delta_full_bytes,
-                delta_saved_bytes_ratio: c.saved_bytes_ratio(),
-                delta_cache_hit_rate: c.cache_hit_rate(),
-            }),
+            cold: report.cold,
             findings: Vec::new(),
             meta,
         };
@@ -362,164 +335,125 @@ impl RunDigest {
     /// and all maps are sorted, so same-seed runs produce byte-identical
     /// documents.
     pub fn to_json(&self) -> String {
-        let mut o = String::new();
-        o.push_str("{\n");
-        let schema = if self.cold.is_some() {
-            DIGEST_SCHEMA_V3
-        } else {
-            DIGEST_SCHEMA
-        };
-        let _ = writeln!(o, "  \"schema\": \"{schema}\",");
-        o.push_str("  \"scenario\": {\n");
-        let _ = writeln!(o, "    \"name\": \"{}\",", escape_json(&self.meta.name));
-        let _ = writeln!(
-            o,
-            "    \"workload\": \"{}\",",
-            escape_json(&self.meta.workload)
-        );
-        let _ = writeln!(o, "    \"assisted\": {},", self.meta.assisted);
-        let _ = writeln!(o, "    \"seed\": {}", self.meta.seed);
-        o.push_str("  },\n");
-        o.push_str("  \"outcome\": {\n");
-        let _ = writeln!(o, "    \"kind\": \"{}\",", self.outcome_kind);
-        let _ = writeln!(o, "    \"fault\": \"{}\",", self.fault);
-        let _ = writeln!(o, "    \"stop_reason\": \"{}\"", self.stop_reason);
-        o.push_str("  },\n");
-        o.push_str("  \"totals\": {\n");
-        let _ = writeln!(o, "    \"total_duration_ns\": {},", self.total_duration_ns);
-        let _ = writeln!(o, "    \"total_bytes\": {},", self.total_bytes);
-        let _ = writeln!(o, "    \"cpu_time_ns\": {},", self.cpu_time_ns);
-        let _ = writeln!(o, "    \"iterations\": {},", self.iterations);
-        let _ = writeln!(o, "    \"stragglers\": {}", self.stragglers);
-        o.push_str("  },\n");
-        o.push_str("  \"pages\": {\n");
-        let _ = writeln!(o, "    \"sent\": {},", self.pages_sent);
-        let _ = writeln!(
-            o,
-            "    \"skipped_transfer\": {},",
-            self.pages_skipped_transfer
-        );
-        let _ = writeln!(o, "    \"skipped_dirty\": {}", self.pages_skipped_dirty);
-        o.push_str("  },\n");
-        o.push_str("  \"downtime_ns\": {\n");
-        let _ = writeln!(o, "    \"workload\": {},", self.downtime_workload_ns);
-        let _ = writeln!(o, "    \"vm\": {},", self.downtime_vm_ns);
-        let _ = writeln!(o, "    \"safepoint_wait\": {},", self.safepoint_wait_ns);
-        let _ = writeln!(o, "    \"enforced_gc\": {},", self.enforced_gc_ns);
-        let _ = writeln!(o, "    \"final_update\": {},", self.final_update_ns);
-        let _ = writeln!(o, "    \"last_iteration\": {},", self.last_iteration_ns);
-        let _ = writeln!(o, "    \"resume\": {}", self.resume_ns);
-        o.push_str("  },\n");
-        o.push_str("  \"scan\": {\n");
-        let _ = writeln!(o, "    \"pages_scanned\": {},", self.pages_scanned);
-        let _ = writeln!(o, "    \"scan_cpu_ns\": {},", self.scan_cpu_ns);
-        let _ = writeln!(
-            o,
-            "    \"pages_per_cpu_sec\": {}",
-            fmt_f64(self.scan_pages_per_cpu_sec)
-        );
-        o.push_str("  },\n");
+        let m = &self.meta;
+        let mut doc = vec![
+            ("schema", DIGEST_SCHEMA.into()),
+            (
+                "scenario",
+                Json::obj([
+                    ("name", m.name.as_str().into()),
+                    ("workload", m.workload.as_str().into()),
+                    ("assisted", m.assisted.into()),
+                    ("seed", m.seed.into()),
+                ]),
+            ),
+            (
+                "outcome",
+                Json::obj([
+                    ("kind", self.outcome_kind.into()),
+                    ("fault", self.fault.into()),
+                    ("stop_reason", self.stop_reason.into()),
+                ]),
+            ),
+            (
+                "totals",
+                Json::obj([
+                    ("total_duration_ns", self.total_duration_ns.into()),
+                    ("total_bytes", self.total_bytes.into()),
+                    ("cpu_time_ns", self.cpu_time_ns.into()),
+                    ("iterations", self.iterations.into()),
+                    ("stragglers", self.stragglers.into()),
+                ]),
+            ),
+            (
+                "pages",
+                Json::obj([
+                    ("sent", self.pages_sent.into()),
+                    ("skipped_transfer", self.pages_skipped_transfer.into()),
+                    ("skipped_dirty", self.pages_skipped_dirty.into()),
+                ]),
+            ),
+            (
+                "downtime_ns",
+                Json::obj([
+                    ("workload", self.downtime_workload_ns.into()),
+                    ("vm", self.downtime_vm_ns.into()),
+                    ("safepoint_wait", self.safepoint_wait_ns.into()),
+                    ("enforced_gc", self.enforced_gc_ns.into()),
+                    ("final_update", self.final_update_ns.into()),
+                    ("last_iteration", self.last_iteration_ns.into()),
+                    ("resume", self.resume_ns.into()),
+                ]),
+            ),
+            (
+                "scan",
+                Json::obj([
+                    ("pages_scanned", self.pages_scanned.into()),
+                    ("scan_cpu_ns", self.scan_cpu_ns.into()),
+                    ("pages_per_cpu_sec", self.scan_pages_per_cpu_sec.into()),
+                ]),
+            ),
+        ];
         if let Some(c) = &self.cold {
-            o.push_str("  \"cold\": {\n");
-            let _ = writeln!(o, "    \"pages\": {},", c.pages);
-            o.push_str("    \"deferred\": {\n");
-            let _ = writeln!(o, "      \"pages\": {},", c.deferred_pages);
-            let _ = writeln!(o, "      \"sent_pages\": {},", c.deferred_sent_pages);
-            let _ = writeln!(o, "      \"sent_bytes\": {},", c.deferred_sent_bytes);
-            let _ = writeln!(o, "      \"pending_at_pause\": {}", c.pending_at_pause);
-            o.push_str("    },\n");
-            o.push_str("    \"delta\": {\n");
-            let _ = writeln!(o, "      \"hits\": {},", c.delta_hits);
-            let _ = writeln!(o, "      \"misses\": {},", c.delta_misses);
-            let _ = writeln!(o, "      \"fallbacks\": {},", c.delta_fallbacks);
-            let _ = writeln!(o, "      \"overflows\": {},", c.delta_overflows);
-            let _ = writeln!(o, "      \"wire_bytes\": {},", c.delta_wire_bytes);
-            let _ = writeln!(o, "      \"full_bytes\": {},", c.delta_full_bytes);
-            let _ = writeln!(
-                o,
-                "      \"saved_bytes_ratio\": {},",
-                fmt_f64(c.delta_saved_bytes_ratio)
-            );
-            let _ = writeln!(
-                o,
-                "      \"cache_hit_rate\": {}",
-                fmt_f64(c.delta_cache_hit_rate)
-            );
-            o.push_str("    }\n");
-            o.push_str("  },\n");
+            let deferred = Json::obj([
+                ("pages", c.deferred_pages.into()),
+                ("sent_pages", c.deferred_sent_pages.into()),
+                ("sent_bytes", c.deferred_sent_bytes.into()),
+                ("pending_at_pause", c.pending_at_pause.into()),
+            ]);
+            let delta = Json::obj([
+                ("hits", c.delta_hits.into()),
+                ("misses", c.delta_misses.into()),
+                ("fallbacks", c.delta_fallbacks.into()),
+                ("overflows", c.delta_overflows.into()),
+                ("wire_bytes", c.delta_wire_bytes.into()),
+                ("full_bytes", c.delta_full_bytes.into()),
+                ("saved_bytes_ratio", c.saved_bytes_ratio().into()),
+                ("cache_hit_rate", c.cache_hit_rate().into()),
+            ]);
+            doc.push((
+                "cold",
+                Json::obj([
+                    ("pages", c.cold_pages.into()),
+                    ("deferred", deferred),
+                    ("delta", delta),
+                ]),
+            ));
         }
-        o.push_str("  \"histograms\": {\n");
-        for (i, (key, h)) in self.histograms.iter().enumerate() {
-            let _ = write!(
-                o,
-                "    \"{}\": {{\"count\": {}, \"min\": {}, \"max\": {}, \"sum\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                escape_json(key), h.count, h.min, h.max, h.sum, h.p50, h.p95, h.p99
-            );
-            o.push_str(if i + 1 < self.histograms.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        o.push_str("  },\n");
-        o.push_str("  \"series\": {\n");
-        for (i, (key, s)) in self.series.iter().enumerate() {
-            let _ = write!(
-                o,
-                "    \"{}\": {{\"count\": {}, \"dropped\": {}, \"cadence_ns\": {}, \"mean\": {}, \"last\": {}, \"p50\": {}, \"p95\": {}}}",
-                escape_json(key),
-                s.count,
-                s.dropped,
-                s.cadence_ns,
-                fmt_f64(s.mean),
-                fmt_f64(s.last),
-                fmt_f64(s.p50),
-                fmt_f64(s.p95)
-            );
-            o.push_str(if i + 1 < self.series.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        o.push_str("  },\n");
-        o.push_str("  \"counters\": {\n");
-        for (i, (key, v)) in self.counters.iter().enumerate() {
-            let _ = write!(o, "    \"{}\": {}", escape_json(key), v);
-            o.push_str(if i + 1 < self.counters.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        o.push_str("  },\n");
-        o.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            let _ = write!(
-                o,
-                "    {{\"rule\": \"{}\", \"detail\": \"{}\"}}",
-                f.rule,
-                escape_json(&f.detail)
-            );
-            o.push_str(if i + 1 < self.findings.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        o.push_str("  ]\n");
-        o.push_str("}\n");
-        o
+        let series = self.series.iter().map(|(key, s)| {
+            let row = Json::line([
+                ("count", s.count.into()),
+                ("dropped", s.dropped.into()),
+                ("cadence_ns", s.cadence_ns.into()),
+                ("mean", s.mean.into()),
+                ("last", s.last.into()),
+                ("p50", s.p50.into()),
+                ("p95", s.p95.into()),
+            ]);
+            (key.as_str(), row)
+        });
+        let findings = self.findings.iter().map(|f| {
+            Json::line([
+                ("rule", f.rule.into()),
+                ("detail", f.detail.as_str().into()),
+            ])
+        });
+        doc.extend([
+            ("histograms", hist_json(&self.histograms)),
+            ("series", Json::obj(series)),
+            (
+                "counters",
+                Json::obj(self.counters.iter().map(|(k, v)| (k.as_str(), (*v).into()))),
+            ),
+            ("findings", Json::Arr(findings.collect())),
+        ]);
+        Json::obj(doc).render()
     }
 }
 
-/// Formats an `f64` as a JSON number (non-finite values become `null`).
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+/// The `histograms` section: one one-line row per family, sorted.
+fn hist_json(histograms: &BTreeMap<String, HistDigest>) -> Json {
+    Json::obj(histograms.iter().map(|(key, h)| (key.as_str(), h.json())))
 }
 
 // ---------------------------------------------------------------------------
@@ -586,7 +520,7 @@ pub struct FleetVmEntry {
 /// [`Histogram::merge`]: simkit::telemetry::hist::Histogram::merge
 #[derive(Debug, Default)]
 pub struct HistMerger {
-    merged: BTreeMap<String, simkit::telemetry::hist::Histogram>,
+    merged: BTreeMap<String, Histogram>,
 }
 
 impl HistMerger {
@@ -609,35 +543,9 @@ impl HistMerger {
     pub fn finish(self) -> BTreeMap<String, HistDigest> {
         self.merged
             .into_iter()
-            .map(|(key, h)| {
-                (
-                    key,
-                    HistDigest {
-                        count: h.count(),
-                        min: h.min(),
-                        max: h.max(),
-                        sum: h.sum(),
-                        p50: h.quantile(0.50),
-                        p95: h.quantile(0.95),
-                        p99: h.quantile(0.99),
-                    },
-                )
-            })
+            .map(|(key, h)| (key, HistDigest::of(&h)))
             .collect()
     }
-}
-
-/// Merges raw per-VM histograms (keyed `subsystem/name`) into fleet-level
-/// summaries — statistically identical to having recorded every VM's
-/// samples into one fleet-wide recorder. Batch form of [`HistMerger`].
-pub fn merge_histograms<'a>(
-    telemetries: impl IntoIterator<Item = &'a simkit::telemetry::RunTelemetry>,
-) -> BTreeMap<String, HistDigest> {
-    let mut merger = HistMerger::new();
-    for t in telemetries {
-        merger.add(t);
-    }
-    merger.finish()
 }
 
 /// Drain-level detection-accuracy accounting: how well the workload
@@ -731,7 +639,7 @@ pub struct FleetDigest {
 
 impl FleetDigest {
     /// Assembles a fleet digest from per-VM entries (roster order) and the
-    /// pre-merged fleet histograms (see [`merge_histograms`]).
+    /// pre-merged fleet histograms (see [`HistMerger`]).
     pub fn new(
         meta: FleetMeta,
         vms: Vec<FleetVmEntry>,
@@ -771,156 +679,105 @@ impl FleetDigest {
     /// fixed, rows are in roster order and maps sorted, so same seed +
     /// same policy produce byte-identical documents.
     pub fn to_json(&self) -> String {
-        let mut o = String::new();
-        o.push_str("{\n");
-        let _ = writeln!(o, "  \"schema\": \"{FLEET_DIGEST_SCHEMA}\",");
-        o.push_str("  \"drain\": {\n");
-        let _ = writeln!(o, "    \"name\": \"{}\",", escape_json(&self.meta.name));
-        let _ = writeln!(o, "    \"policy\": \"{}\",", escape_json(&self.meta.policy));
-        let _ = writeln!(o, "    \"seed\": {},", self.meta.seed);
-        let _ = writeln!(
-            o,
-            "    \"uplink_bytes_per_sec\": {},",
-            fmt_f64(self.meta.uplink_bytes_per_sec)
-        );
-        let _ = writeln!(o, "    \"max_concurrent\": {}", self.meta.max_concurrent);
-        o.push_str("  },\n");
-        o.push_str("  \"totals\": {\n");
-        let _ = writeln!(o, "    \"eviction_ns\": {},", self.eviction_ns);
-        let _ = writeln!(
-            o,
-            "    \"aggregate_downtime_ns\": {},",
-            self.aggregate_downtime_ns
-        );
-        let _ = writeln!(o, "    \"total_bytes\": {},", self.total_bytes);
-        let _ = writeln!(o, "    \"sla_cost\": {},", fmt_f64(self.sla_total.total()));
-        let _ = writeln!(
-            o,
-            "    \"sla_downtime\": {},",
-            fmt_f64(self.sla_total.downtime)
-        );
-        let _ = writeln!(
-            o,
-            "    \"sla_brownout\": {},",
-            fmt_f64(self.sla_total.brownout)
-        );
-        let _ = writeln!(
-            o,
-            "    \"sla_penalty\": {},",
-            fmt_f64(self.sla_total.penalty)
-        );
-        let _ = writeln!(o, "    \"degraded\": {},", self.degraded);
-        let _ = writeln!(o, "    \"nonconverged\": {}", self.nonconverged);
-        o.push_str("  },\n");
-        o.push_str("  \"detect\": {\n");
-        let _ = writeln!(o, "    \"estimated\": {},", self.detect.estimated);
-        let _ = writeln!(
-            o,
-            "    \"cyclic_declared\": {},",
-            self.detect.cyclic_declared
-        );
-        let _ = writeln!(o, "    \"window_hits\": {},", self.detect.window_hits);
-        let _ = writeln!(
-            o,
-            "    \"window_hit_rate\": {},",
-            fmt_f64(self.detect.window_hit_rate)
-        );
-        let _ = writeln!(
-            o,
-            "    \"mean_confidence\": {},",
-            fmt_f64(self.detect.mean_confidence)
-        );
-        let _ = writeln!(
-            o,
-            "    \"period_accuracy\": {}",
-            fmt_f64(self.detect.period_accuracy)
-        );
-        o.push_str("  },\n");
-        o.push_str("  \"vms\": [\n");
-        for (i, v) in self.vms.iter().enumerate() {
-            o.push_str("    {\n");
-            let _ = writeln!(
-                o,
-                "      \"name\": \"{}\",",
-                escape_json(&v.digest.meta.name)
-            );
-            let _ = writeln!(o, "      \"workload\": \"{}\",", v.digest.meta.workload);
-            let _ = writeln!(o, "      \"assisted\": {},", v.digest.meta.assisted);
-            let _ = writeln!(o, "      \"outcome\": \"{}\",", v.digest.outcome_kind);
-            let _ = writeln!(o, "      \"stop_reason\": \"{}\",", v.digest.stop_reason);
-            let _ = writeln!(o, "      \"admitted_at_ns\": {},", v.admitted_at_ns);
-            let _ = writeln!(o, "      \"ended_at_ns\": {},", v.ended_at_ns);
-            let _ = writeln!(o, "      \"migration_ns\": {},", v.digest.total_duration_ns);
-            let _ = writeln!(
-                o,
-                "      \"downtime_workload_ns\": {},",
-                v.digest.downtime_workload_ns
-            );
-            let _ = writeln!(o, "      \"iterations\": {},", v.digest.iterations);
-            let _ = writeln!(o, "      \"total_bytes\": {},", v.digest.total_bytes);
-            let _ = writeln!(o, "      \"detected_period_ns\": {},", v.detected_period_ns);
-            let _ = writeln!(
-                o,
-                "      \"detected_confidence\": {},",
-                fmt_f64(v.detected_confidence)
-            );
-            let _ = writeln!(o, "      \"detect_confident\": {},", v.detect_confident);
-            let _ = writeln!(o, "      \"declared_period_ns\": {},", v.declared_period_ns);
-            let _ = writeln!(
-                o,
-                "      \"window_hit\": {},",
-                match v.window_hit {
-                    Some(h) => h.to_string(),
-                    None => "null".to_string(),
-                }
-            );
-            let _ = writeln!(o, "      \"sla_cost\": {}", fmt_f64(v.sla.total()));
-            o.push_str(if i + 1 < self.vms.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        o.push_str("  ],\n");
-        o.push_str("  \"histograms\": {\n");
-        for (i, (key, h)) in self.histograms.iter().enumerate() {
-            let _ = write!(
-                o,
-                "    \"{}\": {{\"count\": {}, \"min\": {}, \"max\": {}, \"sum\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                escape_json(key), h.count, h.min, h.max, h.sum, h.p50, h.p95, h.p99
-            );
-            o.push_str(if i + 1 < self.histograms.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        o.push_str("  }\n");
-        o.push_str("}\n");
-        o
+        let m = &self.meta;
+        let vms = self.vms.iter().map(|v| {
+            let d = &v.digest;
+            Json::obj([
+                ("name", d.meta.name.as_str().into()),
+                ("workload", d.meta.workload.as_str().into()),
+                ("assisted", d.meta.assisted.into()),
+                ("outcome", d.outcome_kind.into()),
+                ("stop_reason", d.stop_reason.into()),
+                ("admitted_at_ns", v.admitted_at_ns.into()),
+                ("ended_at_ns", v.ended_at_ns.into()),
+                ("migration_ns", d.total_duration_ns.into()),
+                ("downtime_workload_ns", d.downtime_workload_ns.into()),
+                ("iterations", d.iterations.into()),
+                ("total_bytes", d.total_bytes.into()),
+                ("detected_period_ns", v.detected_period_ns.into()),
+                ("detected_confidence", v.detected_confidence.into()),
+                ("detect_confident", v.detect_confident.into()),
+                ("declared_period_ns", v.declared_period_ns.into()),
+                ("window_hit", v.window_hit.into()),
+                ("sla_cost", v.sla.total().into()),
+            ])
+        });
+        Json::obj([
+            ("schema", FLEET_DIGEST_SCHEMA.into()),
+            (
+                "drain",
+                Json::obj([
+                    ("name", m.name.as_str().into()),
+                    ("policy", m.policy.as_str().into()),
+                    ("seed", m.seed.into()),
+                    ("uplink_bytes_per_sec", m.uplink_bytes_per_sec.into()),
+                    ("max_concurrent", m.max_concurrent.into()),
+                ]),
+            ),
+            (
+                "totals",
+                Json::obj([
+                    ("eviction_ns", self.eviction_ns.into()),
+                    ("aggregate_downtime_ns", self.aggregate_downtime_ns.into()),
+                    ("total_bytes", self.total_bytes.into()),
+                    ("sla_cost", self.sla_total.total().into()),
+                    ("sla_downtime", self.sla_total.downtime.into()),
+                    ("sla_brownout", self.sla_total.brownout.into()),
+                    ("sla_penalty", self.sla_total.penalty.into()),
+                    ("degraded", self.degraded.into()),
+                    ("nonconverged", self.nonconverged.into()),
+                ]),
+            ),
+            (
+                "detect",
+                Json::obj([
+                    ("estimated", self.detect.estimated.into()),
+                    ("cyclic_declared", self.detect.cyclic_declared.into()),
+                    ("window_hits", self.detect.window_hits.into()),
+                    ("window_hit_rate", self.detect.window_hit_rate.into()),
+                    ("mean_confidence", self.detect.mean_confidence.into()),
+                    ("period_accuracy", self.detect.period_accuracy.into()),
+                ]),
+            ),
+            ("vms", Json::Arr(vms.collect())),
+            ("histograms", hist_json(&self.histograms)),
+        ])
+        .render()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader (compare-side; no external dependency).
+// The document value: one type to read and to write every digest and bench
+// document (no external dependency).
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value. Numbers are `f64`; every quantity a digest carries
-/// is well below 2^53, so no precision is lost.
+/// How an object renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// One member per line, two spaces of indent per level.
+    Block,
+    /// `{"k": v, ...}` on one line.
+    Line,
+}
+
+/// A JSON value. Objects keep their members in order and remember their
+/// layout, and numbers keep their text, so rendering a parsed document
+/// reproduces it byte for byte when it was rendered here in the first
+/// place.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number.
-    Num(f64),
+    /// A number, as its JSON text (`4000000`, `0.2431`, `0.00`).
+    Num(String),
     /// A string.
     Str(String),
-    /// An array.
+    /// An array; renders one element per line.
     Arr(Vec<Json>),
-    /// An object (keys sorted by `BTreeMap`).
-    Obj(BTreeMap<String, Json>),
+    /// An object: its members in order, and how it renders.
+    Obj(Vec<(String, Json)>, Layout),
 }
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
@@ -930,17 +787,18 @@ pub enum Json {
 const MAX_JSON_DEPTH: usize = 64;
 
 impl Json {
-    /// Parses a JSON document nested at most 64 arrays/objects deep.
+    /// Parses a JSON document nested at most 64 arrays/objects deep. A key
+    /// repeated within one object is an error.
     pub fn parse(text: &str) -> Result<Json, DigestError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
             depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(DigestError::parse(p.pos, "trailing garbage"));
         }
         Ok(v)
@@ -951,7 +809,9 @@ impl Json {
         let mut cur = self;
         for key in path {
             match cur {
-                Json::Obj(map) => cur = map.get(*key)?,
+                Json::Obj(members, _) => {
+                    cur = members.iter().find(|(k, _)| k == key).map(|m| &m.1)?
+                }
                 _ => return None,
             }
         }
@@ -961,7 +821,7 @@ impl Json {
     /// The numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Num(x) => Some(*x),
+            Json::Num(text) => text.parse().ok(),
             _ => None,
         }
     }
@@ -972,6 +832,133 @@ impl Json {
             Json::Str(s) => Some(s),
             _ => None,
         }
+    }
+
+    /// `x` written with `decimals` fixed decimals; `null` if not finite.
+    pub fn fixed(x: f64, decimals: usize) -> Json {
+        if x.is_finite() {
+            Json::Num(format!("{x:.decimals$}"))
+        } else {
+            Json::Null
+        }
+    }
+
+    /// An object with one member per line.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(
+            members.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+            Layout::Block,
+        )
+    }
+
+    /// An object on one line.
+    pub fn line<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(
+            members.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+            Layout::Line,
+        )
+    }
+
+    /// Renders the document: two-space indent, `": "` and `", "`
+    /// separators and a trailing newline.
+    pub fn render(&self) -> String {
+        format!("{self}\n")
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(text) => f.write_str(text),
+            Json::Str(s) => write!(f, "\"{}\"", escape_json(s)),
+            Json::Arr(items) => write_block(f, indent, ('[', ']'), items.iter().map(|v| (None, v))),
+            Json::Obj(members, Layout::Block) => write_block(
+                f,
+                indent,
+                ('{', '}'),
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
+            Json::Obj(members, Layout::Line) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in members.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}\"{}\": ", escape_json(k))?;
+                    v.write(f, indent)?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// Writes an array or block object: `open`, one (optionally keyed) member
+/// per line indented one level deeper, then `close` at `indent`.
+fn write_block<'a>(
+    f: &mut fmt::Formatter<'_>,
+    indent: usize,
+    (open, close): (char, char),
+    members: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) -> fmt::Result {
+    writeln!(f, "{open}")?;
+    let mut empty = true;
+    for (key, v) in members {
+        let sep = if empty { "" } else { ",\n" };
+        write!(f, "{sep}{:w$}", "", w = 2 * (indent + 1))?;
+        if let Some(k) = key {
+            write!(f, "\"{}\": ", escape_json(k))?;
+        }
+        v.write(f, indent + 1)?;
+        empty = false;
+    }
+    let end = if empty { "" } else { "\n" };
+    write!(f, "{end}{:w$}{close}", "", w = 2 * indent)
+}
+
+/// The value as it renders, without a trailing newline.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+macro_rules! json_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Self {
+                Json::Num(n.to_string())
+            }
+        }
+    )*};
+}
+json_from_int!(u32, u64, usize);
+
+/// The shortest text that reads back as `x`; `null` if not finite.
+impl From<f64> for Json {
+    fn from(x: f64) -> Self {
+        if x.is_finite() {
+            Json::Num(x.to_string())
+        } else {
+            Json::Null
+        }
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_string())
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Json::Null, Into::into)
     }
 }
 
@@ -1002,25 +989,25 @@ impl core::fmt::Display for DigestError {
 impl std::error::Error for DigestError {}
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     /// Arrays/objects currently open around `pos`.
     depth: usize,
 }
 
 impl Parser<'_> {
+    /// Bytes from `pos` up to the first one matching `stop` (or the end).
+    fn run(&self, stop: impl Fn(u8) -> bool) -> usize {
+        let rest = &self.text.as_bytes()[self.pos..];
+        rest.iter().position(|&b| stop(b)).unwrap_or(rest.len())
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+        self.pos += self.run(|b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), DigestError> {
@@ -1036,7 +1023,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, DigestError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -1076,138 +1063,139 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = self
-                .peek()
-                .ok_or_else(|| DigestError::parse(self.pos, "unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| DigestError::parse(self.pos, "unterminated escape"))?;
+            // `"` and `\` are ASCII, so the run before one ends on a char
+            // boundary.
+            let run = self.run(|b| b == b'"' || b == b'\\');
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            match self.peek() {
+                None => return Err(DigestError::parse(self.pos, "unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| core::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| DigestError::parse(self.pos, "bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs don't appear in digests;
-                            // replace rather than reject if one shows up.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(DigestError::parse(self.pos, "unknown escape")),
-                    }
+                    return Ok(out);
                 }
-                _ => {
-                    // Re-decode multi-byte UTF-8 sequences from the source.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let s = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|s| core::str::from_utf8(s).ok())
-                        .ok_or_else(|| DigestError::parse(start, "invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                Some(_) => self.pos += 1,
             }
+            let esc = self
+                .peek()
+                .ok_or_else(|| DigestError::parse(self.pos, "unterminated escape"))?;
+            self.pos += 1;
+            out.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => {
+                    let hex = self
+                        .text
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| DigestError::parse(self.pos, "bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs don't appear in digests; replace
+                    // rather than reject if one shows up.
+                    char::from_u32(hex).unwrap_or('\u{fffd}')
+                }
+                _ => return Err(DigestError::parse(self.pos, "unknown escape")),
+            });
         }
     }
 
     fn number(&mut self) -> Result<Json, DigestError> {
+        let len =
+            self.run(|b| !(b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')));
+        let text = &self.text[self.pos..self.pos + len];
+        if text.parse::<f64>().is_err() {
+            return Err(DigestError::parse(self.pos, "invalid number"));
+        }
+        self.pos += len;
+        Ok(Json::Num(text.to_string()))
+    }
+
+    /// Parses `open`, comma-separated `item`s, then `close`; returns
+    /// whether a newline follows `open`.
+    fn items(
+        &mut self,
+        (open, close): (u8, u8),
+        mut item: impl FnMut(&mut Self) -> Result<(), DigestError>,
+    ) -> Result<bool, DigestError> {
+        self.expect(open)?;
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
+        self.skip_ws();
+        let newline = self.text[start..self.pos].contains('\n');
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(newline);
+        }
+        loop {
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b) if b == close => {
+                    self.pos += 1;
+                    return Ok(newline);
+                }
+                _ => {
+                    let msg = format!("expected ',' or '{}'", close as char);
+                    return Err(DigestError::parse(self.pos, &msg));
+                }
             }
         }
-        let text = core::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| DigestError::parse(start, "invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| DigestError::parse(start, "invalid number"))
     }
 
     fn array(&mut self) -> Result<Json, DigestError> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(DigestError::parse(self.pos, "expected ',' or ']'")),
-            }
-        }
+        self.items((b'[', b']'), |p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
     }
 
+    /// An object is [`Layout::Block`] when a newline follows its `{`.
     fn object(&mut self) -> Result<Json, DigestError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(DigestError::parse(self.pos, "expected ',' or '}'")),
+        let mut members: Vec<(String, Json)> = Vec::new();
+        let block = self.items((b'{', b'}'), |p| {
+            let at = p.pos;
+            let key = p.string()?;
+            if members.iter().any(|(k, _)| *k == key) {
+                return Err(DigestError::parse(at, &format!("duplicate key '{key}'")));
             }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            members.push((key, p.value()?));
+            Ok(())
+        })?;
+        let layout = if block { Layout::Block } else { Layout::Line };
+        Ok(Json::Obj(members, layout))
     }
 }
 
 // ---------------------------------------------------------------------------
-// Cross-run comparison.
+// Cross-run comparison: one gate row per schema.
 // ---------------------------------------------------------------------------
+
+/// Schema tag of `BENCH_precopy.json` documents (the `bench` binary's
+/// default run).
+pub const BENCH_PRECOPY_SCHEMA: &str = "javmm-bench-precopy-v2";
+
+/// Schema tag of `BENCH_evacuate.json` documents (`bench evacuate`).
+pub const BENCH_EVACUATE_SCHEMA: &str = "javmm-bench-evacuate-v1";
+
+/// Schema tag of `BENCH_evacuate_eta.json` documents: the evacuation
+/// benchmark's mission-control companion (ETA calibration and watchdog
+/// findings, `bench evacuate --eta-out`).
+pub const BENCH_EVACUATE_ETA_SCHEMA: &str = "javmm-bench-evacuate-eta-v1";
+
+/// Schema tag of `BENCH_cold.json` documents (`bench cold`).
+pub const BENCH_COLD_SCHEMA: &str = "javmm-bench-cold-v1";
 
 /// Which direction of change counts as a regression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1218,49 +1206,128 @@ pub enum Direction {
     LowerWorse,
 }
 
-struct CompareMetric {
-    path: &'static [&'static str],
-    direction: Direction,
-    threshold: f64,
+use Direction::{HigherWorse, LowerWorse};
+
+/// One gated schema: what baseline and candidate must agree on, and the
+/// relative change past which each metric regresses. Paths are dotted
+/// (`scan.pages_per_cpu_sec`).
+#[derive(Debug)]
+pub struct Gate {
+    /// The schema id this row gates.
+    pub schema: &'static str,
+    /// String fields both documents must agree on; together with the
+    /// schema they name the compared scenario.
+    pub identity: &'static [&'static str],
+    /// String fields whose any change is a regression.
+    pub tripwires: &'static [&'static str],
+    /// Top-level sections whose metrics apply only when both documents
+    /// carry them; a section on one side only is a schema error.
+    pub optional: &'static [&'static str],
+    /// `(path, bad direction, threshold)` in report order. Booleans read
+    /// as 1 and 0, so `LowerWorse` at 0 trips on any `true -> false` flip;
+    /// zero to non-zero is infinite growth.
+    pub metrics: &'static [(&'static str, Direction, f64)],
 }
 
-/// The per-metric regression gate: JSON path, bad direction, and the
-/// relative-change threshold beyond which the change is a regression.
-const COMPARE_METRICS: &[CompareMetric] = &[
-    CompareMetric {
-        path: &["totals", "total_duration_ns"],
-        direction: Direction::HigherWorse,
-        threshold: 0.10,
+/// Every gated schema; [`compare`] looks the baseline's schema up here.
+/// Each CI drill must trip its named metric: a seeded scan slowdown
+/// `scan.pages_per_cpu_sec`, a one-entry delta cache
+/// `cold.delta.saved_bytes_ratio` / `delta.saved_bytes_ratio`, a starved
+/// sample ring `detect.window_hit_rate`, a serialized harness
+/// `harness.parallel_speedup` (the *modeled* 4-worker speedup), pinned
+/// placement `placements.sla.eviction_ns`, a frozen ETA tracker
+/// `eta.p90_abs_err`.
+pub const GATES: &[Gate] = &[
+    Gate {
+        schema: DIGEST_SCHEMA,
+        identity: &["scenario.name"],
+        tripwires: &["outcome.kind"],
+        optional: &["cold"],
+        metrics: &[
+            ("totals.total_duration_ns", HigherWorse, 0.10),
+            ("totals.total_bytes", HigherWorse, 0.10),
+            ("totals.cpu_time_ns", HigherWorse, 0.05),
+            ("downtime_ns.workload", HigherWorse, 0.10),
+            ("downtime_ns.vm", HigherWorse, 0.10),
+            ("pages.sent", HigherWorse, 0.10),
+            ("scan.pages_per_cpu_sec", LowerWorse, 0.10),
+            ("cold.delta.saved_bytes_ratio", LowerWorse, 0.05),
+            ("cold.delta.cache_hit_rate", LowerWorse, 0.10),
+            ("cold.deferred.sent_bytes", HigherWorse, 0.10),
+        ],
     },
-    CompareMetric {
-        path: &["totals", "total_bytes"],
-        direction: Direction::HigherWorse,
-        threshold: 0.10,
+    // Drain outcomes plus the workload observatory's detection quality.
+    Gate {
+        schema: FLEET_DIGEST_SCHEMA,
+        identity: &["drain.name", "drain.policy"],
+        tripwires: &[],
+        optional: &[],
+        metrics: &[
+            ("totals.eviction_ns", HigherWorse, 0.10),
+            ("totals.aggregate_downtime_ns", HigherWorse, 0.10),
+            ("totals.total_bytes", HigherWorse, 0.10),
+            ("totals.sla_cost", HigherWorse, 0.15),
+            ("totals.degraded", HigherWorse, 0.0),
+            ("totals.nonconverged", HigherWorse, 0.0),
+            ("detect.window_hit_rate", LowerWorse, 0.10),
+            ("detect.mean_confidence", LowerWorse, 0.25),
+            ("detect.period_accuracy", LowerWorse, 0.10),
+        ],
     },
-    CompareMetric {
-        path: &["totals", "cpu_time_ns"],
-        direction: Direction::HigherWorse,
-        threshold: 0.05,
+    // A `--scan-only` document has `"harness": null`: nothing to gate.
+    Gate {
+        schema: BENCH_PRECOPY_SCHEMA,
+        identity: &[],
+        tripwires: &[],
+        optional: &[],
+        metrics: &[
+            ("harness.parallel_speedup", LowerWorse, 0.35),
+            ("scan.speedup", LowerWorse, 0.50),
+            ("harness.outputs_identical", LowerWorse, 0.0),
+        ],
     },
-    CompareMetric {
-        path: &["downtime_ns", "workload"],
-        direction: Direction::HigherWorse,
-        threshold: 0.10,
+    // The `sla_vs_random` ratios pin SLA-aware placement's edge over
+    // random placement even when absolute numbers hold.
+    Gate {
+        schema: BENCH_EVACUATE_SCHEMA,
+        identity: &["plan"],
+        tripwires: &[],
+        optional: &[],
+        metrics: &[
+            ("placements.sla.eviction_ns", HigherWorse, 0.10),
+            ("placements.sla.aggregate_downtime_ns", HigherWorse, 0.10),
+            ("placements.sla.total_bytes", HigherWorse, 0.10),
+            ("placements.sla.sla_cost", HigherWorse, 0.15),
+            ("placements.sla.degraded", HigherWorse, 0.0),
+            ("sla_vs_random.sla_cost_ratio", HigherWorse, 0.05),
+            ("sla_vs_random.eviction_ratio", HigherWorse, 0.10),
+        ],
     },
-    CompareMetric {
-        path: &["downtime_ns", "vm"],
-        direction: Direction::HigherWorse,
-        threshold: 0.10,
+    // A fault-free baseline holds zero watchdog findings, so any finding
+    // in a candidate trips `findings.total`.
+    Gate {
+        schema: BENCH_EVACUATE_ETA_SCHEMA,
+        identity: &["plan"],
+        tripwires: &[],
+        optional: &[],
+        metrics: &[
+            ("eta.p90_abs_err", HigherWorse, 0.25),
+            ("eta.p50_abs_err", HigherWorse, 0.50),
+            ("findings.total", HigherWorse, 0.0),
+        ],
     },
-    CompareMetric {
-        path: &["pages", "sent"],
-        direction: Direction::HigherWorse,
-        threshold: 0.10,
-    },
-    CompareMetric {
-        path: &["scan", "pages_per_cpu_sec"],
-        direction: Direction::LowerWorse,
-        threshold: 0.10,
+    // Any destination verification failure trips `harness.verified`.
+    Gate {
+        schema: BENCH_COLD_SCHEMA,
+        identity: &["roster"],
+        tripwires: &[],
+        optional: &[],
+        metrics: &[
+            ("savings.total_bytes_ratio", LowerWorse, 0.10),
+            ("savings.last_iter_bytes_ratio", LowerWorse, 0.10),
+            ("delta.saved_bytes_ratio", LowerWorse, 0.05),
+            ("harness.verified", LowerWorse, 0.0),
+        ],
     },
 ];
 
@@ -1283,62 +1350,60 @@ pub struct MetricDelta {
     pub regressed: bool,
 }
 
-/// The result of comparing two digests.
+/// The result of comparing two documents.
 #[derive(Debug, Clone)]
 pub struct CompareReport {
-    /// Scenario name both digests describe.
+    /// The schema id and the identity values both documents share.
     pub scenario: String,
-    /// Outcome-kind change, if any (`old -> new`); always a regression.
-    pub outcome_changed: Option<(String, String)>,
+    /// Tripwire fields that changed, as `(path, old, new)`; each is a
+    /// regression.
+    pub changed: Vec<(&'static str, String, String)>,
     /// Per-metric deltas in gate order.
     pub deltas: Vec<MetricDelta>,
 }
 
 impl CompareReport {
-    /// Names of all regressed metrics (`outcome` first if it changed).
+    /// Names of all regressed fields, changed tripwires first.
     pub fn regressions(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        if self.outcome_changed.is_some() {
-            out.push("outcome.kind".to_string());
-        }
-        out.extend(
-            self.deltas
-                .iter()
-                .filter(|d| d.regressed)
-                .map(|d| d.metric.clone()),
-        );
-        out
+        let tripped = self.changed.iter().map(|c| c.0.to_string());
+        let regressed = self.deltas.iter().filter(|d| d.regressed);
+        tripped.chain(regressed.map(|d| d.metric.clone())).collect()
     }
 
     /// Whether any gate tripped.
     pub fn has_regression(&self) -> bool {
-        self.outcome_changed.is_some() || self.deltas.iter().any(|d| d.regressed)
+        !self.changed.is_empty() || self.deltas.iter().any(|d| d.regressed)
     }
 
     /// Renders the comparison as a human-readable report.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "scenario: {}", self.scenario);
-        if let Some((old, new)) = &self.outcome_changed {
-            let _ = writeln!(out, "  outcome.kind: {old} -> {new}  REGRESSION");
+        let mut out = format!("scenario: {}\n", self.scenario);
+        for (path, old, new) in &self.changed {
+            let _ = writeln!(out, "  {path}: {old} -> {new}  REGRESSION");
         }
+        let width = self
+            .deltas
+            .iter()
+            .map(|d| d.metric.len())
+            .max()
+            .unwrap_or(0);
         for d in &self.deltas {
-            let arrow = match d.direction {
-                Direction::HigherWorse => "<=",
-                Direction::LowerWorse => ">=",
+            let (arrow, gate) = match d.direction {
+                HigherWorse => ("<=", d.threshold * 100.0),
+                LowerWorse => (">=", -d.threshold * 100.0),
+            };
+            let gate = if gate == 0.0 {
+                "0".to_string()
+            } else {
+                format!("{gate:+.0}")
             };
             let _ = writeln!(
                 out,
-                "  {:<28} {} -> {}  {:+.2}% (gate: {} {:+.0}%)  {}",
+                "  {:<width$} {} -> {}  {:+.2}% (gate: {arrow} {gate}%)  {}",
                 d.metric,
-                fmt_f64(d.old),
-                fmt_f64(d.new),
+                Json::from(d.old),
+                Json::from(d.new),
                 d.change * 100.0,
-                arrow,
-                match d.direction {
-                    Direction::HigherWorse => d.threshold * 100.0,
-                    Direction::LowerWorse => -d.threshold * 100.0,
-                },
                 if d.regressed { "REGRESSION" } else { "ok" },
             );
         }
@@ -1352,517 +1417,108 @@ impl CompareReport {
     }
 }
 
-fn require_str<'a>(doc: &'a Json, path: &[&str]) -> Result<&'a str, DigestError> {
-    doc.get(path)
-        .and_then(Json::as_str)
-        .ok_or_else(|| DigestError::Schema(format!("missing string field {}", path.join("."))))
+fn at<'a>(doc: &'a Json, path: &str) -> Option<&'a Json> {
+    doc.get(&path.split('.').collect::<Vec<_>>())
 }
 
-/// Numeric gate-field reader. Also accepts booleans (`true` = 1, `false`
-/// = 0), so gates can watch flags like `harness.outputs_identical`: with
-/// `LowerWorse` and threshold 0, a `true -> false` flip is a `-100%`
-/// change and trips the gate.
-fn require_gate_num(doc: &Json, path: &[&str]) -> Result<f64, DigestError> {
-    match doc.get(path) {
+fn require_str<'a>(doc: &'a Json, path: &str) -> Result<&'a str, DigestError> {
+    at(doc, path)
+        .and_then(Json::as_str)
+        .ok_or_else(|| DigestError::Schema(format!("missing string field {path}")))
+}
+
+/// Numeric gate-field reader; booleans read as 1 (`true`) and 0.
+fn require_gate_num(doc: &Json, path: &str) -> Result<f64, DigestError> {
+    match at(doc, path) {
         Some(Json::Bool(b)) => Ok(if *b { 1.0 } else { 0.0 }),
         other => other
             .and_then(Json::as_f64)
-            .ok_or_else(|| DigestError::Schema(format!("missing gate field {}", path.join(".")))),
+            .ok_or_else(|| DigestError::Schema(format!("missing gate field {path}"))),
     }
 }
 
-/// Compares two digest documents (baseline, candidate) under the built-in
-/// per-metric thresholds. Errors if either document fails to parse, is not
-/// schema `javmm-run-digest-v1`, or the two digests describe different
-/// scenarios.
+/// Compares two documents (baseline, candidate) under the [`GATES`] row
+/// of the baseline's schema. Errors if either document fails to parse,
+/// the baseline's schema has no row (the error lists every gated id), the
+/// schemas or identity fields differ, an optional section is on one side
+/// only, or a gated field is missing.
 pub fn compare(old_json: &str, new_json: &str) -> Result<CompareReport, DigestError> {
     let old = Json::parse(old_json)?;
     let new = Json::parse(new_json)?;
-    for doc in [&old, &new] {
-        let schema = require_str(doc, &["schema"])?;
-        if schema != DIGEST_SCHEMA && schema != DIGEST_SCHEMA_V3 {
+    let schema = require_str(&old, "schema")?;
+    let gate = GATES.iter().find(|g| g.schema == schema).ok_or_else(|| {
+        let known: Vec<String> = GATES.iter().map(|g| format!("'{}'", g.schema)).collect();
+        DigestError::Schema(format!(
+            "unsupported schema '{schema}' (known schemas: {})",
+            known.join(", ")
+        ))
+    })?;
+    let mut scenario = Vec::new();
+    for path in std::iter::once(&"schema").chain(gate.identity) {
+        let (a, b) = (require_str(&old, path)?, require_str(&new, path)?);
+        if a != b {
             return Err(DigestError::Schema(format!(
-                "unsupported schema '{schema}' (want '{DIGEST_SCHEMA}' or '{DIGEST_SCHEMA_V3}')"
+                "documents differ in {path} ('{a}' vs '{b}')"
             )));
         }
+        scenario.push(a);
     }
-    let old_name = require_str(&old, &["scenario", "name"])?;
-    let new_name = require_str(&new, &["scenario", "name"])?;
-    if old_name != new_name {
-        return Err(DigestError::Schema(format!(
-            "digests describe different scenarios ('{old_name}' vs '{new_name}')"
-        )));
-    }
-    let old_kind = require_str(&old, &["outcome", "kind"])?;
-    let new_kind = require_str(&new, &["outcome", "kind"])?;
-    let outcome_changed = if old_kind != new_kind {
-        Some((old_kind.to_string(), new_kind.to_string()))
-    } else {
-        None
-    };
-    let mut deltas = metric_deltas(&old, &new, COMPARE_METRICS)?;
-    // Cold-assist gates apply only when both digests carry the section;
-    // a one-sided section means the subsystem was toggled between the
-    // runs, which no threshold can meaningfully judge.
-    match (old.get(&["cold"]).is_some(), new.get(&["cold"]).is_some()) {
-        (true, true) => deltas.extend(metric_deltas(&old, &new, COLD_COMPARE_METRICS)?),
-        (false, false) => {}
-        (old_has, _) => {
-            return Err(DigestError::Schema(format!(
-                "cold section present only in the {} digest — compare runs with the \
-                 cold assist configured identically",
-                if old_has { "baseline" } else { "candidate" }
-            )));
+    let mut changed = Vec::new();
+    for &path in gate.tripwires {
+        let (a, b) = (require_str(&old, path)?, require_str(&new, path)?);
+        if a != b {
+            changed.push((path, a.to_string(), b.to_string()));
         }
     }
+    let mut absent = Vec::new();
+    for &section in gate.optional {
+        match (old.get(&[section]).is_some(), new.get(&[section]).is_some()) {
+            (true, true) => {}
+            (false, false) => absent.push(section),
+            (old_has, _) => {
+                return Err(DigestError::Schema(format!(
+                    "{section} section present only in the {} document — compare runs \
+                     configured identically",
+                    if old_has { "baseline" } else { "candidate" }
+                )));
+            }
+        }
+    }
+    let deltas = gate
+        .metrics
+        .iter()
+        .filter(|(path, ..)| !absent.contains(&path.split('.').next().unwrap_or_default()))
+        .map(|&(path, direction, threshold)| {
+            let old_v = require_gate_num(&old, path)?;
+            let new_v = require_gate_num(&new, path)?;
+            let change = if old_v != 0.0 {
+                (new_v - old_v) / old_v
+            } else if new_v == 0.0 {
+                0.0
+            } else {
+                // From zero to non-zero: infinite relative growth.
+                f64::INFINITY
+            };
+            let regressed = match direction {
+                HigherWorse => change > threshold,
+                LowerWorse => change < -threshold,
+            };
+            Ok(MetricDelta {
+                metric: path.to_string(),
+                old: old_v,
+                new: new_v,
+                change,
+                threshold,
+                direction,
+                regressed,
+            })
+        })
+        .collect::<Result<_, DigestError>>()?;
     Ok(CompareReport {
-        scenario: old_name.to_string(),
-        outcome_changed,
+        scenario: scenario.join(" "),
+        changed,
         deltas,
     })
-}
-
-/// The cold-assist regression gate, applied on top of [`COMPARE_METRICS`]
-/// when both digests are v3. `cold.delta.saved_bytes_ratio` is the drill
-/// metric: shrinking the delta page cache to one entry destroys the XOR
-/// codec's savings and must trip exactly this gate.
-const COLD_COMPARE_METRICS: &[CompareMetric] = &[
-    CompareMetric {
-        path: &["cold", "delta", "saved_bytes_ratio"],
-        direction: Direction::LowerWorse,
-        threshold: 0.05,
-    },
-    CompareMetric {
-        path: &["cold", "delta", "cache_hit_rate"],
-        direction: Direction::LowerWorse,
-        threshold: 0.10,
-    },
-    CompareMetric {
-        path: &["cold", "deferred", "sent_bytes"],
-        direction: Direction::HigherWorse,
-        threshold: 0.10,
-    },
-];
-
-fn metric_deltas(
-    old: &Json,
-    new: &Json,
-    metrics: &[CompareMetric],
-) -> Result<Vec<MetricDelta>, DigestError> {
-    let mut deltas = Vec::with_capacity(metrics.len());
-    for m in metrics {
-        let old_v = require_gate_num(old, m.path)?;
-        let new_v = require_gate_num(new, m.path)?;
-        let change = if old_v != 0.0 {
-            (new_v - old_v) / old_v
-        } else if new_v == 0.0 {
-            0.0
-        } else {
-            // From zero to non-zero: infinite relative growth.
-            f64::INFINITY
-        };
-        let regressed = match m.direction {
-            Direction::HigherWorse => change > m.threshold,
-            Direction::LowerWorse => change < -m.threshold,
-        };
-        deltas.push(MetricDelta {
-            metric: m.path.join("."),
-            old: old_v,
-            new: new_v,
-            change,
-            threshold: m.threshold,
-            direction: m.direction,
-            regressed,
-        });
-    }
-    Ok(deltas)
-}
-
-/// The fleet-digest regression gate. Alongside the drain's raw outcomes
-/// it gates the workload observatory's detection quality: a drop in
-/// `detect.window_hit_rate`, `detect.mean_confidence` or
-/// `detect.period_accuracy` is a regression even when eviction time holds.
-const FLEET_COMPARE_METRICS: &[CompareMetric] = &[
-    CompareMetric {
-        path: &["totals", "eviction_ns"],
-        direction: Direction::HigherWorse,
-        threshold: 0.10,
-    },
-    CompareMetric {
-        path: &["totals", "aggregate_downtime_ns"],
-        direction: Direction::HigherWorse,
-        threshold: 0.10,
-    },
-    CompareMetric {
-        path: &["totals", "total_bytes"],
-        direction: Direction::HigherWorse,
-        threshold: 0.10,
-    },
-    CompareMetric {
-        path: &["totals", "sla_cost"],
-        direction: Direction::HigherWorse,
-        threshold: 0.15,
-    },
-    CompareMetric {
-        path: &["totals", "degraded"],
-        direction: Direction::HigherWorse,
-        threshold: 0.0,
-    },
-    CompareMetric {
-        path: &["totals", "nonconverged"],
-        direction: Direction::HigherWorse,
-        threshold: 0.0,
-    },
-    CompareMetric {
-        path: &["detect", "window_hit_rate"],
-        direction: Direction::LowerWorse,
-        threshold: 0.10,
-    },
-    CompareMetric {
-        path: &["detect", "mean_confidence"],
-        direction: Direction::LowerWorse,
-        threshold: 0.25,
-    },
-    CompareMetric {
-        path: &["detect", "period_accuracy"],
-        direction: Direction::LowerWorse,
-        threshold: 0.10,
-    },
-];
-
-/// Compares two *fleet* digest documents (baseline, candidate) under the
-/// fleet regression gate. Errors if either document fails to parse, is
-/// not schema `javmm-fleet-digest-v2`, or the two digests describe
-/// different drains or policies.
-pub fn compare_fleet(old_json: &str, new_json: &str) -> Result<CompareReport, DigestError> {
-    let old = Json::parse(old_json)?;
-    let new = Json::parse(new_json)?;
-    for doc in [&old, &new] {
-        let schema = require_str(doc, &["schema"])?;
-        if schema != FLEET_DIGEST_SCHEMA {
-            return Err(DigestError::Schema(format!(
-                "unsupported schema '{schema}' (want '{FLEET_DIGEST_SCHEMA}')"
-            )));
-        }
-    }
-    let old_name = require_str(&old, &["drain", "name"])?;
-    let new_name = require_str(&new, &["drain", "name"])?;
-    if old_name != new_name {
-        return Err(DigestError::Schema(format!(
-            "digests describe different drains ('{old_name}' vs '{new_name}')"
-        )));
-    }
-    let old_policy = require_str(&old, &["drain", "policy"])?;
-    let new_policy = require_str(&new, &["drain", "policy"])?;
-    if old_policy != new_policy {
-        return Err(DigestError::Schema(format!(
-            "digests describe different policies ('{old_policy}' vs '{new_policy}')"
-        )));
-    }
-    let deltas = metric_deltas(&old, &new, FLEET_COMPARE_METRICS)?;
-    Ok(CompareReport {
-        scenario: format!("{old_name}/{old_policy}"),
-        outcome_changed: None,
-        deltas,
-    })
-}
-
-/// Schema tag of `BENCH_precopy.json` v2 documents (written by the
-/// `bench` binary, gated by [`compare_precopy_bench`]).
-pub const BENCH_PRECOPY_SCHEMA: &str = "javmm-bench-precopy-v2";
-
-/// The pre-copy benchmark regression gate. `harness.parallel_speedup` is
-/// the *modeled* 4-worker makespan speedup (`speedup_basis` in the
-/// document says so) — a drop past 35% means the harness stopped fanning
-/// cells out (the seeded `JAVMM_SERIALIZE_POOL=1` drill runs every cell on
-/// one worker, collapses it to ~1.0 and must trip exactly this metric).
-/// `scan.speedup` guards the word-granular kernel against returning to
-/// per-bit costs, and `harness.outputs_identical` is a boolean tripwire:
-/// any `true -> false` flip (parallel output diverging from serial) is a
-/// regression outright.
-const BENCH_COMPARE_METRICS: &[CompareMetric] = &[
-    CompareMetric {
-        path: &["harness", "parallel_speedup"],
-        direction: Direction::LowerWorse,
-        threshold: 0.35,
-    },
-    CompareMetric {
-        path: &["scan", "speedup"],
-        direction: Direction::LowerWorse,
-        threshold: 0.50,
-    },
-    CompareMetric {
-        path: &["harness", "outputs_identical"],
-        direction: Direction::LowerWorse,
-        threshold: 0.0,
-    },
-];
-
-/// Compares two pre-copy benchmark documents (baseline, candidate) under
-/// the parallel-efficiency gate. Errors if either document fails to
-/// parse, is not schema `javmm-bench-precopy-v2`, or was produced with
-/// `--scan-only` (its `harness` is `null`, so there is nothing to gate).
-pub fn compare_precopy_bench(old_json: &str, new_json: &str) -> Result<CompareReport, DigestError> {
-    let old = Json::parse(old_json)?;
-    let new = Json::parse(new_json)?;
-    for doc in [&old, &new] {
-        let schema = require_str(doc, &["schema"])?;
-        if schema != BENCH_PRECOPY_SCHEMA {
-            return Err(DigestError::Schema(format!(
-                "unsupported schema '{schema}' (want '{BENCH_PRECOPY_SCHEMA}')"
-            )));
-        }
-    }
-    let deltas = metric_deltas(&old, &new, BENCH_COMPARE_METRICS)?;
-    Ok(CompareReport {
-        scenario: "precopy-bench".to_string(),
-        outcome_changed: None,
-        deltas,
-    })
-}
-
-/// Schema tag of `BENCH_evacuate.json` documents (written by the `bench`
-/// binary's `evacuate` subcommand, gated by [`compare_evacuate`]).
-pub const BENCH_EVACUATE_SCHEMA: &str = "javmm-bench-evacuate-v1";
-
-/// The evacuation benchmark regression gate. It watches the SLA-aware
-/// placement's headline outcomes — `placements.sla.eviction_ns` is the
-/// drill metric: disabling placement (pinning every VM onto one
-/// destination) funnels the whole fleet through a single ingress and
-/// blows eviction time past the 10% gate. The `sla_vs_random` ratios
-/// additionally pin the policy's *advantage*: SLA-aware placement losing
-/// its cost edge over random placement is a regression even if absolute
-/// numbers hold.
-const EVACUATE_COMPARE_METRICS: &[CompareMetric] = &[
-    CompareMetric {
-        path: &["placements", "sla", "eviction_ns"],
-        direction: Direction::HigherWorse,
-        threshold: 0.10,
-    },
-    CompareMetric {
-        path: &["placements", "sla", "aggregate_downtime_ns"],
-        direction: Direction::HigherWorse,
-        threshold: 0.10,
-    },
-    CompareMetric {
-        path: &["placements", "sla", "total_bytes"],
-        direction: Direction::HigherWorse,
-        threshold: 0.10,
-    },
-    CompareMetric {
-        path: &["placements", "sla", "sla_cost"],
-        direction: Direction::HigherWorse,
-        threshold: 0.15,
-    },
-    CompareMetric {
-        path: &["placements", "sla", "degraded"],
-        direction: Direction::HigherWorse,
-        threshold: 0.0,
-    },
-    CompareMetric {
-        path: &["sla_vs_random", "sla_cost_ratio"],
-        direction: Direction::HigherWorse,
-        threshold: 0.05,
-    },
-    CompareMetric {
-        path: &["sla_vs_random", "eviction_ratio"],
-        direction: Direction::HigherWorse,
-        threshold: 0.10,
-    },
-];
-
-/// Compares two evacuation benchmark documents (baseline, candidate)
-/// under the placement regression gate. Errors if either document fails
-/// to parse, is not schema `javmm-bench-evacuate-v1`, or the two
-/// documents describe different evacuation plans.
-pub fn compare_evacuate(old_json: &str, new_json: &str) -> Result<CompareReport, DigestError> {
-    let old = Json::parse(old_json)?;
-    let new = Json::parse(new_json)?;
-    for doc in [&old, &new] {
-        let schema = require_str(doc, &["schema"])?;
-        if schema != BENCH_EVACUATE_SCHEMA {
-            return Err(DigestError::Schema(format!(
-                "unsupported schema '{schema}' (want '{BENCH_EVACUATE_SCHEMA}')"
-            )));
-        }
-    }
-    let old_name = require_str(&old, &["plan"])?;
-    let new_name = require_str(&new, &["plan"])?;
-    if old_name != new_name {
-        return Err(DigestError::Schema(format!(
-            "documents describe different evacuation plans ('{old_name}' vs '{new_name}')"
-        )));
-    }
-    let deltas = metric_deltas(&old, &new, EVACUATE_COMPARE_METRICS)?;
-    Ok(CompareReport {
-        scenario: old_name.to_string(),
-        outcome_changed: None,
-        deltas,
-    })
-}
-
-/// Schema tag of `BENCH_evacuate_eta.json` documents: the evacuation
-/// benchmark's mission-control companion (ETA calibration and watchdog
-/// findings), written by the `bench` binary's `evacuate` subcommand and
-/// gated by [`compare_evacuate_eta`].
-pub const BENCH_EVACUATE_ETA_SCHEMA: &str = "javmm-bench-evacuate-eta-v1";
-
-/// The ETA-calibration regression gate. `eta.p90_abs_err` is the headline
-/// and the drill metric: the frozen-ETA drill (`bench evacuate
-/// --freeze-eta`) disables re-projection, calibration error explodes, and
-/// the gate must name exactly this metric. `findings.total` is a
-/// tripwire: a fault-free baseline holds zero findings, so *any* finding
-/// in a candidate run (the zero-to-nonzero case reports as infinite
-/// growth) trips it.
-const EVACUATE_ETA_COMPARE_METRICS: &[CompareMetric] = &[
-    CompareMetric {
-        path: &["eta", "p90_abs_err"],
-        direction: Direction::HigherWorse,
-        threshold: 0.25,
-    },
-    CompareMetric {
-        path: &["eta", "p50_abs_err"],
-        direction: Direction::HigherWorse,
-        threshold: 0.50,
-    },
-    CompareMetric {
-        path: &["findings", "total"],
-        direction: Direction::HigherWorse,
-        threshold: 0.0,
-    },
-];
-
-/// Compares two evacuation ETA-calibration documents (baseline,
-/// candidate) under the calibration gate. Errors if either document fails
-/// to parse, is not schema `javmm-bench-evacuate-eta-v1`, or the two
-/// documents describe different evacuation plans.
-pub fn compare_evacuate_eta(old_json: &str, new_json: &str) -> Result<CompareReport, DigestError> {
-    let old = Json::parse(old_json)?;
-    let new = Json::parse(new_json)?;
-    for doc in [&old, &new] {
-        let schema = require_str(doc, &["schema"])?;
-        if schema != BENCH_EVACUATE_ETA_SCHEMA {
-            return Err(DigestError::Schema(format!(
-                "unsupported schema '{schema}' (want '{BENCH_EVACUATE_ETA_SCHEMA}')"
-            )));
-        }
-    }
-    let old_name = require_str(&old, &["plan"])?;
-    let new_name = require_str(&new, &["plan"])?;
-    if old_name != new_name {
-        return Err(DigestError::Schema(format!(
-            "documents describe different evacuation plans ('{old_name}' vs '{new_name}')"
-        )));
-    }
-    let deltas = metric_deltas(&old, &new, EVACUATE_ETA_COMPARE_METRICS)?;
-    Ok(CompareReport {
-        scenario: format!("{old_name}/eta"),
-        outcome_changed: None,
-        deltas,
-    })
-}
-
-/// Schema tag of `BENCH_cold.json` documents (written by the `bench`
-/// binary's `cold` subcommand, gated by [`compare_cold_bench`]).
-pub const BENCH_COLD_SCHEMA: &str = "javmm-bench-cold-v1";
-
-/// The cold-assist benchmark regression gate. The headline savings ratios
-/// (total and last-iteration bytes, assist vs no-assist baseline over the
-/// cold-heavy roster) must not shrink, `delta.saved_bytes_ratio` is the
-/// CI drill metric (a one-entry delta cache collapses it), and
-/// `harness.verified` is a boolean tripwire — any destination digest
-/// mismatch is a regression outright.
-const COLD_BENCH_COMPARE_METRICS: &[CompareMetric] = &[
-    CompareMetric {
-        path: &["savings", "total_bytes_ratio"],
-        direction: Direction::LowerWorse,
-        threshold: 0.10,
-    },
-    CompareMetric {
-        path: &["savings", "last_iter_bytes_ratio"],
-        direction: Direction::LowerWorse,
-        threshold: 0.10,
-    },
-    CompareMetric {
-        path: &["delta", "saved_bytes_ratio"],
-        direction: Direction::LowerWorse,
-        threshold: 0.05,
-    },
-    CompareMetric {
-        path: &["harness", "verified"],
-        direction: Direction::LowerWorse,
-        threshold: 0.0,
-    },
-];
-
-/// Compares two cold-assist benchmark documents (baseline, candidate)
-/// under the savings gate. Errors if either document fails to parse, is
-/// not schema `javmm-bench-cold-v1`, or the two documents describe
-/// different rosters.
-pub fn compare_cold_bench(old_json: &str, new_json: &str) -> Result<CompareReport, DigestError> {
-    let old = Json::parse(old_json)?;
-    let new = Json::parse(new_json)?;
-    for doc in [&old, &new] {
-        let schema = require_str(doc, &["schema"])?;
-        if schema != BENCH_COLD_SCHEMA {
-            return Err(DigestError::Schema(format!(
-                "unsupported schema '{schema}' (want '{BENCH_COLD_SCHEMA}')"
-            )));
-        }
-    }
-    let old_name = require_str(&old, &["roster"])?;
-    let new_name = require_str(&new, &["roster"])?;
-    if old_name != new_name {
-        return Err(DigestError::Schema(format!(
-            "documents describe different rosters ('{old_name}' vs '{new_name}')"
-        )));
-    }
-    let deltas = metric_deltas(&old, &new, COLD_BENCH_COMPARE_METRICS)?;
-    Ok(CompareReport {
-        scenario: old_name.to_string(),
-        outcome_changed: None,
-        deltas,
-    })
-}
-
-/// Every schema id [`compare_any`] can dispatch on, in dispatch order.
-pub const KNOWN_SCHEMAS: &[&str] = &[
-    DIGEST_SCHEMA,
-    DIGEST_SCHEMA_V3,
-    FLEET_DIGEST_SCHEMA,
-    BENCH_PRECOPY_SCHEMA,
-    BENCH_EVACUATE_SCHEMA,
-    BENCH_EVACUATE_ETA_SCHEMA,
-    BENCH_COLD_SCHEMA,
-];
-
-/// Compares two digest documents of any known schema, dispatching on the
-/// baseline's `schema` field: run digests (v2 and v3) go through
-/// [`compare`], fleet digests through [`compare_fleet`], pre-copy
-/// benchmark documents through [`compare_precopy_bench`], evacuation
-/// benchmark documents through [`compare_evacuate`], ETA-calibration
-/// documents through [`compare_evacuate_eta`], cold-assist benchmark
-/// documents through [`compare_cold_bench`]. An unknown schema errors
-/// with the full list of known ids ([`KNOWN_SCHEMAS`]), so a digest
-/// produced by a newer (or misspelled) writer is diagnosable at a glance.
-pub fn compare_any(old_json: &str, new_json: &str) -> Result<CompareReport, DigestError> {
-    let old = Json::parse(old_json)?;
-    match require_str(&old, &["schema"])? {
-        s if s == DIGEST_SCHEMA || s == DIGEST_SCHEMA_V3 => compare(old_json, new_json),
-        s if s == FLEET_DIGEST_SCHEMA => compare_fleet(old_json, new_json),
-        s if s == BENCH_PRECOPY_SCHEMA => compare_precopy_bench(old_json, new_json),
-        s if s == BENCH_EVACUATE_SCHEMA => compare_evacuate(old_json, new_json),
-        s if s == BENCH_EVACUATE_ETA_SCHEMA => compare_evacuate_eta(old_json, new_json),
-        s if s == BENCH_COLD_SCHEMA => compare_cold_bench(old_json, new_json),
-        s => Err(DigestError::Schema(format!(
-            "unsupported schema '{s}' (known schemas: {})",
-            KNOWN_SCHEMAS
-                .iter()
-                .map(|k| format!("'{k}'"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ))),
-    }
 }
 
 #[cfg(test)]
@@ -1890,19 +1546,64 @@ mod tests {
     fn parser_round_trips_all_value_shapes() {
         let doc = r#"{"a": [1, -2.5, 1e3], "b": {"c": "x\nyA"}, "d": null, "e": true}"#;
         let v = Json::parse(doc).unwrap();
-        assert_eq!(
-            v.get(&["a"]).unwrap(),
-            &Json::Arr(vec![Json::Num(1.0), Json::Num(-2.5), Json::Num(1000.0)])
-        );
+        let a = v.get(&["a"]).unwrap();
+        let Json::Arr(items) = a else {
+            panic!("not an array: {a:?}")
+        };
+        let nums: Vec<f64> = items.iter().filter_map(Json::as_f64).collect();
+        assert_eq!(nums, [1.0, -2.5, 1000.0]);
         assert_eq!(v.get(&["b", "c"]).and_then(Json::as_str), Some("x\nyA"));
         assert_eq!(v.get(&["d"]), Some(&Json::Null));
         assert_eq!(v.get(&["e"]), Some(&Json::Bool(true)));
-        assert!(Json::parse("{\"a\": }").is_err());
+        assert!(Json::parse(r#"{"a": }"#).is_err());
         assert!(Json::parse("[1,2] trailing").is_err());
     }
 
     #[test]
-    fn parser_rejects_deep_nesting_and_truncation_without_panicking() {
+    fn renderer_keeps_layout_number_text_and_maps_non_finite_to_null() {
+        let doc = Json::obj([
+            (
+                "a",
+                Json::line([("x", 1u64.into()), ("y", Json::fixed(0.5, 3))]),
+            ),
+            (
+                "b",
+                Json::Arr(vec![f64::NAN.into(), 2.5.into(), None::<u64>.into()]),
+            ),
+            ("c", Json::Arr(Vec::new())),
+            ("d", Json::fixed(f64::INFINITY, 2)),
+            ("e", "q\"\n".into()),
+        ]);
+        let text = doc.render();
+        let want = r#"{
+  "a": {"x": 1, "y": 0.500},
+  "b": [
+    null,
+    2.5,
+    null
+  ],
+  "c": [
+  ],
+  "d": null,
+  "e": "q\"\n"
+}
+"#;
+        assert_eq!(text, want);
+        assert_eq!(Json::parse(&text).unwrap().render(), text);
+    }
+
+    #[test]
+    fn repeated_keys_are_parse_errors() {
+        for doc in [r#"{"a": 1, "a": 2}"#, r#"{"o": {"k": 1, "j": 2, "k": 3}}"#] {
+            assert!(
+                matches!(Json::parse(doc), Err(DigestError::Parse(..))),
+                "{doc}"
+            );
+        }
+    }
+
+    #[test]
+    fn parser_rejects_deep_nesting_without_panicking() {
         let deep = "[".repeat(100_000);
         assert!(matches!(Json::parse(&deep), Err(DigestError::Parse(..))));
         let at_cap = format!(
@@ -1913,18 +1614,67 @@ mod tests {
         assert!(Json::parse(&at_cap).is_ok());
         let past_cap = format!("[{at_cap}]");
         assert!(Json::parse(&past_cap).is_err());
+    }
 
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/DIGEST_derby-assisted-seed3.json"
-        );
-        let golden = std::fs::read_to_string(path).expect("committed digest");
-        let doc = golden.trim_end();
-        assert!(Json::parse(doc).is_ok());
-        // Every strict prefix leaves the top-level object open.
-        for end in 0..doc.len() {
-            if let Some(prefix) = doc.get(..end) {
-                assert!(Json::parse(prefix).is_err(), "prefix of {end} bytes parsed");
+    /// Every committed `results/*.json` document plus `BENCHMARK.json`.
+    fn committed_documents() -> Vec<(String, String)> {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut paths: Vec<_> = std::fs::read_dir(format!("{root}/results"))
+            .expect("results directory")
+            .map(|e| e.expect("directory entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        paths.sort();
+        paths.push(format!("{root}/BENCHMARK.json").into());
+        paths
+            .into_iter()
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (
+                    name,
+                    std::fs::read_to_string(&p).expect("committed document"),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn committed_documents_round_trip_and_survive_damage() {
+        let docs = committed_documents();
+        assert!(docs.len() >= 11, "found only {} documents", docs.len());
+        for (name, text) in &docs {
+            let parsed = Json::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(&parsed.render(), text, "{name} does not round-trip");
+            // Every strict prefix leaves the top-level object open.
+            let doc = text.trim_end();
+            for end in 0..doc.len() {
+                if let Some(prefix) = doc.get(..end) {
+                    assert!(
+                        Json::parse(prefix).is_err(),
+                        "{name}: {end}-byte prefix parsed"
+                    );
+                }
+            }
+            // An overwritten byte must yield a report or an error, never a
+            // panic.
+            let mut bytes = text.as_bytes().to_vec();
+            for (i, b) in (0..bytes.len())
+                .step_by(17)
+                .zip([b'9', b'"', b'}', b'x'].iter().cycle())
+            {
+                let saved = std::mem::replace(&mut bytes[i], *b);
+                if let Ok(damaged) = std::str::from_utf8(&bytes) {
+                    let _ = compare(text, damaged);
+                }
+                bytes[i] = saved;
+            }
+            // Every gated document compares clean against itself.
+            match (name.as_str(), compare(text, text)) {
+                ("BENCH_fleet.json" | "BENCHMARK.json", r) => {
+                    assert!(matches!(r, Err(DigestError::Schema(_))), "{name}: {r:?}")
+                }
+                (_, Ok(r)) => assert!(!r.has_regression(), "{name}:\n{}", r.render()),
+                (_, Err(e)) => panic!("{name}: {e}"),
             }
         }
     }
@@ -1956,6 +1706,9 @@ mod tests {
         let report = compare(&old, &new).unwrap();
         assert!(report.has_regression());
         assert_eq!(report.regressions()[0], "outcome.kind");
+        assert!(report
+            .render()
+            .contains("  outcome.kind: completed -> degraded_vanilla  REGRESSION"));
     }
 
     fn fleet_json(policy: &str, eviction_ns: u64, hit_rate: f64) -> String {
@@ -1989,24 +1742,22 @@ mod tests {
     #[test]
     fn evacuate_compare_gates_placement_outcomes() {
         let old = evacuate_json(1000, 0.83);
-        let report = compare_evacuate(&old, &old).unwrap();
+        let report = compare(&old, &old).unwrap();
         assert!(!report.has_regression());
         // The pin drill funnels the fleet through one ingress: eviction
         // time explodes and the gate must name exactly that metric.
         let pinned = evacuate_json(4000, 0.83);
-        let report = compare_evacuate(&old, &pinned).unwrap();
+        let report = compare(&old, &pinned).unwrap();
         assert!(report.has_regression());
         assert!(report
             .regressions()
             .contains(&"placements.sla.eviction_ns".to_string()));
         // Losing the cost edge over random placement is its own gate.
         let edgeless = evacuate_json(1000, 1.0);
-        let report = compare_evacuate(&old, &edgeless).unwrap();
+        let report = compare(&old, &edgeless).unwrap();
         assert!(report
             .regressions()
             .contains(&"sla_vs_random.sla_cost_ratio".to_string()));
-        // compare_any dispatches on the schema tag.
-        assert!(compare_any(&old, &old).is_ok());
     }
 
     fn eta_json(p90: f64, findings: u64) -> String {
@@ -2023,12 +1774,12 @@ mod tests {
     #[test]
     fn evacuate_eta_compare_gates_calibration() {
         let old = eta_json(0.2, 0);
-        let report = compare_evacuate_eta(&old, &old).unwrap();
+        let report = compare(&old, &old).unwrap();
         assert!(!report.has_regression());
         // The frozen-ETA drill stops re-projection: the admission-time
         // guess goes stale and the gate must name the p90 metric.
         let frozen = eta_json(2.0, 0);
-        let report = compare_evacuate_eta(&old, &frozen).unwrap();
+        let report = compare(&old, &frozen).unwrap();
         assert!(report.has_regression());
         assert!(report
             .regressions()
@@ -2036,84 +1787,90 @@ mod tests {
         assert!(report.render().contains("eta.p90_abs_err"));
         // Watchdog findings on a fault-free plan are a regression outright.
         let noisy = eta_json(0.2, 2);
-        let report = compare_evacuate_eta(&old, &noisy).unwrap();
+        let report = compare(&old, &noisy).unwrap();
         assert_eq!(report.regressions(), vec!["findings.total"]);
-        // compare_any dispatches on the schema tag.
-        assert!(!compare_any(&old, &old).unwrap().has_regression());
         // Mismatched plans are an error, not a comparison.
         let other = old.replace("evacuate48", "evacuate12");
-        assert!(matches!(
-            compare_evacuate_eta(&old, &other),
-            Err(DigestError::Schema(_))
-        ));
+        assert!(matches!(compare(&old, &other), Err(DigestError::Schema(_))));
     }
 
     #[test]
     fn fleet_compare_gates_detection_quality() {
         let old = fleet_json("cycle", 1000, 1.0);
-        let same = compare_fleet(&old, &old).unwrap();
+        let same = compare(&old, &old).unwrap();
         assert!(!same.has_regression());
+        assert_eq!(same.scenario, "javmm-fleet-digest-v2 drain4 cycle");
         // Halving the window-hit rate trips only the detect gate.
         let worse = fleet_json("cycle", 1000, 0.5);
-        let report = compare_fleet(&old, &worse).unwrap();
+        let report = compare(&old, &worse).unwrap();
         assert_eq!(report.regressions(), vec!["detect.window_hit_rate"]);
         assert!(report.render().contains("detect.window_hit_rate"));
         // Mismatched policies are an error, not a comparison.
         let fifo = fleet_json("fifo", 1000, 1.0);
-        assert!(matches!(
-            compare_fleet(&old, &fifo),
-            Err(DigestError::Schema(_))
-        ));
+        assert!(matches!(compare(&old, &fifo), Err(DigestError::Schema(_))));
     }
 
     #[test]
-    fn compare_any_dispatches_on_schema() {
+    fn schema_selects_the_gate_row() {
         let run = digest_json("derby", 4e9, 500, "completed");
-        assert!(!compare_any(&run, &run).unwrap().has_regression());
+        assert!(!compare(&run, &run).unwrap().has_regression());
         let fleet = fleet_json("cycle", 1000, 1.0);
-        assert!(!compare_any(&fleet, &fleet).unwrap().has_regression());
+        assert!(!compare(&fleet, &fleet).unwrap().has_regression());
         let bench = bench_json(3.4, true);
-        assert!(!compare_any(&bench, &bench).unwrap().has_regression());
-        assert!(matches!(
-            compare_any(&run, &fleet),
-            Err(DigestError::Schema(_))
-        ));
+        assert!(!compare(&bench, &bench).unwrap().has_regression());
+        assert!(matches!(compare(&run, &fleet), Err(DigestError::Schema(_))));
     }
 
     #[test]
-    fn compare_any_unknown_schema_lists_known_ids() {
+    fn unknown_schema_lists_known_ids() {
         let bogus = r#"{"schema": "javmm-made-up-v9"}"#;
-        let err = match compare_any(bogus, bogus) {
+        let err = match compare(bogus, bogus) {
             Err(DigestError::Schema(msg)) => msg,
             other => panic!("expected a schema error, got {other:?}"),
         };
         assert!(err.contains("javmm-made-up-v9"), "{err}");
-        for id in KNOWN_SCHEMAS {
-            assert!(err.contains(id), "error must list '{id}': {err}");
+        for gate in GATES {
+            assert!(
+                err.contains(gate.schema),
+                "error must list '{}': {err}",
+                gate.schema
+            );
         }
     }
 
+    #[test]
+    fn gate_table_has_one_row_per_schema() {
+        for (i, gate) in GATES.iter().enumerate() {
+            assert!(
+                GATES[..i].iter().all(|g| g.schema != gate.schema),
+                "{} gated twice",
+                gate.schema
+            );
+        }
+        let metrics: usize = GATES.iter().map(|g| g.metrics.len()).sum();
+        assert_eq!((GATES.len(), metrics), (6, 36));
+    }
+
     fn cold_digest_json(name: &str, saved_ratio: f64, hit_rate: f64, sent_bytes: u64) -> String {
-        digest_json(name, 4e9, 500, "completed")
-            .replace("javmm-run-digest-v2", "javmm-run-digest-v3")
-            .replace(
-                "\"histograms\": {}",
-                &format!(
-                    r#""cold": {{
+        digest_json(name, 4e9, 500, "completed").replace(
+            r#""histograms": {}"#,
+            &format!(
+                r#""cold": {{
                       "pages": 5000,
                       "deferred": {{"pages": 5000, "sent_pages": 4800, "sent_bytes": {sent_bytes}, "pending_at_pause": 200}},
                       "delta": {{"hits": 900, "misses": 4800, "fallbacks": 20, "overflows": 0, "wire_bytes": 290000, "full_bytes": 3790000, "saved_bytes_ratio": {saved_ratio}, "cache_hit_rate": {hit_rate}}}
                     }},
                     "histograms": {{}}"#
-                ),
-            )
+            ),
+        )
     }
 
     #[test]
     fn cold_section_adds_gates_to_compare() {
         let old = cold_digest_json("derby", 0.9, 0.16, 1_000_000);
-        assert!(!compare(&old, &old).unwrap().has_regression());
-        assert!(!compare_any(&old, &old).unwrap().has_regression());
+        let report = compare(&old, &old).unwrap();
+        assert!(!report.has_regression());
+        assert_eq!(report.deltas.len(), 10);
         // The cache-shrink drill collapses the codec's savings: the gate
         // must name the delta ratio.
         let thrashed = cold_digest_json("derby", 0.05, 0.01, 1_000_000);
@@ -2126,6 +1883,7 @@ mod tests {
         );
         // A one-sided cold section is a config mismatch, not a comparison.
         let plain = digest_json("derby", 4e9, 500, "completed");
+        assert_eq!(compare(&plain, &plain).unwrap().deltas.len(), 7);
         assert!(matches!(compare(&old, &plain), Err(DigestError::Schema(_))));
         assert!(matches!(compare(&plain, &old), Err(DigestError::Schema(_))));
     }
@@ -2145,12 +1903,21 @@ mod tests {
     #[test]
     fn cold_bench_compare_gates_savings() {
         let old = cold_bench_json(0.3, 0.5, 0.9, true);
-        assert!(!compare_cold_bench(&old, &old).unwrap().has_regression());
-        assert!(!compare_any(&old, &old).unwrap().has_regression());
+        let report = compare(&old, &old).unwrap();
+        assert!(!report.has_regression());
+        // The metric column fits the longest name, and a zero threshold
+        // prints without a sign.
+        let render = report.render();
+        assert!(
+            render.contains("  harness.verified              1 -> 1  +0.00% (gate: >= 0%)  ok\n"),
+            "{render}"
+        );
+        assert!(render
+            .contains("  savings.last_iter_bytes_ratio 0.5 -> 0.5  +0.00% (gate: >= -10%)  ok\n"));
         // The one-entry-cache drill: delta savings collapse, the gate must
         // name delta.saved_bytes_ratio.
         let drilled = cold_bench_json(0.25, 0.45, 0.05, true);
-        let report = compare_cold_bench(&old, &drilled).unwrap();
+        let report = compare(&old, &drilled).unwrap();
         assert!(report.has_regression());
         assert!(
             report
@@ -2161,16 +1928,13 @@ mod tests {
         );
         // A verification failure is a regression outright.
         let unverified = cold_bench_json(0.3, 0.5, 0.9, false);
-        let report = compare_cold_bench(&old, &unverified).unwrap();
+        let report = compare(&old, &unverified).unwrap();
         assert!(report
             .regressions()
             .contains(&"harness.verified".to_string()));
         // Mismatched rosters are an error, not a comparison.
         let other = old.replace("cold5", "cold9");
-        assert!(matches!(
-            compare_cold_bench(&old, &other),
-            Err(DigestError::Schema(_))
-        ));
+        assert!(matches!(compare(&old, &other), Err(DigestError::Schema(_))));
     }
 
     fn bench_json(parallel_speedup: f64, outputs_identical: bool) -> String {
@@ -2178,8 +1942,7 @@ mod tests {
             r#"{{
               "schema": "javmm-bench-precopy-v2",
               "workers": {{"requested": null, "effective": 4, "available_parallelism": 4, "source": "detected", "capped": false, "serialized_pool": false}},
-              "scan": {{"pages_per_rep": 800000, "reps": 40, "per_bit_pages_per_sec": 100000000, "word_pages_per_sec": 900000000, "speedup": 9.0, "sharded": []}},
-              "alloc": {{"walks": 32, "words_per_walk": 4096, "fresh_scratch_allocs": 200, "persistent_arena_allocs": 0, "reduction": 200.0}},
+              "scan": {{"pages_per_rep": 800000, "reps": 40, "per_bit_pages_per_sec": 100000000, "word_pages_per_sec": 900000000, "speedup": 9.0}},
               "harness": {{"cells": 24, "speedup_basis": "modeled", "serial_secs": 40.0, "rows": [], "parallel_speedup": {parallel_speedup}, "outputs_identical": {outputs_identical}}}
             }}"#
         )
@@ -2188,23 +1951,21 @@ mod tests {
     #[test]
     fn bench_compare_gates_parallel_efficiency() {
         let good = bench_json(3.4, true);
-        assert!(!compare_precopy_bench(&good, &good)
-            .unwrap()
-            .has_regression());
+        assert!(!compare(&good, &good).unwrap().has_regression());
         // A serialized-pool build collapses the modeled speedup to ~1.0:
         // the gate must trip and name the speedup metric.
         let serialized = bench_json(1.0, true);
-        let report = compare_precopy_bench(&good, &serialized).unwrap();
+        let report = compare(&good, &serialized).unwrap();
         assert_eq!(report.regressions(), vec!["harness.parallel_speedup"]);
         assert!(report.render().contains("harness.parallel_speedup"));
         // Losing byte-identity is a regression outright (bool gate).
         let diverged = bench_json(3.4, false);
-        let report = compare_precopy_bench(&good, &diverged).unwrap();
+        let report = compare(&good, &diverged).unwrap();
         assert_eq!(report.regressions(), vec!["harness.outputs_identical"]);
         // A --scan-only document (harness null) cannot be gated.
         let scan_only = good.replace(r#""harness": {"cells": 24"#, r#""ignored": {"cells": 24"#);
         assert!(matches!(
-            compare_precopy_bench(&good, &scan_only),
+            compare(&good, &scan_only),
             Err(DigestError::Schema(_))
         ));
     }

@@ -5,10 +5,10 @@
 //! `results/DIGEST_*.json` pins the digest bytes; this file locks the
 //! *absence* of the cold-page machinery on top: re-running the committed
 //! digest roster with `ColdAssistConfig::off()` spelled out explicitly
-//! must reproduce every committed golden byte for byte, still under the v2
-//! schema (no `cold` section), and the drain12 fleet golden likewise. If a
-//! disabled run ever grows a counter, shifts a histogram bucket, or bumps
-//! the schema, these comparisons break before any behavioural test does.
+//! must reproduce every committed golden byte for byte, with no `cold`
+//! section, and the drain12 fleet golden likewise. If a disabled run ever
+//! grows a counter, a section or a histogram bucket, these comparisons
+//! break before any behavioural test does.
 
 use cluster::{roster, run_fleet, FleetPolicy};
 use javmm::orchestrator::{run_scenario_recorded, Scenario};
@@ -75,7 +75,7 @@ fn disabled_cold_assist_reproduces_committed_run_digests() {
         let golden = committed(name);
         assert!(
             golden.contains(&format!("\"schema\": \"{DIGEST_SCHEMA}\"")),
-            "{name}: committed golden must still be the v2 (cold-free) schema"
+            "{name}: committed golden must carry the run-digest schema"
         );
         let digest = digest_cold_off(name, workload, assisted, seed);
         assert!(
