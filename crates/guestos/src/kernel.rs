@@ -222,7 +222,7 @@ impl GuestKernel {
     /// Services the LKM: processes queued daemon and application messages.
     pub fn service_lkm(&mut self, now: SimTime) {
         if let Some(lkm) = &mut self.lkm {
-            lkm.service(now, &mut self.procs);
+            lkm.service(now, &self.procs);
         }
     }
 
@@ -287,12 +287,36 @@ impl GuestKernel {
         let proc = self.procs.get(&pid).expect("unknown pid");
         let mut out = WriteOutcome::default();
         let outer = range.align_outward();
-        for vpn in outer.start().vpn()..outer.end().vpn() {
-            if let Some(pfn) = proc.page_table.translate(Vaddr(vpn * PAGE_SIZE)) {
+        proc.page_table
+            .for_each_mapped(outer.start().vpn(), outer.end().vpn(), |_, pfn| {
                 out.pages += 1;
-                if self.memory.write(pfn, class) {
-                    out.faults += 1;
-                }
+                out.faults += u64::from(self.memory.write(pfn, class));
+            });
+        out
+    }
+
+    /// Writes the page at `base + i * PAGE_SIZE` for each `i` of `pages`, in
+    /// order: the scattered single-page stores of one quantum in one call.
+    ///
+    /// Unmapped pages are skipped. A page listed twice is written twice, as
+    /// two [`GuestKernel::write_range`] calls would write it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` does not exist.
+    pub fn write_pages(
+        &mut self,
+        pid: Pid,
+        base: Vaddr,
+        pages: &[u64],
+        class: PageClass,
+    ) -> WriteOutcome {
+        let proc = self.procs.get(&pid).expect("unknown pid");
+        let mut out = WriteOutcome::default();
+        for &page in pages {
+            if let Some(pfn) = proc.page_table.translate(base.add(page * PAGE_SIZE)) {
+                out.pages += 1;
+                out.faults += u64::from(self.memory.write(pfn, class));
             }
         }
         out

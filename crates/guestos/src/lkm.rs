@@ -366,14 +366,14 @@ impl Lkm {
     ///
     /// Call once per simulation tick with the kernel's process table, which
     /// the LKM needs for page-table walks.
-    pub fn service(&mut self, now: SimTime, procs: &mut BTreeMap<Pid, Process>) {
+    pub fn service(&mut self, now: SimTime, procs: &BTreeMap<Pid, Process>) {
         for msg in self.port.recv(now) {
             self.on_daemon_msg(now, msg);
         }
         for (pid, msg) in self.netlink.recv(now) {
             self.on_app_msg(now, pid, msg, procs);
         }
-        self.check_deadline(now, procs);
+        self.check_deadline(now);
         self.maybe_finish_final_update(now);
     }
 
@@ -467,7 +467,7 @@ impl Lkm {
         now: SimTime,
         pid: Pid,
         msg: CoordMsg,
-        procs: &mut BTreeMap<Pid, Process>,
+        procs: &BTreeMap<Pid, Process>,
     ) {
         // Seq gate: transport duplicates and stale reorderings are dropped.
         // A stale message carries information the final bitmap update (or
@@ -528,9 +528,9 @@ impl Lkm {
         now: SimTime,
         pid: Pid,
         areas: &[VaRange],
-        procs: &mut BTreeMap<Pid, Process>,
+        procs: &BTreeMap<Pid, Process>,
     ) {
-        let Some(proc) = procs.get_mut(&pid) else {
+        let Some(proc) = procs.get(&pid) else {
             return;
         };
         let rec = self.apps.entry(pid).or_default();
@@ -586,9 +586,9 @@ impl Lkm {
         now: SimTime,
         pid: Pid,
         areas: &[VaRange],
-        procs: &mut BTreeMap<Pid, Process>,
+        procs: &BTreeMap<Pid, Process>,
     ) {
-        let Some(proc) = procs.get_mut(&pid) else {
+        let Some(proc) = procs.get(&pid) else {
             return;
         };
         let npages = self.npages;
@@ -667,9 +667,9 @@ impl Lkm {
         pid: Pid,
         new_areas: &[VaRange],
         must_send: &[VaRange],
-        procs: &mut BTreeMap<Pid, Process>,
+        procs: &BTreeMap<Pid, Process>,
     ) {
-        let Some(proc) = procs.get_mut(&pid) else {
+        let Some(proc) = procs.get(&pid) else {
             return;
         };
         let rec = self.apps.entry(pid).or_default();
@@ -761,7 +761,7 @@ impl Lkm {
     /// Forcibly un-skips the pages of applications that missed the reply
     /// deadline, so their (possibly live) contents are transferred and
     /// migration can proceed (§6 straggler handling).
-    fn check_deadline(&mut self, now: SimTime, _procs: &mut BTreeMap<Pid, Process>) {
+    fn check_deadline(&mut self, now: SimTime) {
         if self.state != LkmState::EnteringLastIter {
             return;
         }

@@ -368,16 +368,10 @@ impl HeapModel for G1Heap {
         if window_pages == 0 {
             return WriteOutcome::default();
         }
-        let mut out = WriteOutcome::default();
-        for _ in 0..bytes.div_ceil(PAGE_SIZE) {
-            let page = rng.below(window_pages);
-            out.merge(kernel.write_range(
-                self.pid,
-                VaRange::from_len(Vaddr(va::OLD_BASE + page * PAGE_SIZE), 1),
-                PageClass::HeapOld,
-            ));
-        }
-        out
+        let pages: Vec<u64> = (0..bytes.div_ceil(PAGE_SIZE))
+            .map(|_| rng.below(window_pages))
+            .collect();
+        kernel.write_pages(self.pid, Vaddr(va::OLD_BASE), &pages, PageClass::HeapOld)
     }
 
     fn perform_minor_gc(

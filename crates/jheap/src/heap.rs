@@ -230,15 +230,13 @@ impl JvmHeap {
         if window_pages == 0 {
             return WriteOutcome::default();
         }
-        let mut out = WriteOutcome::default();
-        let pages = bytes.div_ceil(PAGE_SIZE);
-        for _ in 0..pages {
-            let page = rng.below(window_pages);
-            let va = Vaddr(va::OLD_BASE + page * PAGE_SIZE);
-            out.merge(kernel.write_range(self.pid, VaRange::from_len(va, 1), PageClass::HeapOld));
+        let pages: Vec<u64> = (0..bytes.div_ceil(PAGE_SIZE))
+            .map(|_| rng.below(window_pages))
+            .collect();
+        for &page in &pages {
             self.touch_old(page * PAGE_SIZE, page * PAGE_SIZE + PAGE_SIZE);
         }
-        out
+        kernel.write_pages(self.pid, Vaddr(va::OLD_BASE), &pages, PageClass::HeapOld)
     }
 
     /// Performs a minor collection (possibly enforced), returning the record

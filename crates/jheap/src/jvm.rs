@@ -387,13 +387,11 @@ impl JvmProcess {
         let code_f = CODE_WRITE_RATE * secs + self.code_carry;
         let code_pages = (code_f / PAGE_SIZE as f64) as u64;
         self.code_carry = code_f - code_pages as f64 * PAGE_SIZE as f64;
-        for _ in 0..code_pages {
-            let page = self.rng.below(self.heap.codecache_bytes() / PAGE_SIZE);
-            let va = Vaddr(crate::config::va::CODE_BASE + page * PAGE_SIZE);
-            let out =
-                kernel.write_range(self.heap.pid(), VaRange::from_len(va, 1), PageClass::Code);
-            self.charge(out);
-        }
+        let span = self.heap.codecache_bytes() / PAGE_SIZE;
+        let pages: Vec<u64> = (0..code_pages).map(|_| self.rng.below(span)).collect();
+        let base = Vaddr(crate::config::va::CODE_BASE);
+        let out = kernel.write_pages(self.heap.pid(), base, &pages, PageClass::Code);
+        self.charge(out);
 
         self.ops += profile.ops_per_sec * secs;
         slice

@@ -10,8 +10,9 @@
 //!   fault reporting, the mechanism behind pre-copy and its overhead;
 //! * the framework's transfer bitmap ([`transfer::TransferBitmap`]) and its
 //!   widened per-page-compression variant ([`transfer::TransferMap`], §6);
-//! * per-process page tables ([`pagetable::PageTable`]) for the VA→PFN
-//!   semantic-gap bridging of §3.3.2, with walk-cost accounting;
+//! * per-process page tables ([`pagetable::PageTable`]), stored as
+//!   512-entry leaf arrays as on x86-64, for the VA→PFN semantic-gap
+//!   bridging of §3.3.2;
 //! * the PFN cache ([`pfncache::PfnCache`]) that answers skip-over-area
 //!   shrink notifications after frames were reclaimed (§3.3.4).
 
@@ -23,7 +24,6 @@ pub mod memory;
 pub mod page;
 pub mod pagetable;
 pub mod pfncache;
-pub mod radix;
 pub mod transfer;
 
 pub use addr::{Pfn, VaRange, Vaddr, PAGE_SIZE};
@@ -34,5 +34,4 @@ pub use memory::GuestMemory;
 pub use page::{PageClass, PageInfo};
 pub use pagetable::PageTable;
 pub use pfncache::PfnCache;
-pub use radix::RadixTable;
 pub use transfer::{TransferBitmap, TransferCode, TransferMap};

@@ -113,7 +113,6 @@ proptest! {
             .map(|(&vpn, &pfn)| (vpn, Pfn(pfn)))
             .collect();
         prop_assert_eq!(found, want);
-        prop_assert_eq!(pt.walk_count(), q_len);
     }
 
     /// The PFN cache returns each inserted PFN exactly once across any
@@ -169,44 +168,69 @@ proptest! {
     }
 }
 
-mod radix_equivalence {
+mod pagetable_reference {
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use vmem::addr::{Pfn, VaRange, Vaddr, PAGE_SIZE};
     use vmem::pagetable::PageTable;
-    use vmem::radix::RadixTable;
+
+    /// VPN bases: the bottom of the address space and two far-apart JVM
+    /// regions (the code cache and the S1 survivor space).
+    const BASES: [u64; 3] = [0, 0x7f10_0000_0000 >> 12, 0x7f60_0000_0000 >> 12];
+
+    /// VPNs crowding the leaf edges (511|512 and 1023|1024) of each base,
+    /// plus a spread over its first four leaves.
+    fn vpn() -> impl Strategy<Value = u64> {
+        (
+            0usize..3,
+            prop_oneof![508u64..516, 1020u64..1028, 0u64..2048],
+        )
+            .prop_map(|(base, off)| BASES[base] + off)
+    }
+
+    /// PFNs, with frame 0 (the first kernel-image frame) drawn often.
+    fn pfn() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), 0u64..1_000_000]
+    }
 
     proptest! {
-        /// The radix table and the map-based table agree on every
-        /// operation's result for arbitrary map/unmap sequences.
+        /// The leaf-array table agrees with a per-page map on every
+        /// operation's result for arbitrary map/unmap sequences, and a walk
+        /// over a window spanning leaves and holes returns exactly the
+        /// reference's mapped pages in VA order.
         #[test]
-        fn radix_matches_map_table(
-            ops in prop::collection::vec(
-                (0u64..4096, 0u64..100_000, any::<bool>()),
-                0..256,
-            ),
-            q_start in 0u64..4096,
-            q_len in 0u64..512,
+        fn pagetable_matches_reference_map(
+            ops in prop::collection::vec((vpn(), pfn(), any::<bool>()), 0..256),
+            q_base in 0usize..3,
+            q_start in 0u64..2048,
+            q_len in 0u64..1100,
         ) {
-            let mut a = PageTable::new();
-            let mut b = RadixTable::new();
-            for (vpn, pfn, do_map) in ops {
+            let mut pt = PageTable::new();
+            let mut reference: BTreeMap<u64, Pfn> = BTreeMap::new();
+            for &(vpn, pfn, do_map) in &ops {
                 let va = Vaddr(vpn * PAGE_SIZE);
                 if do_map {
-                    prop_assert_eq!(a.map(va, Pfn(pfn)), b.map(va, Pfn(pfn)));
+                    prop_assert_eq!(pt.map(va, Pfn(pfn)), reference.insert(vpn, Pfn(pfn)));
                 } else {
-                    prop_assert_eq!(a.unmap(va), b.unmap(va));
+                    prop_assert_eq!(pt.unmap(va), reference.remove(&vpn));
+                }
+                prop_assert_eq!(pt.mapped_count(), reference.len() as u64);
+            }
+            for &(vpn, _, _) in &ops {
+                for probe in [vpn.saturating_sub(1), vpn, vpn + 1] {
+                    let va = Vaddr(probe * PAGE_SIZE + PAGE_SIZE / 2);
+                    prop_assert_eq!(pt.translate(va), reference.get(&probe).copied());
                 }
             }
-            prop_assert_eq!(a.mapped_count(), b.mapped_count());
-            let range = VaRange::new(
-                Vaddr(q_start * PAGE_SIZE),
-                Vaddr((q_start + q_len) * PAGE_SIZE),
-            );
-            let from_a = a.walk_range(range);
-            let (from_b, steps) = b.walk_range(range);
-            prop_assert_eq!(from_a, from_b);
-            // A radix walk takes at most 4 visits per page.
-            prop_assert!(steps <= q_len * 4);
+            let lo = BASES[q_base] + q_start;
+            let hi = lo + q_len;
+            let found = pt.walk_range(VaRange::new(
+                Vaddr(lo * PAGE_SIZE),
+                Vaddr(hi * PAGE_SIZE),
+            ));
+            let want: Vec<(u64, Pfn)> =
+                reference.range(lo..hi).map(|(&vpn, &pfn)| (vpn, pfn)).collect();
+            prop_assert_eq!(found, want);
         }
     }
 }

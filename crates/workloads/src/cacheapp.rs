@@ -198,9 +198,11 @@ impl GuestApp for CacheApp {
         self.write_carry = bytes - (pages * PAGE_SIZE) as f64;
         let total_pages = self.region.page_count();
         let tail_start_page = self.tail_range().start().vpn() - self.region.start().vpn();
+        let tail_pages = total_pages - tail_start_page;
         let cold_pages = self.cold_pages();
         // The `cold_pages > 0` guards short-circuit before touching the rng,
         // so a zero cold fraction consumes exactly the historical draws.
+        let mut writes = Vec::with_capacity(pages as usize);
         for _ in 0..pages {
             let page = if self.purged && self.resumed_at.is_none() {
                 // Between purge and resume: only the compact head is
@@ -213,14 +215,15 @@ impl GuestApp for CacheApp {
             } else if cold_pages > 0 && self.rng.chance(COLD_TOUCH_CHANCE) {
                 // Long-tail update: re-dirty a resident cold entry.
                 self.rng.below(cold_pages)
-            } else if self.rng.chance(0.8) {
+            } else if self.rng.chance(0.8) || tail_pages == 0 {
+                // With no tail to insert into, inserts update the head too.
                 cold_pages + self.rng.below((tail_start_page - cold_pages).max(1))
             } else {
-                tail_start_page + self.rng.below((total_pages - tail_start_page).max(1))
+                tail_start_page + self.rng.below(tail_pages)
             };
-            let va = Vaddr(self.region.start().0 + page * PAGE_SIZE);
-            kernel.write_range(self.pid, VaRange::from_len(va, 1), PageClass::AppCache);
+            writes.push(page);
         }
+        kernel.write_pages(self.pid, self.region.start(), &writes, PageClass::AppCache);
 
         self.ops += self.config.ops_per_sec * warmth * dt.as_secs_f64();
     }
@@ -326,6 +329,36 @@ mod tests {
             DetRng::new(3),
         );
         assert_eq!(app.cold_range().len(), 16 * MIB);
+    }
+
+    #[test]
+    fn every_write_lands_in_the_region() {
+        // With skip_fraction 0.0 the tail is empty, so inserts must update
+        // the head instead of a page one past the region.
+        for skip_fraction in [0.0, 0.1, 0.5] {
+            let mut kernel = boot();
+            let mut app = CacheApp::launch(
+                &mut kernel,
+                CacheAppConfig {
+                    cache_bytes: 64 * MIB,
+                    skip_fraction,
+                    write_rate: 1000.0 * PAGE_SIZE as f64,
+                    ..CacheAppConfig::default()
+                },
+                false,
+                DetRng::new(3),
+            );
+            app.advance(SimTime::ZERO, SimDuration::from_secs(1), &mut kernel);
+            let landed: u64 = app
+                .region
+                .vpns()
+                .map(|vpn| {
+                    let pfn = kernel.translate(app.pid(), Vaddr(vpn * PAGE_SIZE)).unwrap();
+                    kernel.memory().page(pfn).version - 1
+                })
+                .sum();
+            assert_eq!(landed, 1000, "skip_fraction {skip_fraction}");
+        }
     }
 
     #[test]
