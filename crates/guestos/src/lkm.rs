@@ -349,6 +349,13 @@ impl Lkm {
         self.cold.as_ref()
     }
 
+    /// Returns the number of bits set in [`Lkm::cold_bitmap`] (0 without
+    /// a map) in O(1): the count of bits `ColdRegions` replies newly set,
+    /// which is reset together with the map at a fresh `MigrationBegin`.
+    pub fn cold_count(&self) -> u64 {
+        self.cold.as_ref().map_or(0, |_| self.stats.cold_map_pages)
+    }
+
     /// Returns the stats accumulated for the current/most recent migration.
     pub fn stats(&self) -> &LkmStats {
         &self.stats

@@ -365,3 +365,79 @@ fn proc_entry_registers_skip_over_areas() {
     g.service_lkm(t(5));
     assert_eq!(g.lkm().unwrap().transfer_bitmap().skip_count(), 16);
 }
+
+/// Services the LKM one millisecond after the last service.
+fn tick(g: &mut GuestKernel, now: &mut u64) {
+    *now += 1;
+    g.service_lkm(t(*now));
+}
+
+/// Asserts the LKM's cold-bit count is `expect` and equals the popcount of
+/// its cold map (0 without a map).
+fn assert_cold_count(g: &GuestKernel, expect: u64) {
+    let lkm = g.lkm().unwrap();
+    assert_eq!(
+        lkm.cold_count(),
+        lkm.cold_bitmap().map_or(0, |m| m.count_set())
+    );
+    assert_eq!(lkm.cold_count(), expect);
+}
+
+/// The LKM's cold-bit count — what the migration engine compares after
+/// every quantum instead of popcounting the map — equals the cold map's
+/// popcount through every reply shape and across the map's lifetime.
+#[test]
+fn cold_count_tracks_the_cold_map() {
+    let mut g = guest();
+    let pid = g.spawn("app");
+    g.alloc_map(pid, Vaddr(0x100 * PAGE_SIZE), 64, PageClass::Anon)
+        .unwrap();
+    let daemon = g.load_lkm(LkmConfig::default());
+    let sock = g.subscribe_netlink(pid);
+    // A subscriber whose process does not exist.
+    let ghost = g.subscribe_netlink(guestos::process::Pid(999));
+    let mut now = 0;
+    assert_cold_count(&g, 0);
+
+    for migration in 0..2 {
+        daemon.send(t(now), CoordPayload::MigrationBegin);
+        tick(&mut g, &mut now);
+        daemon.send(t(now), CoordPayload::QueryColdMap);
+        tick(&mut g, &mut now);
+        assert!(payloads(sock.recv(t(now + 1))).contains(&CoordPayload::QueryColdRegions));
+        // A fresh MigrationBegin starts without the last migration's map.
+        assert_cold_count(&g, 0);
+        if migration == 0 {
+            // Overlapping ranges: pages 0x100..0x124, 36 distinct pages.
+            sock.send(
+                t(now),
+                CoordPayload::ColdRegions(vec![pages(0x100, 20), pages(0x110, 20)]),
+            );
+            tick(&mut g, &mut now);
+            assert_cold_count(&g, 36);
+            // A repeated reply sets no new bit.
+            sock.send(t(now), CoordPayload::ColdRegions(vec![pages(0x100, 36)]));
+            tick(&mut g, &mut now);
+            assert_cold_count(&g, 36);
+            // An empty reply, and one from a pid without a process.
+            sock.send(t(now), CoordPayload::ColdRegions(vec![]));
+            ghost.send(t(now), CoordPayload::ColdRegions(vec![pages(0x130, 8)]));
+            tick(&mut g, &mut now);
+            assert_cold_count(&g, 36);
+            // The migration ends and its map goes with it.
+            daemon.send(t(now), CoordPayload::VmResumed);
+            tick(&mut g, &mut now);
+            assert_cold_count(&g, 0);
+        } else {
+            sock.send(t(now), CoordPayload::ColdRegions(vec![pages(0x120, 10)]));
+            tick(&mut g, &mut now);
+            assert_cold_count(&g, 10);
+            // AbortAssist drops the map.
+            daemon.send(t(now), CoordPayload::AbortAssist);
+            tick(&mut g, &mut now);
+            assert_eq!(g.lkm().unwrap().state(), LkmState::Degraded);
+            assert!(g.lkm().unwrap().cold_bitmap().is_none());
+            assert_cold_count(&g, 0);
+        }
+    }
+}

@@ -146,18 +146,28 @@ impl ColdReport {
 /// Engine-side state of one migration's cold assist. `None` in
 /// `RunState` when the assist is off — the disabled path must not even
 /// allocate.
+///
+/// [`ColdState::split`] and [`ColdState::adopt`] are pure bitmap algebra,
+/// one pass over the words that clones nothing; the engine's bulk drain
+/// (`drain_cold_quantum`) needs the send path and lives in the engine.
 #[derive(Debug)]
 pub(crate) struct ColdState {
     /// Pages adopted as cold from the LKM's cold bitmap.
     pub map: Bitmap,
     /// Cold pages awaiting their bulk-stream send (defer action only).
     pub pending: Bitmap,
+    /// No `pending` bit lies below this PFN, so the bulk drain resumes
+    /// here instead of re-scanning the backlog from PFN 0. `split` and
+    /// `adopt` lower it as they add pages; the drain raises it to where it
+    /// stops, or to the end once the backlog is empty.
+    pub drain_from: u64,
     /// The delta page cache (delta action only).
     pub delta: Option<DeltaCache>,
     /// Whether the defer action is on.
     pub defer: bool,
-    /// LKM cold bits already adopted; a cheap popcount guard that skips
-    /// the word-wise adoption diff when nothing new arrived.
+    /// The LKM's cold-bit count when its map was last adopted. The LKM
+    /// keeps that count as it sets bits, so comparing it is an O(1) guard
+    /// that skips the word-wise adoption diff when nothing new arrived.
     pub adopted_bits: u64,
     /// Running counters for the report.
     pub report: ColdReport,
@@ -168,19 +178,205 @@ impl ColdState {
         Self {
             map: Bitmap::new(npages),
             pending: Bitmap::new(npages),
+            drain_from: npages,
             delta: config
                 .delta
-                .then(|| DeltaCache::new(config.delta_cache_pages)),
+                .then(|| DeltaCache::new(config.delta_cache_pages, npages)),
             defer: config.defer,
             adopted_bits: 0,
             report: ColdReport::default(),
         }
+    }
+
+    /// Splits a fresh hot snapshot against the accumulated cold map: cold
+    /// pages of `to_send` leave it for the deferred backlog; hot pages
+    /// stay. No-op unless deferral is configured.
+    pub(crate) fn split(&mut self, to_send: &mut Bitmap) {
+        if !self.defer {
+            return;
+        }
+        for wi in 0..self.map.word_count() {
+            let moved = self.map.words()[wi] & to_send.words()[wi];
+            if moved != 0 {
+                self.defer_word(wi, moved, to_send);
+            }
+        }
+    }
+
+    /// Folds the LKM's cold map into the accumulated one. With deferral
+    /// on, newly cold pages still in the hot snapshot `to_send` move to
+    /// the deferred backlog. `lkm_count` is the LKM's own count of the
+    /// bits set in `lkm_map`; the map only grows during a migration, so an
+    /// unchanged count means nothing new arrived and the word pass is
+    /// skipped.
+    pub(crate) fn adopt(&mut self, lkm_map: &Bitmap, lkm_count: u64, to_send: &mut Bitmap) {
+        if lkm_count == self.adopted_bits {
+            return;
+        }
+        self.adopted_bits = lkm_count;
+        for wi in 0..lkm_map.word_count() {
+            let added = lkm_map.words()[wi] & !self.map.words()[wi];
+            if added == 0 {
+                continue;
+            }
+            self.map.set_bits_in_word(wi, added);
+            let moved = added & to_send.words()[wi];
+            if self.defer && moved != 0 {
+                self.defer_word(wi, moved, to_send);
+            }
+        }
+    }
+
+    /// Moves the pages `moved` of word `wi` from the hot snapshot to the
+    /// deferred backlog, lowering the drain's resume point to cover them.
+    fn defer_word(&mut self, wi: usize, moved: u64, to_send: &mut Bitmap) {
+        self.report.deferred_pages += u64::from(moved.count_ones());
+        self.pending.set_bits_in_word(wi, moved);
+        to_send.clear_bits_in_word(wi, moved);
+        let first = wi as u64 * 64 + u64::from(moved.trailing_zeros());
+        self.drain_from = self.drain_from.min(first);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use vmem::Pfn;
+
+    /// Bits per test bitmap: three full words and a partial one.
+    const LEN: u64 = 200;
+
+    fn bits(set: &BTreeSet<u64>) -> Bitmap {
+        let mut bm = Bitmap::new(LEN);
+        for &pfn in set {
+            bm.set(Pfn(pfn));
+        }
+        bm
+    }
+
+    /// The clone-based algebra `split` and `adopt` replaced: the engine's
+    /// cold bookkeeping as whole-bitmap copies and a popcount guard.
+    struct CloneModel {
+        map: Bitmap,
+        pending: Bitmap,
+        to_send: Bitmap,
+        deferred_pages: u64,
+        adopted_bits: u64,
+        defer: bool,
+    }
+
+    impl CloneModel {
+        fn split(&mut self) {
+            if !self.defer {
+                return;
+            }
+            let mut moved = self.map.clone();
+            moved.intersect_with(&self.to_send);
+            let n = moved.count_set();
+            if n > 0 {
+                self.deferred_pages += n;
+                self.pending.union_with(&moved);
+                self.to_send.subtract(&moved);
+            }
+        }
+
+        fn adopt(&mut self, lkm: &Bitmap) {
+            let total = lkm.count_set();
+            if total == self.adopted_bits {
+                return;
+            }
+            self.adopted_bits = total;
+            let mut added = lkm.clone();
+            added.subtract(&self.map);
+            self.map.union_with(&added);
+            if self.defer {
+                added.intersect_with(&self.to_send);
+                let moved = added.count_set();
+                if moved > 0 {
+                    self.deferred_pages += moved;
+                    self.pending.union_with(&added);
+                    self.to_send.subtract(&added);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Interleaved LKM map growth + `adopt` and fresh snapshots +
+        /// `split` leave the word loops and the clone-based algebra with
+        /// the same map, backlog, snapshot and deferred count, and no
+        /// backlog page below the drain's resume point.
+        fn split_and_adopt_match_clone_algebra(
+            defer in any::<bool>(),
+            steps in prop::collection::vec(
+                (
+                    any::<bool>(),
+                    prop::collection::btree_set(0u64..LEN, 0..48),
+                    prop::collection::btree_set(0u64..LEN, 0..160),
+                ),
+                1..12,
+            ),
+        ) {
+            let config = ColdAssistConfig {
+                defer,
+                ..ColdAssistConfig::full()
+            };
+            let mut state = ColdState::new(LEN, &config);
+            let mut to_send = Bitmap::new_all_set(LEN);
+            let mut model = CloneModel {
+                map: Bitmap::new(LEN),
+                pending: Bitmap::new(LEN),
+                to_send: Bitmap::new_all_set(LEN),
+                deferred_pages: 0,
+                adopted_bits: 0,
+                defer,
+            };
+            let mut lkm = Bitmap::new(LEN);
+            for (snapshot, cold, dirty) in steps {
+                if snapshot {
+                    to_send = bits(&dirty);
+                    model.to_send = bits(&dirty);
+                    state.split(&mut to_send);
+                    model.split();
+                } else {
+                    lkm.union_with(&bits(&cold));
+                    state.adopt(&lkm, lkm.count_set(), &mut to_send);
+                    model.adopt(&lkm);
+                }
+                prop_assert!(state.map == model.map);
+                prop_assert!(state.pending == model.pending);
+                prop_assert!(to_send == model.to_send);
+                prop_assert_eq!(state.report.deferred_pages, model.deferred_pages);
+                prop_assert!(state
+                    .pending
+                    .next_set_at(0)
+                    .is_none_or(|first| first.0 >= state.drain_from));
+            }
+        }
+    }
+
+    #[test]
+    fn adopt_skips_an_unchanged_count() {
+        let mut state = ColdState::new(LEN, &ColdAssistConfig::full());
+        let mut to_send = Bitmap::new_all_set(LEN);
+        let mut lkm = Bitmap::new(LEN);
+        lkm.set(Pfn(70));
+        state.adopt(&lkm, 1, &mut to_send);
+        assert!(state.pending.get(Pfn(70)));
+        assert_eq!(state.drain_from, 70);
+        // The count did not move: the map is taken as unchanged.
+        lkm.set(Pfn(3));
+        state.adopt(&lkm, 1, &mut to_send);
+        assert!(!state.map.get(Pfn(3)));
+        state.adopt(&lkm, 2, &mut to_send);
+        assert!(state.pending.get(Pfn(3)));
+        assert_eq!(state.drain_from, 3);
+        assert!(!to_send.get(Pfn(3)) && !to_send.get(Pfn(70)));
+    }
 
     #[test]
     fn config_gates() {

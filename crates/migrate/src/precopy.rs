@@ -1452,51 +1452,33 @@ impl PrecopyEngine {
         if !state.assist {
             return;
         }
-        let Some(cold) = state.cold.as_mut() else {
-            return;
-        };
-        if !cold.defer {
-            return;
-        }
-        let mut moved = cold.map.clone();
-        moved.intersect_with(to_send);
-        let n = moved.count_set();
-        if n > 0 {
-            cold.report.deferred_pages += n;
-            cold.pending.union_with(&moved);
-            to_send.subtract(&moved);
+        if let Some(cold) = state.cold.as_mut() {
+            cold.split(to_send);
         }
     }
 
     /// Folds the LKM's latest cold-region map into the engine's classifier.
     /// Newly cold pages are masked out of the live hot snapshot into the
     /// deferred backlog when the defer action is on; the delta action keys
-    /// off the accumulated map alone. The LKM map only ever grows during a
-    /// migration, so a popcount guard makes the no-change case free.
+    /// off the accumulated map alone.
+    ///
+    /// Runs after every quantum but costs O(1) when nothing changed: the
+    /// LKM map only grows during a migration and the LKM counts the bits
+    /// it sets ([`guestos::lkm::Lkm::cold_count`]), so the word-wise diff
+    /// runs only when that count moved — at most once per application
+    /// reply.
     fn adopt_cold(&self, vm: &dyn MigratableVm, state: &mut RunState, to_send: &mut Bitmap) {
-        if !state.assist || state.cold.is_none() {
+        if !state.assist {
             return;
         }
-        let Some(lkm_cold) = vm.kernel().lkm().and_then(|l| l.cold_bitmap()) else {
+        let Some(cold) = state.cold.as_mut() else {
             return;
         };
-        let total = lkm_cold.count_set();
-        let cold = state.cold.as_mut().expect("cold state");
-        if total == cold.adopted_bits {
+        let Some(lkm) = vm.kernel().lkm() else {
             return;
-        }
-        cold.adopted_bits = total;
-        let mut added = lkm_cold.clone();
-        added.subtract(&cold.map);
-        cold.map.union_with(&added);
-        if cold.defer {
-            added.intersect_with(to_send);
-            let moved = added.count_set();
-            if moved > 0 {
-                cold.report.deferred_pages += moved;
-                cold.pending.union_with(&added);
-                to_send.subtract(&added);
-            }
+        };
+        if let Some(lkm_cold) = lkm.cold_bitmap() {
+            cold.adopt(lkm_cold, lkm.cold_count(), to_send);
         }
     }
 
@@ -1504,6 +1486,16 @@ impl PrecopyEngine {
     /// budget — the low-priority bulk stream. Runs only once the hot
     /// snapshot is empty, so hot iterations always take precedence.
     /// Returns `true` when no cold work remains (or none exists).
+    ///
+    /// The drain visits the backlog in PFN order from its lowest pending
+    /// page, resuming at `ColdState::drain_from` rather than PFN 0, and
+    /// classifies each backlog word once. A page re-dirtied since it was
+    /// deferred is a dirty skip: it rides the next dirty snapshot instead
+    /// (Xen's skip-if-redirtied, applied to the bulk stream). A page the
+    /// transfer bitmap vetoes joins the deferred skips: a deferred page
+    /// inside a skip-over area is the application's to drop, not ours. A
+    /// page that is both stays a dirty skip. Only the sends are walked one
+    /// by one, so the budget cuts off at the same page as a per-page scan.
     fn drain_cold_quantum(
         &self,
         vm: &dyn MigratableVm,
@@ -1515,54 +1507,75 @@ impl PrecopyEngine {
         if !state.assist || state.cold.as_ref().is_none_or(|c| !c.defer) {
             return true;
         }
-        let mut cursor = 0u64;
+        let kernel = vm.kernel();
+        let dirty = kernel.memory().dirty_log().peek_ref();
+        let transfer = kernel.lkm().map(|l| l.transfer_bitmap().as_bitmap());
         loop {
-            if *budget <= 0 || cpu_budget.is_zero() {
-                return state
-                    .cold
-                    .as_ref()
-                    .is_none_or(|c| c.pending.next_set_at(cursor).is_none());
-            }
-            let Some(pfn) = state
-                .cold
-                .as_ref()
-                .and_then(|c| c.pending.next_set_at(cursor))
-            else {
+            let cold = state.cold.as_mut().expect("cold state");
+            let Some(first) = cold.pending.next_set_at(cold.drain_from) else {
+                cold.drain_from = cold.pending.len();
                 return true;
             };
-            cursor = pfn.0 + 1;
-            state.cold.as_mut().expect("cold state").pending.clear(pfn);
-            state.cpu += self.config.cpu_cost_per_page_scan;
-            state.scan_pages += 1;
-            // A cold page re-dirtied since it was deferred rides the next
-            // dirty snapshot instead (Xen's skip-if-redirtied, applied to
-            // the bulk stream).
-            if vm.kernel().memory().dirty_log().peek_ref().get(pfn) {
-                tally.skip_dirty += 1;
-                continue;
+            cold.drain_from = first.0;
+            if *budget <= 0 || cpu_budget.is_zero() {
+                return false;
             }
-            // Respect the transfer bitmap: a deferred page inside a
-            // skip-over area is the application's to drop, not ours.
-            if let Some(lkm) = vm.kernel().lkm() {
-                if !lkm.transfer_bitmap().as_bitmap().get(pfn) {
-                    tally.skip_transfer += 1;
-                    state.deferred_skips.set(pfn);
-                    continue;
+            let wi = (first.0 / 64) as usize;
+            let w = cold.pending.words()[wi];
+            let d = dirty.words()[wi];
+            let t = transfer.map_or(u64::MAX, |t| t.words()[wi]);
+            let skips_d = w & d;
+            let skips_t = w & !d & !t;
+            let mut sends = w & !d & t;
+
+            // Walk the sends in PFN order. `done` ends as the pages the
+            // walk reached: the whole word, unless the budget ran out at a
+            // send, which leaves the pages above it pending.
+            let mut done = w;
+            let mut word_sent = 0u64;
+            let mut word_wire = 0u64;
+            let mut word_cpu = SimDuration::ZERO;
+            let mut class_bytes = [0u64; PageClass::ALL.len()];
+            while sends != 0 {
+                let bit = sends.trailing_zeros();
+                sends &= sends - 1;
+                let pfn = Pfn(wi as u64 * 64 + u64::from(bit));
+                let (wire, cpu, class) = self.transmit_page(vm, state, pfn);
+                *budget -= wire as i64;
+                *cpu_budget = cpu_budget.saturating_sub(cpu);
+                tally.bytes += wire;
+                tally.sent += 1;
+                word_sent += 1;
+                word_wire += wire;
+                class_bytes[class.index()] += wire;
+                word_cpu +=
+                    cpu + SimDuration::from_secs_f64(wire as f64 * self.config.cpu_cost_per_byte);
+                if *budget <= 0 || cpu_budget.is_zero() {
+                    done &= u64::MAX >> (63 - bit);
+                    break;
                 }
             }
-            let (wire, cpu, class) = self.transmit_page(vm, state, pfn);
-            *budget -= wire as i64;
-            *cpu_budget = cpu_budget.saturating_sub(cpu);
-            tally.bytes += wire;
-            tally.sent += 1;
-            state.link.record_send(wire);
-            state.wire_bytes += wire;
-            state.by_class.add(class, wire);
-            state.cpu +=
-                cpu + SimDuration::from_secs_f64(wire as f64 * self.config.cpu_cost_per_byte);
+
+            // Every reached page costs scan CPU; the reached skips cost no
+            // link budget.
+            let scanned = u64::from(done.count_ones());
+            state.cpu += self.config.cpu_cost_per_page_scan * scanned + word_cpu;
+            state.scan_pages += scanned;
+            tally.skip_dirty += u64::from((done & skips_d).count_ones());
+            tally.skip_transfer += u64::from((done & skips_t).count_ones());
+            state.deferred_skips.set_bits_in_word(wi, done & skips_t);
+            state.link.record_send(word_wire);
+            state.wire_bytes += word_wire;
+            for class in PageClass::ALL {
+                let b = class_bytes[class.index()];
+                if b != 0 {
+                    state.by_class.add(class, b);
+                }
+            }
             let cold = state.cold.as_mut().expect("cold state");
-            cold.report.deferred_sent_pages += 1;
-            cold.report.deferred_sent_bytes += wire;
+            cold.pending.clear_bits_in_word(wi, done);
+            cold.report.deferred_sent_pages += word_sent;
+            cold.report.deferred_sent_bytes += word_wire;
         }
     }
 

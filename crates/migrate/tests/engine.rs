@@ -29,6 +29,8 @@ struct SyntheticVm {
     /// Pages at the start of the hot buffer reported as must-send.
     live_pages: u64,
     prep_requested: bool,
+    /// Ranges reported as live-but-cold when the cold assist asks.
+    cold: Vec<VaRange>,
 }
 
 impl SyntheticVm {
@@ -73,7 +75,28 @@ impl SyntheticVm {
             ops: 0,
             live_pages: 8,
             prep_requested: false,
+            cold: Vec::new(),
         }
+    }
+
+    /// Maps a `bytes` region that is written once and never again, and
+    /// reports it as cold together with the upper half of the hot buffer,
+    /// which is rewritten all the time and lies inside the skip-over area.
+    fn with_cold(mut self, bytes: u64) -> Self {
+        let still = self
+            .kernel
+            .alloc_map(
+                self.pid,
+                Vaddr(0x20_0000_0000),
+                bytes / PAGE_SIZE,
+                PageClass::Anon,
+            )
+            .expect("cold region fits");
+        self.kernel.write_range(self.pid, still, PageClass::Anon);
+        let half = self.hot.page_count() / 2 * PAGE_SIZE;
+        let upper = VaRange::new(Vaddr(self.hot.start().0 + half), self.hot.end());
+        self.cold = vec![still, upper];
+        self
     }
 
     fn handle_messages(&mut self, now: SimTime) {
@@ -85,6 +108,9 @@ impl SyntheticVm {
                 }
                 CoordPayload::PrepareSuspension => {
                     self.prep_requested = true;
+                }
+                CoordPayload::QueryColdRegions if !self.cold.is_empty() => {
+                    sock.send(now, CoordPayload::ColdRegions(self.cold.clone()));
                 }
                 _ => {}
             }
@@ -393,4 +419,45 @@ fn stop_reasons_distinguish_workload_shapes() {
         .migrate(&mut hot, &mut clock)
         .expect("migration failed");
     assert_ne!(r.stop_reason, StopReason::DirtyThreshold);
+}
+
+/// The deferred backlog holds pages the transfer bitmap vetoes and pages
+/// re-dirtied since deferral. The bulk drain must classify a page that is
+/// both as a dirty skip, park the vetoed clean pages with the deferred
+/// skips, and send the rest. The pinned totals were checked against the
+/// per-page drain.
+#[test]
+fn cold_drain_classifies_vetoed_and_redirtied_pages() {
+    use migrate::assist::ColdAssistConfig;
+
+    let mut vm = SyntheticVm::new(128 * MIB, 32 * MIB, 10e6, true).with_cold(16 * MIB);
+    let mut config = fast_config(true);
+    config.cold = ColdAssistConfig {
+        delta: false,
+        ..ColdAssistConfig::full()
+    };
+    let mut clock = SimClock::new();
+    let report = PrecopyEngine::new(config)
+        .migrate(&mut vm, &mut clock)
+        .expect("migration failed");
+    assert!(
+        report.verification.is_correct(),
+        "{:?}",
+        report.verification
+    );
+    let cold = report.cold.expect("cold report");
+    let skipped_dirty: u64 = report
+        .iterations
+        .iter()
+        .map(|i| i.pages_skipped_dirty)
+        .sum();
+    let totals = (
+        cold.deferred_pages,
+        cold.deferred_sent_pages,
+        cold.pending_at_pause,
+        skipped_dirty,
+        report.pages_skipped_transfer(),
+        report.total_bytes,
+    );
+    assert_eq!(totals, (12_288, 4_096, 0, 4_096, 20_487, 100_892_736));
 }

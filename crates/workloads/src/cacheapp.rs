@@ -145,6 +145,20 @@ impl CacheApp {
         1.0 - self.config.miss_penalty * (1.0 - progress)
     }
 
+    /// A hot-band write: a page of `[cold_pages, tail_start_page)`. When
+    /// the cold band reaches the skip-over tail there is no hot band, and
+    /// the write updates the cold band instead. The branch comes before
+    /// any draw, so a non-empty hot band draws exactly as before. (A
+    /// region that is all tail, `skip_fraction` 1.0, has no head at all;
+    /// its writes still land on the first page.)
+    fn hot_page(&mut self, cold_pages: u64, tail_start_page: u64) -> u64 {
+        if tail_start_page > cold_pages {
+            cold_pages + self.rng.below(tail_start_page - cold_pages)
+        } else {
+            self.rng.below(cold_pages.max(1))
+        }
+    }
+
     fn handle_messages(&mut self, now: SimTime) {
         let Some(sock) = &self.sock else { return };
         for msg in sock.recv(now) {
@@ -210,14 +224,14 @@ impl GuestApp for CacheApp {
                 if cold_pages > 0 && self.rng.chance(COLD_TOUCH_CHANCE) {
                     self.rng.below(cold_pages)
                 } else {
-                    cold_pages + self.rng.below((tail_start_page - cold_pages).max(1))
+                    self.hot_page(cold_pages, tail_start_page)
                 }
             } else if cold_pages > 0 && self.rng.chance(COLD_TOUCH_CHANCE) {
                 // Long-tail update: re-dirty a resident cold entry.
                 self.rng.below(cold_pages)
             } else if self.rng.chance(0.8) || tail_pages == 0 {
                 // With no tail to insert into, inserts update the head too.
-                cold_pages + self.rng.below((tail_start_page - cold_pages).max(1))
+                self.hot_page(cold_pages, tail_start_page)
             } else {
                 tail_start_page + self.rng.below(tail_pages)
             };
@@ -331,33 +345,73 @@ mod tests {
         assert_eq!(app.cold_range().len(), 16 * MIB);
     }
 
+    /// Launches a 64 MiB cache that writes 1000 pages per simulated
+    /// second.
+    fn writer(kernel: &mut GuestKernel, skip_fraction: f64, cold_fraction: f64) -> CacheApp {
+        CacheApp::launch(
+            kernel,
+            CacheAppConfig {
+                cache_bytes: 64 * MIB,
+                skip_fraction,
+                cold_fraction,
+                write_rate: 1000.0 * PAGE_SIZE as f64,
+                ..CacheAppConfig::default()
+            },
+            false,
+            DetRng::new(3),
+        )
+    }
+
+    /// Writes per page of the region since launch (which wrote each once).
+    fn writes_per_page(app: &CacheApp, kernel: &GuestKernel) -> Vec<u64> {
+        app.region
+            .vpns()
+            .map(|vpn| {
+                let pfn = kernel.translate(app.pid(), Vaddr(vpn * PAGE_SIZE)).unwrap();
+                kernel.memory().page(pfn).version - 1
+            })
+            .collect()
+    }
+
+    /// (skip_fraction, cold_fraction) pairs: an empty tail, a cold band
+    /// that fills the head (no hot band), and one a page short of it.
+    const BANDS: [(f64, f64); 6] = [
+        (0.0, 0.0),
+        (0.1, 0.0),
+        (0.5, 0.0),
+        (0.5, 0.8),
+        (0.0, 1.0),
+        (0.1, 0.9),
+    ];
+
     #[test]
     fn every_write_lands_in_the_region() {
         // With skip_fraction 0.0 the tail is empty, so inserts must update
-        // the head instead of a page one past the region.
-        for skip_fraction in [0.0, 0.1, 0.5] {
+        // the head instead of a page one past the region; with the cold
+        // band reaching the tail, hot writes must update the cold band
+        // instead of the tail's first page.
+        for (skip_fraction, cold_fraction) in BANDS {
             let mut kernel = boot();
-            let mut app = CacheApp::launch(
-                &mut kernel,
-                CacheAppConfig {
-                    cache_bytes: 64 * MIB,
-                    skip_fraction,
-                    write_rate: 1000.0 * PAGE_SIZE as f64,
-                    ..CacheAppConfig::default()
-                },
-                false,
-                DetRng::new(3),
-            );
+            let mut app = writer(&mut kernel, skip_fraction, cold_fraction);
             app.advance(SimTime::ZERO, SimDuration::from_secs(1), &mut kernel);
-            let landed: u64 = app
-                .region
-                .vpns()
-                .map(|vpn| {
-                    let pfn = kernel.translate(app.pid(), Vaddr(vpn * PAGE_SIZE)).unwrap();
-                    kernel.memory().page(pfn).version - 1
-                })
-                .sum();
-            assert_eq!(landed, 1000, "skip_fraction {skip_fraction}");
+            let landed: u64 = writes_per_page(&app, &kernel).iter().sum();
+            assert_eq!(landed, 1000, "skip {skip_fraction} cold {cold_fraction}");
+        }
+    }
+
+    #[test]
+    fn purged_tail_stays_untouched_until_resume() {
+        for (skip_fraction, cold_fraction) in BANDS {
+            let mut kernel = boot();
+            let mut app = writer(&mut kernel, skip_fraction, cold_fraction);
+            app.purged = true;
+            app.advance(SimTime::ZERO, SimDuration::from_secs(1), &mut kernel);
+            let tail_start = app.tail_range().start().vpn() - app.region.start().vpn();
+            let per_page = writes_per_page(&app, &kernel);
+            let (head, tail) = per_page.split_at(tail_start as usize);
+            let case = format!("skip {skip_fraction} cold {cold_fraction}");
+            assert_eq!(head.iter().sum::<u64>(), 1000, "{case}");
+            assert_eq!(tail.iter().sum::<u64>(), 0, "{case}");
         }
     }
 
