@@ -24,6 +24,11 @@
 //! trace, causal log and pipe exposition), and `cold` by
 //! [`javmm_bench::cold`] (`--cold-fraction` overrides the ladder).
 //!
+//! A numeric flag whose value does not parse or is out of range (a zero
+//! `--delta-cache` or `--series-cap`, a `--cold-fraction` outside
+//! `0.0..=0.9`, a `--pin-placement` past the plan's destinations) exits 2
+//! naming the flag and the value, before any migration runs.
+//!
 //! `bench compare` diffs two documents under the baseline schema's row of
 //! `migrate::digest::GATES` and exits 1 on regression (naming the metric)
 //! or 2 on a parse/schema error. Each gate has a seeded drill that must
@@ -371,6 +376,27 @@ fn flag(args: &[String], name: &str) -> Option<String> {
     args.get(i + 1).cloned()
 }
 
+/// Parses `value`, the argument of numeric flag `name`, and checks it
+/// with `valid`; exits 2 naming the flag and the value when either fails.
+fn parse_num<T: std::str::FromStr>(name: &str, value: &str, valid: impl Fn(&T) -> bool) -> T {
+    match value.trim().parse::<T>() {
+        Ok(x) if valid(&x) => x,
+        _ => {
+            eprintln!("bad value {value:?} for {name}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The value of numeric flag `name`, if given, through [`parse_num`].
+fn num_flag<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Option<T> {
+    flag(args, name).map(|s| parse_num(name, &s, valid))
+}
+
 /// The fleet policy named `name`; exits 2 on an unknown name.
 fn parse_policy(name: &str) -> cluster::FleetPolicy {
     cluster::FleetPolicy::parse(name).unwrap_or_else(|| {
@@ -391,9 +417,8 @@ fn write_out(path: &str, contents: &str, what: &str) {
 /// Runs the digest roster, writing per-scenario JSON + Prometheus files.
 fn cmd_digest(args: &[String]) {
     let out_dir = flag(args, "--out-dir").unwrap_or_else(|| "results".to_string());
-    let scan_slowdown = flag(args, "--scan-slowdown")
-        .map(|s| s.parse::<f64>().expect("--scan-slowdown takes a number"))
-        .unwrap_or(1.0);
+    let scan_slowdown =
+        num_flag(args, "--scan-slowdown", |&x: &f64| x.is_finite() && x > 0.0).unwrap_or(1.0);
     std::fs::create_dir_all(&out_dir).expect("create output directory");
     for scenario in javmm_bench::digests::scenarios() {
         let (digest, prom) = javmm_bench::digests::run_digest_scenario(&scenario, scan_slowdown);
@@ -444,13 +469,10 @@ fn cmd_compare(args: &[String]) {
 /// writes the comparison and optional per-policy fleet digests.
 fn cmd_fleet(args: &[String]) {
     let roster_name = flag(args, "--roster").unwrap_or_else(|| "drain12".to_string());
-    let seed = flag(args, "--seed")
-        .map(|s| s.parse::<u64>().expect("--seed takes an integer"))
-        .unwrap_or(7);
+    let seed = num_flag(args, "--seed", |_: &u64| true).unwrap_or(7);
     let out_path = flag(args, "--out").unwrap_or_else(|| "BENCH_fleet.json".to_string());
     let digest_dir = flag(args, "--digest-dir");
-    let series_cap = flag(args, "--series-cap")
-        .map(|s| s.parse::<usize>().expect("--series-cap takes an integer"));
+    let series_cap = num_flag(args, "--series-cap", |&n: &usize| n > 0);
     let policies = match flag(args, "--policy") {
         None => cluster::FleetPolicy::ALL.to_vec(),
         Some(name) => vec![parse_policy(&name)],
@@ -495,16 +517,11 @@ fn cmd_fleet(args: &[String]) {
 /// with every VM pinned to one destination — the CI drill); writes the
 /// placement comparison document.
 fn cmd_evacuate(args: &[String]) {
-    let seed = flag(args, "--seed")
-        .map(|s| s.parse::<u64>().expect("--seed takes an integer"))
-        .unwrap_or(7);
+    let seed = num_flag(args, "--seed", |_: &u64| true).unwrap_or(7);
     let out_path = flag(args, "--out").unwrap_or_else(|| "BENCH_evacuate.json".to_string());
     let policy =
         flag(args, "--policy").map_or(cluster::FleetPolicy::CycleAware, |name| parse_policy(&name));
-    let pin = flag(args, "--pin-placement").map(|s| {
-        s.parse::<usize>()
-            .expect("--pin-placement takes a destination index")
-    });
+    let pin = num_flag(args, "--pin-placement", |_: &usize| true);
     let eta_out = flag(args, "--eta-out");
     let trace_out = flag(args, "--trace-out");
     let freeze_eta = args.iter().any(|a| a == "--freeze-eta");
@@ -526,6 +543,10 @@ fn cmd_evacuate(args: &[String]) {
             let plan =
                 javmm_bench::evacuate::evacuate48_plan(seed, cluster::PlacementPolicy::Pinned(d))
                     .freeze_eta(freeze_eta);
+            if let Err(e) = plan.validate() {
+                eprintln!("bad value \"{d}\" for --pin-placement: {e}");
+                std::process::exit(2);
+            }
             let out = cluster::evacuate(&plan, policy).expect("pinned evacuation failed");
             let run = javmm_bench::evacuate::reduce(&plan, &out);
             narrate(&run);
@@ -584,29 +605,19 @@ fn cmd_evacuate(args: &[String]) {
 /// `BENCH_cold.json`.
 fn cmd_cold(args: &[String]) {
     let out_path = flag(args, "--out").unwrap_or_else(|| "BENCH_cold.json".to_string());
-    let delta_cache = flag(args, "--delta-cache")
-        .map(|s| s.parse::<u64>().expect("--delta-cache takes an integer"))
+    let delta_cache = num_flag(args, "--delta-cache", |&n: &u64| n > 0)
         .unwrap_or(javmm_bench::cold::COLD_DELTA_CACHE_PAGES);
     let ladder: Vec<f64> = match flag(args, "--cold-fraction") {
         None => javmm_bench::cold::COLD_LADDER.to_vec(),
         Some(list) => list
             .split(',')
-            .map(|s| {
-                let f = s
-                    .trim()
-                    .parse::<f64>()
-                    .expect("--cold-fraction takes comma-separated fractions");
-                assert!(
-                    (0.0..=0.9).contains(&f),
-                    "--cold-fraction entries must be within 0.0..=0.9"
-                );
-                f
-            })
+            .map(|s| parse_num("--cold-fraction", s, |f| (0.0..=0.9).contains(f)))
             .collect(),
     };
-    let warmup_secs = flag(args, "--warmup-secs")
-        .map(|s| s.parse::<u64>().expect("--warmup-secs takes an integer"))
-        .unwrap_or(20);
+    let warmup_secs = num_flag(args, "--warmup-secs", |&s: &u64| {
+        s <= SimDuration::MAX.as_secs()
+    })
+    .unwrap_or(20);
     let result = javmm_bench::cold::run_roster(
         &ladder,
         delta_cache,

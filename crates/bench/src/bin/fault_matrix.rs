@@ -132,15 +132,14 @@ fn rows() -> Vec<Row> {
 }
 
 fn cell_config(faults: FaultPlan) -> MigrationConfig {
-    MigrationConfig::builder()
-        .assisted(true)
-        .coord(CoordPolicy {
+    MigrationConfig {
+        coord: CoordPolicy {
             degrade_on_stragglers: true,
             ..CoordPolicy::default()
-        })
-        .faults(faults)
-        .build()
-        .expect("valid config")
+        },
+        faults,
+        ..MigrationConfig::javmm_default()
+    }
 }
 
 /// Runs one matrix cell: a small assisted guest with the row's faults.
@@ -226,11 +225,11 @@ fn zero_fault_column(out: &mut String, guard: std::time::Duration) {
         ("equiv/derby-assisted-seed3", catalog::derby(), true, 3),
     ];
     for (name, workload, assisted, seed) in cases {
-        let config = MigrationConfig::builder()
-            .assisted(assisted)
-            .faults(FaultPlan::none())
-            .build()
-            .expect("valid config");
+        let config = MigrationConfig {
+            assisted,
+            faults: FaultPlan::none(),
+            ..MigrationConfig::xen_default()
+        };
         let started = Instant::now();
         let report = run_scenario(&Scenario::quick(
             JavaVmConfig::paper(workload, assisted, seed),

@@ -62,22 +62,21 @@ fn degraded_beginack(seed: u64) -> (JavaVmConfig, MigrationConfig, SimDuration, 
     let mut vm = JavaVmConfig::paper(catalog::mpeg(), true, seed);
     vm.young_max = Some(256 * MIB);
     vm.lkm.reply_timeout = SimDuration::from_millis(500);
-    let config = MigrationConfig::builder()
-        .assisted(true)
-        .coord(CoordPolicy {
+    let config = MigrationConfig {
+        coord: CoordPolicy {
             degrade_on_stragglers: true,
             ..CoordPolicy::default()
-        })
-        .faults(FaultPlan {
+        },
+        faults: FaultPlan {
             seed: 7,
             evtchn: LaneFaults {
                 drop: 1.0,
                 ..LaneFaults::NONE
             },
             ..FaultPlan::none()
-        })
-        .build()
-        .expect("valid config");
+        },
+        ..MigrationConfig::javmm_default()
+    };
     (
         vm,
         config,

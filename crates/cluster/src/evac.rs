@@ -253,7 +253,8 @@ impl EvacuationPlan {
     /// ([`HostSpec::validate`]), every destination's, and — when a
     /// destination pool exists — that its slots can hold the entire
     /// evacuating population (otherwise the drain would deadlock with
-    /// unplaceable VMs).
+    /// unplaceable VMs) and that a pinned placement names one of its
+    /// destinations.
     ///
     /// # Errors
     ///
@@ -272,6 +273,11 @@ impl EvacuationPlan {
             let slots: u64 = self.destinations.iter().map(|d| u64::from(d.slots)).sum();
             if slots < self.population() as u64 {
                 return Err(ConfigError::InsufficientDestinationCapacity);
+            }
+            if let PlacementPolicy::Pinned(d) = self.placement {
+                if d >= self.destinations.len() {
+                    return Err(ConfigError::PinnedDestinationOutOfRange);
+                }
             }
         }
         Ok(())

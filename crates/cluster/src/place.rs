@@ -42,7 +42,8 @@ pub enum PlacementPolicy {
     /// stream seeded here — the control arm SLA-aware placement must beat.
     Random(u64),
     /// Every VM onto the given destination index, ignoring slot capacity
-    /// and path feasibility. This is the regression drill: placement
+    /// and path feasibility; the index must name one of the plan's
+    /// destinations. This is the regression drill: placement
     /// effectively disabled, so eviction time collapses onto one ingress
     /// NIC and the bench gate must catch it.
     Pinned(usize),
@@ -144,7 +145,8 @@ pub fn choose(
     ordinal: u64,
 ) -> Option<usize> {
     if let PlacementPolicy::Pinned(d) = policy {
-        return Some(d.min(dests.len().saturating_sub(1)));
+        // `EvacuationPlan::validate` rejects an index outside the pool.
+        return Some(d);
     }
     let feasible = feasible_dests(topo, dests, src, tenant, enforce_min_rate);
     if feasible.is_empty() {

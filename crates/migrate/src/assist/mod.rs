@@ -143,9 +143,9 @@ impl ColdReport {
     }
 }
 
-/// Engine-side state of one migration's cold assist. `None` in
-/// `RunState` when the assist is off — the disabled path must not even
-/// allocate.
+/// Engine-side state of one migration's cold assist. `None` in the
+/// `MigrationSession` when the assist is off — the disabled path must not
+/// even allocate.
 ///
 /// [`ColdState::split`] and [`ColdState::adopt`] are pure bitmap algebra,
 /// one pass over the words that clones nothing; the engine's bulk drain

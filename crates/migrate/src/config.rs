@@ -4,9 +4,10 @@
 //! parameters, the Xen stop policy, the coordination-timeout policy
 //! ([`CoordPolicy`]), the fallback behaviour when coordination fails
 //! ([`FallbackPolicy`]) and the fault plan driving deterministic fault
-//! injection ([`simkit::FaultPlan`]). Construct it with the presets
-//! ([`MigrationConfig::xen_default`], [`MigrationConfig::javmm_default`]) or
-//! the validating [`MigrationConfig::builder`].
+//! injection ([`simkit::FaultPlan`]). Construct it from a preset
+//! ([`MigrationConfig::xen_default`], [`MigrationConfig::javmm_default`])
+//! with struct-update syntax; [`MigrationConfig::validate`] checks it, and
+//! the engine runs that check on entry.
 
 use crate::assist::ColdAssistConfig;
 use crate::error::ConfigError;
@@ -171,15 +172,8 @@ impl MigrationConfig {
         }
     }
 
-    /// A validating builder seeded with the vanilla-Xen defaults.
-    pub fn builder() -> MigrationConfigBuilder {
-        MigrationConfigBuilder {
-            config: Self::xen_default(),
-        }
-    }
-
-    /// Checks the invariants the builder enforces; the engine calls this on
-    /// entry so hand-mutated configs are rejected too.
+    /// Checks the config's invariants; the engine calls this on entry, so
+    /// an invalid config never starts a migration.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.quantum.is_zero() {
             return Err(ConfigError::ZeroQuantum);
@@ -204,86 +198,6 @@ impl MigrationConfig {
         }
         self.cold.validate(self.assisted)?;
         Ok(())
-    }
-}
-
-/// Builder for [`MigrationConfig`]; [`build`](Self::build) validates.
-#[derive(Debug, Clone)]
-pub struct MigrationConfigBuilder {
-    config: MigrationConfig,
-}
-
-impl MigrationConfigBuilder {
-    /// Enables or disables the assisted protocol.
-    pub fn assisted(mut self, assisted: bool) -> Self {
-        self.config.assisted = assisted;
-        self
-    }
-
-    /// Sets the link bandwidth.
-    pub fn bandwidth(mut self, bandwidth: Bandwidth) -> Self {
-        self.config.bandwidth = bandwidth;
-        self
-    }
-
-    /// Sets the co-simulation quantum.
-    pub fn quantum(mut self, quantum: SimDuration) -> Self {
-        self.config.quantum = quantum;
-        self
-    }
-
-    /// Sets the stop policy.
-    pub fn stop(mut self, stop: StopPolicy) -> Self {
-        self.config.stop = stop;
-        self
-    }
-
-    /// Sets the destination resume time.
-    pub fn resume_time(mut self, resume_time: SimDuration) -> Self {
-        self.config.resume_time = resume_time;
-        self
-    }
-
-    /// Sets the §3.3.4 last-iteration strategy.
-    pub fn last_iter_considers_all_dirtied(mut self, v: bool) -> Self {
-        self.config.last_iter_considers_all_dirtied = v;
-        self
-    }
-
-    /// Sets the compression policy.
-    pub fn compression(mut self, compression: CompressionPolicy) -> Self {
-        self.config.compression = compression;
-        self
-    }
-
-    /// Configures the cold-page assist (enabling it requires `assisted`).
-    pub fn cold(mut self, cold: ColdAssistConfig) -> Self {
-        self.config.cold = cold;
-        self
-    }
-
-    /// Sets the coordination-timeout policy.
-    pub fn coord(mut self, coord: CoordPolicy) -> Self {
-        self.config.coord = coord;
-        self
-    }
-
-    /// Sets the fallback policy.
-    pub fn fallback(mut self, fallback: FallbackPolicy) -> Self {
-        self.config.fallback = fallback;
-        self
-    }
-
-    /// Installs a fault plan.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.config.faults = faults;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<MigrationConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -313,46 +227,30 @@ mod tests {
     }
 
     #[test]
-    fn builder_round_trips() {
-        let c = MigrationConfig::builder()
-            .assisted(true)
-            .quantum(SimDuration::from_millis(2))
-            .build()
-            .unwrap();
-        assert!(c.assisted);
-        assert_eq!(c.quantum, SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn builder_rejects_invalid() {
-        assert_eq!(
-            MigrationConfig::builder()
-                .quantum(SimDuration::ZERO)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroQuantum
-        );
-        let bad_coord = CoordPolicy {
-            retry_backoff: 0.5,
-            ..CoordPolicy::default()
+    fn validate_rejects_invalid() {
+        let zero_quantum = MigrationConfig {
+            quantum: SimDuration::ZERO,
+            ..MigrationConfig::xen_default()
         };
-        assert_eq!(
-            MigrationConfig::builder()
-                .coord(bad_coord)
-                .build()
-                .unwrap_err(),
-            ConfigError::BackoffBelowOne
-        );
-        let plan = FaultPlan {
-            link: Some(simkit::LinkDegrade {
-                after: SimDuration::ZERO,
-                factor: -1.0,
-            }),
-            ..FaultPlan::none()
+        assert_eq!(zero_quantum.validate(), Err(ConfigError::ZeroQuantum));
+        let bad_coord = MigrationConfig {
+            coord: CoordPolicy {
+                retry_backoff: 0.5,
+                ..CoordPolicy::default()
+            },
+            ..MigrationConfig::xen_default()
         };
-        assert_eq!(
-            MigrationConfig::builder().faults(plan).build().unwrap_err(),
-            ConfigError::InvalidFaultPlan
-        );
+        assert_eq!(bad_coord.validate(), Err(ConfigError::BackoffBelowOne));
+        let bad_plan = MigrationConfig {
+            faults: FaultPlan {
+                link: Some(simkit::LinkDegrade {
+                    after: SimDuration::ZERO,
+                    factor: -1.0,
+                }),
+                ..FaultPlan::none()
+            },
+            ..MigrationConfig::xen_default()
+        };
+        assert_eq!(bad_plan.validate(), Err(ConfigError::InvalidFaultPlan));
     }
 }

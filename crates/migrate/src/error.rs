@@ -10,8 +10,7 @@
 
 use simkit::{FaultKind, SimDuration};
 
-/// A rejected [`MigrationConfig`](crate::config::MigrationConfig) or
-/// [`builder`](crate::config::MigrationConfigBuilder) field.
+/// A rejected [`MigrationConfig`](crate::config::MigrationConfig) field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// The co-simulation quantum must be non-zero.
@@ -50,6 +49,8 @@ pub enum ConfigError {
     /// The destination pool is smaller than the evacuating VM population,
     /// so some VM could never be placed and the drain would deadlock.
     InsufficientDestinationCapacity,
+    /// Pinned placement names a destination index the plan does not have.
+    PinnedDestinationOutOfRange,
 }
 
 impl core::fmt::Display for ConfigError {
@@ -74,6 +75,9 @@ impl core::fmt::Display for ConfigError {
             Self::ZeroDestinationSlots => "destination host needs at least one slot",
             Self::InsufficientDestinationCapacity => {
                 "destination slots cannot hold the evacuating VM population"
+            }
+            Self::PinnedDestinationOutOfRange => {
+                "pinned placement names no destination of the plan"
             }
         };
         f.write_str(msg)

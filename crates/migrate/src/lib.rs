@@ -35,17 +35,12 @@ pub mod vmhost;
 
 pub use assist::{ColdAssistConfig, ColdReport};
 pub use checkpoint::{CheckpointConfig, CheckpointEngine, CheckpointReport};
-pub use config::{
-    CompressionPolicy, CoordPolicy, FallbackPolicy, MigrationConfig, MigrationConfigBuilder,
-    StopPolicy,
-};
+pub use config::{CompressionPolicy, CoordPolicy, FallbackPolicy, MigrationConfig, StopPolicy};
 pub use destination::{DestinationVm, VerifyReport};
 pub use digest::{compare, CompareReport, DigestMeta, RunDigest, DIGEST_SCHEMA};
 pub use error::{ConfigError, CoordPhase, MigrateError, MigrationOutcome};
 pub use policy::{choose_strategy, AssistAction, Decision, Strategy, WorkloadProbe};
 pub use postcopy::{PostcopyConfig, PostcopyEngine, PostcopyReport};
 pub use precopy::PrecopyEngine;
-pub use report::{
-    DowntimeBreakdown, EngineEvent, IterationStats, MigrationReport, StopReason, TrafficByClass,
-};
+pub use report::{DowntimeBreakdown, IterationStats, MigrationReport, StopReason, TrafficByClass};
 pub use vmhost::MigratableVm;

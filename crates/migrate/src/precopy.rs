@@ -37,23 +37,28 @@
 //! [`MigrateError::CoordTimeout`], per the configured
 //! [`FallbackPolicy`](crate::config::FallbackPolicy).
 //!
-//! # Scan pipeline
+//! # Send path
 //!
 //! The scanner is word-granular: all three inputs — the iteration snapshot,
 //! the hypervisor dirty log and the LKM transfer bitmap — are dense
 //! `u64`-word bitmaps, and the guest only runs *between* quanta, so within
 //! a quantum the sendable set is exactly `to_send & transfer & !dirty`
 //! computed 64 pages at a time ([`WordClass::of`], applied to each word
-//! where the walk reads it). Skip classification and the per-class
-//! traffic/CPU accounting are batched per word run; only the pages actually
-//! transferred are visited individually.
+//! where the walk reads it). The hot scan, the cold bulk drain and the
+//! stop-and-copy all put pages on the wire through one word sender, which
+//! walks a word's sends in PFN order, stops at the send that exhausts a
+//! budget and books traffic and CPU once per word; the skips the walk
+//! reached are then retired together. The transfer bitmap is read through
+//! one accessor, which returns nothing for vanilla and degraded runs.
 
 use crate::assist::delta::{DeltaOutcome, DELTA_CPU_PER_PAGE};
 use crate::assist::ColdState;
 use crate::config::{CompressionPolicy, FallbackPolicy, MigrationConfig};
 use crate::destination::DestinationVm;
 use crate::error::{CoordPhase, MigrateError, MigrationOutcome};
-use crate::report::{DowntimeBreakdown, EngineEvent, IterationStats, MigrationReport, StopReason};
+use crate::report::{
+    DowntimeBreakdown, IterationStats, MigrationReport, StopReason, TrafficByClass,
+};
 use crate::vmhost::MigratableVm;
 use guestos::coord::CoordPayload;
 use guestos::lkm::DaemonPort;
@@ -105,39 +110,6 @@ struct CoordTrack {
     ready_since: Option<SimTime>,
 }
 
-struct RunState {
-    link: Link,
-    dest: DestinationVm,
-    by_class: crate::report::TrafficByClass,
-    timeline: simkit::trace::Trace<EngineEvent>,
-    ever_dirtied: Bitmap,
-    /// Pages ever skipped because of a cleared transfer bit; re-examined at
-    /// the stop-and-copy under the *final* bitmap so nothing live is lost.
-    deferred_skips: Bitmap,
-    cpu: SimDuration,
-    wire_bytes: u64,
-    /// Pages examined by the word-granular scanner (sends and skips alike);
-    /// flushed to the `engine/pages_scanned` counter at snapshot time so
-    /// digests can derive scan throughput.
-    scan_pages: u64,
-    ready: Option<(SimDuration, u32)>,
-    recorder: Recorder,
-    /// Whether the assisted protocol is still live. Starts as
-    /// `config.assisted`; flips to `false` on degradation, after which the
-    /// engine behaves exactly like vanilla pre-copy.
-    assist: bool,
-    /// The fault that degraded the run, if any.
-    degraded: Option<FaultKind>,
-    /// Cold-page assist state; `None` unless the config enables it, so the
-    /// zero-config path allocates and records nothing.
-    cold: Option<ColdState>,
-    coord: CoordTrack,
-    t0: SimTime,
-    /// Pending link-degrade fault, consumed when its time arrives.
-    link_plan: Option<LinkDegrade>,
-    base_bandwidth: Bandwidth,
-}
-
 /// One snapshot word, classified: the three disjoint masks the walk needs.
 /// `sends | skips_transfer | skips_dirty` reassembles the snapshot word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,7 +136,7 @@ impl WordClass {
     }
 }
 
-/// Running totals of one live iteration, shared by its scan quanta.
+/// Running totals of one iteration, shared by its scan quanta.
 #[derive(Debug, Default)]
 struct IterTally {
     cursor: u64,
@@ -258,90 +230,85 @@ impl PrecopyEngine {
         clock: &mut SimClock,
         recorder: Recorder,
     ) -> Result<MigrationSession, MigrateError> {
-        self.config.validate()?;
+        let config = &self.config;
+        config.validate()?;
         let t0 = clock.now();
         let npages = vm.kernel().memory().page_count();
         vm.attach_telemetry(recorder.clone());
-        vm.install_faults(&self.config.faults);
-        let port = if self.config.assisted {
+        vm.install_faults(&config.faults);
+        let port = if config.assisted {
             Some(vm.daemon_port().ok_or(MigrateError::MissingLkm)?)
         } else {
             None
         };
 
-        let mut link = Link::new(self.config.bandwidth);
+        let mut link = Link::new(config.bandwidth);
         link.attach_telemetry(recorder.clone());
-        let mut state = RunState {
+        let mut session = MigrationSession {
+            config: config.clone(),
+            port,
+            npages,
             link,
             dest: DestinationVm::new(npages),
-            by_class: crate::report::TrafficByClass::default(),
-            timeline: simkit::trace::Trace::new(),
+            by_class: TrafficByClass::default(),
             ever_dirtied: Bitmap::new(npages),
             deferred_skips: Bitmap::new(npages),
             cpu: SimDuration::ZERO,
-            wire_bytes: 0,
             scan_pages: 0,
             ready: None,
             recorder,
-            assist: self.config.assisted,
+            assist: config.assisted,
             degraded: None,
             cold: None,
             coord: CoordTrack {
-                begin_acked: !self.config.assisted,
+                begin_acked: !config.assisted,
                 begin_deadline: None,
-                begin_wait: self.config.coord.begin_ack_timeout,
+                begin_wait: config.coord.begin_ack_timeout,
                 begin_attempts: 0,
                 begin_sent_at: t0,
                 ready_deadline: None,
-                ready_wait: self.config.coord.ready_timeout,
+                ready_wait: config.coord.ready_timeout,
                 ready_attempts: 0,
                 ready_since: None,
             },
             t0,
-            link_plan: self.config.faults.link,
-            base_bandwidth: self.config.bandwidth,
-        };
-
-        vm.kernel_mut().memory_mut().dirty_log_mut().enable();
-        state.timeline.push(clock.now(), EngineEvent::Begin);
-        state.recorder.instant(
-            clock.now(),
-            Subsystem::Engine,
-            "begin",
-            vec![
-                ("assisted", self.config.assisted.into()),
-                ("npages", npages.into()),
-            ],
-        );
-        if let Some(port) = &port {
-            port.send(clock.now(), CoordPayload::MigrationBegin);
-            state.coord.begin_deadline = Some(t0 + self.config.coord.begin_ack_timeout);
-            if self.config.cold.enabled() {
-                state.cold = Some(ColdState::new(npages, &self.config.cold));
-                port.send(clock.now(), CoordPayload::QueryColdMap);
-                state.recorder.instant(
-                    clock.now(),
-                    Subsystem::Engine,
-                    "query_cold_map",
-                    vec![
-                        ("defer", self.config.cold.defer.into()),
-                        ("delta", self.config.cold.delta.into()),
-                    ],
-                );
-            }
-        }
-
-        Ok(MigrationSession {
-            engine: self.clone(),
-            state,
-            port,
-            npages,
+            link_plan: config.faults.link,
+            base_bandwidth: config.bandwidth,
             iterations: Vec::new(),
             to_send: Bitmap::new_all_set(npages),
             t_enter_last: None,
             stop_reason: None,
             finished: false,
-        })
+        };
+
+        vm.kernel_mut().memory_mut().dirty_log_mut().enable();
+        session.recorder.instant(
+            clock.now(),
+            Subsystem::Engine,
+            "begin",
+            vec![
+                ("assisted", config.assisted.into()),
+                ("npages", npages.into()),
+            ],
+        );
+        if let Some(port) = &session.port {
+            port.send(clock.now(), CoordPayload::MigrationBegin);
+            session.coord.begin_deadline = Some(t0 + config.coord.begin_ack_timeout);
+            if config.cold.enabled() {
+                session.cold = Some(ColdState::new(npages, &config.cold));
+                port.send(clock.now(), CoordPayload::QueryColdMap);
+                session.recorder.instant(
+                    clock.now(),
+                    Subsystem::Engine,
+                    "query_cold_map",
+                    vec![
+                        ("defer", config.cold.defer.into()),
+                        ("delta", config.cold.delta.into()),
+                    ],
+                );
+            }
+        }
+        Ok(session)
     }
 }
 
@@ -367,10 +334,39 @@ pub enum SessionStep {
 /// the next iteration's first quantum, which is the conservative
 /// iteration-granular arbitration the fleet model documents.
 pub struct MigrationSession {
-    engine: PrecopyEngine,
-    state: RunState,
+    config: MigrationConfig,
     port: Option<DaemonPort>,
     npages: u64,
+    /// The migration link. Never reset, so its byte counter is the run's
+    /// wire total.
+    link: Link,
+    dest: DestinationVm,
+    by_class: TrafficByClass,
+    ever_dirtied: Bitmap,
+    /// Pages ever skipped because of a cleared transfer bit; re-examined at
+    /// the stop-and-copy under the *final* bitmap so nothing live is lost.
+    deferred_skips: Bitmap,
+    cpu: SimDuration,
+    /// Pages examined by the word-granular scanner (sends and skips alike);
+    /// flushed to the `engine/pages_scanned` counter at the end of the run
+    /// so digests can derive scan throughput.
+    scan_pages: u64,
+    ready: Option<(SimDuration, u32)>,
+    recorder: Recorder,
+    /// Whether the assisted protocol is still live. Starts as
+    /// `config.assisted`; flips to `false` on degradation, after which the
+    /// engine behaves exactly like vanilla pre-copy.
+    assist: bool,
+    /// The fault that degraded the run, if any.
+    degraded: Option<FaultKind>,
+    /// Cold-page assist state; `None` unless the config enables it, so the
+    /// zero-config path allocates and records nothing.
+    cold: Option<ColdState>,
+    coord: CoordTrack,
+    t0: SimTime,
+    /// Pending link-degrade fault, consumed when its time arrives.
+    link_plan: Option<LinkDegrade>,
+    base_bandwidth: Bandwidth,
     iterations: Vec<IterationStats>,
     to_send: Bitmap,
     t_enter_last: Option<SimTime>,
@@ -381,7 +377,7 @@ pub struct MigrationSession {
 impl MigrationSession {
     /// When the migration started (the clock at [`PrecopyEngine::begin`]).
     pub fn started_at(&self) -> SimTime {
-        self.state.t0
+        self.t0
     }
 
     /// Live iterations completed so far.
@@ -391,7 +387,7 @@ impl MigrationSession {
 
     /// Wire bytes put on the link so far.
     pub fn wire_bytes(&self) -> u64 {
-        self.state.wire_bytes
+        self.link.bytes_sent()
     }
 
     /// Total guest pages the migration covers (the first iteration's
@@ -416,29 +412,20 @@ impl MigrationSession {
     pub fn pending_transferable_pages(&self, vm: &dyn MigratableVm) -> u64 {
         // Cold pages split out of the snapshot still have to ship (deferred
         // bulk stream or stop-and-copy), so the backlog counts as pending.
-        let cold_backlog = self
-            .state
-            .cold
-            .as_ref()
-            .map_or(0, |c| c.pending.count_set());
-        if !self.state.assist {
-            return self.to_send.count_set() + cold_backlog;
-        }
-        match vm.kernel().lkm() {
-            Some(lkm) => {
-                let tb = lkm.transfer_bitmap().as_bitmap();
-                self.to_send.count_and(tb) + cold_backlog
-            }
-            None => self.to_send.count_set() + cold_backlog,
-        }
+        let cold_backlog = self.cold.as_ref().map_or(0, |c| c.pending.count_set());
+        let hot = match self.transfer(vm) {
+            Some(tb) => self.to_send.count_and(tb),
+            None => self.to_send.count_set(),
+        };
+        hot + cold_backlog
     }
 
     /// Re-rates the migration link. Takes effect at the next step; also
     /// re-anchors the base bandwidth that scheduled link-degrade faults
     /// scale from.
     pub fn set_bandwidth(&mut self, bandwidth: Bandwidth) {
-        self.state.link.set_bandwidth(bandwidth);
-        self.state.base_bandwidth = bandwidth;
+        self.link.set_bandwidth(bandwidth);
+        self.base_bandwidth = bandwidth;
     }
 
     /// Runs one live pre-copy iteration; on the final one, runs the
@@ -460,215 +447,155 @@ impl MigrationSession {
             !self.finished,
             "step called on a completed MigrationSession"
         );
-        {
-            let index = self.iterations.len() as u32 + 1;
-            let waiting = self.t_enter_last.is_some();
-            self.state
-                .timeline
-                .push(clock.now(), EngineEvent::IterationStart { index });
-            self.state.recorder.instant(
+        let index = self.iterations.len() as u32 + 1;
+        let waiting = self.t_enter_last.is_some();
+        self.recorder.instant(
+            clock.now(),
+            Subsystem::Engine,
+            "iteration_start",
+            vec![("index", index.into()), ("waiting", waiting.into())],
+        );
+        let span = self.recorder.begin_span(
+            clock.now(),
+            Subsystem::Engine,
+            "precopy_iteration",
+            vec![("index", index.into()), ("waiting", waiting.into())],
+        );
+        let stats = self.run_live_iteration(vm, clock, index, waiting)?;
+        let rec = &self.recorder;
+        rec.end_span(
+            clock.now(),
+            span,
+            vec![
+                ("pages_sent", stats.pages_sent.into()),
+                ("bytes_sent", stats.bytes_sent.into()),
+                ("skip_dirty", stats.pages_skipped_dirty.into()),
+                ("skip_transfer", stats.pages_skipped_transfer.into()),
+            ],
+        );
+        rec.gauge(
+            clock.now(),
+            Subsystem::Workload,
+            "ops_completed",
+            vm.ops_completed() as f64,
+        );
+        rec.hist_dur(Subsystem::Engine, "iteration_duration_ns", stats.duration);
+        rec.hist(Subsystem::Engine, "iteration_pages_sent", stats.pages_sent);
+        rec.hist(
+            Subsystem::Engine,
+            "iteration_transfer_pps",
+            stats.transfer_rate_pps() as u64,
+        );
+        rec.hist(
+            Subsystem::Engine,
+            "iteration_dirty_pages",
+            stats.pages_dirtied_during,
+        );
+        // Per-iteration dirty counts as an ordered series (cadence 0:
+        // iteration-driven, not clocked) — the engine-side feed of the
+        // workload observatory.
+        rec.series_push(
+            Subsystem::Engine,
+            "iteration_dirty_pages",
+            0,
+            128,
+            clock.now(),
+            stats.pages_dirtied_during as f64,
+        );
+        self.iterations.push(stats);
+
+        if let Some((fu, stragglers)) = self.ready {
+            self.recorder.instant(
                 clock.now(),
                 Subsystem::Engine,
-                "iteration_start",
-                vec![("index", index.into()), ("waiting", waiting.into())],
-            );
-            let span = self.state.recorder.begin_span(
-                clock.now(),
-                Subsystem::Engine,
-                "precopy_iteration",
-                vec![("index", index.into()), ("waiting", waiting.into())],
-            );
-            let stats = self.engine.run_live_iteration(
-                vm,
-                clock,
-                &mut self.state,
-                &mut self.to_send,
-                index,
-                self.port.as_ref(),
-                waiting,
-            )?;
-            self.state.recorder.end_span(
-                clock.now(),
-                span,
+                "ready_received",
                 vec![
-                    ("pages_sent", stats.pages_sent.into()),
-                    ("bytes_sent", stats.bytes_sent.into()),
-                    ("skip_dirty", stats.pages_skipped_dirty.into()),
-                    ("skip_transfer", stats.pages_skipped_transfer.into()),
+                    ("final_update", fu.into()),
+                    ("stragglers", stragglers.into()),
                 ],
             );
-            self.state.recorder.gauge(
-                clock.now(),
-                Subsystem::Workload,
-                "ops_completed",
-                vm.ops_completed() as f64,
-            );
-            self.state.recorder.hist_dur(
-                Subsystem::Engine,
-                "iteration_duration_ns",
-                stats.duration,
-            );
-            self.state
-                .recorder
-                .hist(Subsystem::Engine, "iteration_pages_sent", stats.pages_sent);
-            self.state.recorder.hist(
-                Subsystem::Engine,
-                "iteration_transfer_pps",
-                stats.transfer_rate_pps() as u64,
-            );
-            self.state.recorder.hist(
-                Subsystem::Engine,
-                "iteration_dirty_pages",
-                stats.pages_dirtied_during,
-            );
-            // Per-iteration dirty counts as an ordered series (cadence 0:
-            // iteration-driven, not clocked) — the engine-side feed of the
-            // workload observatory.
-            self.state.recorder.series_push(
-                Subsystem::Engine,
-                "iteration_dirty_pages",
-                0,
-                128,
-                clock.now(),
-                stats.pages_dirtied_during as f64,
-            );
-            self.iterations.push(stats);
-
-            if let Some((fu, stragglers)) = self.state.ready {
-                self.state
-                    .timeline
-                    .push(clock.now(), EngineEvent::ReadyReceived);
-                self.state.recorder.instant(
+            if stragglers > 0 && self.config.coord.degrade_on_stragglers {
+                // The LKM gave up on some assistants; instead of trusting
+                // its forcible un-skip, abandon assistance wholesale.
+                self.degrade(clock.now(), FaultKind::AgentStraggler);
+            }
+            return self.finish(vm, clock);
+        }
+        if waiting && !self.assist {
+            // Degraded while waiting for readiness: the stop policy
+            // already fired, so go straight to the stop-and-copy.
+            return self.finish(vm, clock);
+        }
+        if !waiting {
+            let pending = self.pending_transferable(vm);
+            let ram = self.npages * PAGE_SIZE;
+            let stop = &self.config.stop;
+            let reason = if self.iterations.len() as u32 >= stop.max_iterations {
+                Some(StopReason::MaxIterations)
+            } else if self.link.bytes_sent() as f64 > stop.max_factor * ram as f64 {
+                Some(StopReason::TrafficCap)
+            } else if pending <= stop.dirty_threshold_pages
+                && self.cold.as_ref().is_none_or(|c| c.pending.all_clear())
+            {
+                // Convergence also requires the cold bulk stream to have
+                // drained: deferred pages are still unsent state.
+                Some(StopReason::DirtyThreshold)
+            } else {
+                None
+            };
+            if let Some(reason) = reason {
+                self.stop_reason = Some(reason);
+                self.recorder.instant(
                     clock.now(),
                     Subsystem::Engine,
-                    "ready_received",
-                    vec![
-                        ("final_update", fu.into()),
-                        ("stragglers", stragglers.into()),
-                    ],
+                    "stop_condition",
+                    vec![("reason", format!("{reason:?}").into())],
                 );
-                if stragglers > 0 && self.engine.config.coord.degrade_on_stragglers {
-                    // The LKM gave up on some assistants; instead of trusting
-                    // its forcible un-skip, abandon assistance wholesale.
-                    self.engine.degrade(
-                        &mut self.state,
-                        self.port.as_ref(),
-                        clock.now(),
-                        FaultKind::AgentStraggler,
-                    );
-                }
-                return self.finish(vm, clock);
-            }
-            if waiting && !self.state.assist {
-                // Degraded while waiting for readiness: the stop policy
-                // already fired, so go straight to the stop-and-copy.
-                return self.finish(vm, clock);
-            }
-            if !waiting {
-                let pending = self.engine.pending_transferable(vm, self.state.assist);
-                let ram = self.npages * PAGE_SIZE;
-                let stop = if self.iterations.len() as u32 >= self.engine.config.stop.max_iterations
-                {
-                    Some(StopReason::MaxIterations)
-                } else if self.state.wire_bytes as f64
-                    > self.engine.config.stop.max_factor * ram as f64
-                {
-                    Some(StopReason::TrafficCap)
-                } else if pending <= self.engine.config.stop.dirty_threshold_pages
-                    && self
-                        .state
-                        .cold
-                        .as_ref()
-                        .is_none_or(|c| c.pending.all_clear())
-                {
-                    // Convergence also requires the cold bulk stream to have
-                    // drained: deferred pages are still unsent state.
-                    Some(StopReason::DirtyThreshold)
-                } else {
-                    None
-                };
-                if let Some(reason) = stop {
-                    self.stop_reason = Some(reason);
-                    self.state
-                        .timeline
-                        .push(clock.now(), EngineEvent::StopCondition(reason));
-                    self.state.recorder.instant(
-                        clock.now(),
-                        Subsystem::Engine,
-                        "stop_condition",
-                        vec![("reason", format!("{reason:?}").into())],
-                    );
-                    match self.port.clone() {
-                        Some(port) if self.state.assist => {
-                            port.send(clock.now(), CoordPayload::EnteringLastIter);
-                            self.state
-                                .timeline
-                                .push(clock.now(), EngineEvent::NotifiedLkm);
-                            self.state.recorder.instant(
-                                clock.now(),
-                                Subsystem::Engine,
-                                "notified_lkm",
-                                vec![],
-                            );
-                            self.t_enter_last = Some(clock.now());
-                            self.state.coord.ready_since = Some(clock.now());
-                            self.state.coord.ready_deadline =
-                                Some(clock.now() + self.engine.config.coord.ready_timeout);
-                        }
-                        _ => return self.finish(vm, clock),
+                match &self.port {
+                    Some(port) if self.assist => {
+                        port.send(clock.now(), CoordPayload::EnteringLastIter);
+                        self.recorder.instant(
+                            clock.now(),
+                            Subsystem::Engine,
+                            "notified_lkm",
+                            vec![],
+                        );
+                        self.t_enter_last = Some(clock.now());
+                        self.coord.ready_since = Some(clock.now());
+                        self.coord.ready_deadline =
+                            Some(clock.now() + self.config.coord.ready_timeout);
                     }
+                    _ => return self.finish(vm, clock),
                 }
             }
-
-            // Next iteration transfers what was dirtied during this one.
-            let snapshot = vm
-                .kernel_mut()
-                .memory_mut()
-                .dirty_log_mut()
-                .read_and_clear();
-            self.state.ever_dirtied.union_with(&snapshot);
-            // Pages of the previous set never reached (or re-dirty-skipped)
-            // are dirty again by construction, so the snapshot covers them.
-            self.to_send = snapshot;
-            self.engine.split_cold(&mut self.state, &mut self.to_send);
         }
+
+        // Next iteration transfers what was dirtied during this one. Pages
+        // of the previous set never reached (or re-dirty-skipped) are dirty
+        // again by construction, so the snapshot covers them.
+        self.take_snapshot(vm);
         Ok(SessionStep::Yielded)
     }
 
     /// The epilogue of the run: stop-and-copy, resume, verification and
-    /// report assembly — the tail of the original monolithic
-    /// `migrate_recorded`, unchanged.
+    /// report assembly.
     fn finish(
         &mut self,
         vm: &mut dyn MigratableVm,
         clock: &mut SimClock,
     ) -> Result<SessionStep, MigrateError> {
         self.finished = true;
-        let state = &mut self.state;
-        let to_send = std::mem::replace(&mut self.to_send, Bitmap::new(0));
-        let t_enter_last = self.t_enter_last;
-        let stop_reason = self.stop_reason;
-        let port = &self.port;
 
         // Stop-and-copy: pause the VM and send everything still pending.
         let t_pause = clock.now();
-        state.timeline.push(t_pause, EngineEvent::Paused);
-        state
-            .recorder
+        self.recorder
             .instant(t_pause, Subsystem::Engine, "paused", vec![]);
-        let sc_span =
-            state
-                .recorder
-                .begin_span(t_pause, Subsystem::Engine, "stop_and_copy", vec![]);
-        let last_stats = self.engine.run_stop_and_copy(
-            vm,
-            clock,
-            state,
-            to_send,
-            self.iterations.len() as u32 + 1,
-        );
+        let sc_span = self
+            .recorder
+            .begin_span(t_pause, Subsystem::Engine, "stop_and_copy", vec![]);
+        let last_stats = self.run_stop_and_copy(vm, clock);
         let last_iter_duration = last_stats.duration;
-        state.recorder.end_span(
+        self.recorder.end_span(
             clock.now(),
             sc_span,
             vec![
@@ -680,48 +607,52 @@ impl MigrationSession {
 
         // Resume at the destination: log-dirty mode is over.
         vm.kernel_mut().memory_mut().dirty_log_mut().disable();
-        state.recorder.record_span(
+        self.recorder.record_span(
             clock.now(),
             Subsystem::Engine,
             "resume",
-            self.engine.config.resume_time,
+            self.config.resume_time,
             vec![],
         );
-        clock.advance(self.engine.config.resume_time);
-        state.timeline.push(clock.now(), EngineEvent::Resumed);
-        state
-            .recorder
+        clock.advance(self.config.resume_time);
+        self.recorder
             .instant(clock.now(), Subsystem::Engine, "resumed", vec![]);
-        state.recorder.gauge(
+        self.recorder.gauge(
             clock.now(),
             Subsystem::Workload,
             "ops_completed",
             vm.ops_completed() as f64,
         );
-        if let Some(port) = port {
+        if let Some(port) = &self.port {
             port.send(clock.now(), CoordPayload::VmResumed);
         }
 
-        // Verification against the paused source. A degraded run abandoned
+        // Verification against the paused source: the skip set is the
+        // negation of the final transfer bitmap. A degraded run abandoned
         // its skip-over areas, so every page must match.
-        let skip_at_pause = self.engine.skip_bitmap(vm, self.npages, state.assist);
-        let verification = state.dest.verify(vm.kernel(), &skip_at_pause);
+        let skip_at_pause = match self.transfer(vm) {
+            Some(tb) => {
+                let mut skip = tb.clone();
+                skip.invert();
+                skip
+            }
+            None => Bitmap::new(self.npages),
+        };
+        let verification = self.dest.verify(vm.kernel(), &skip_at_pause);
 
         // Freeze the flight recorder and derive the downtime breakdown from
         // its spans where they exist; the LKM-message / VM-query fallbacks
         // keep unrecorded runs reporting identically.
-        state
-            .recorder
-            .counter_add(Subsystem::Engine, "pages_scanned", state.scan_pages);
-        state.recorder.counter_add(
+        let rec = &self.recorder;
+        rec.counter_add(Subsystem::Engine, "pages_scanned", self.scan_pages);
+        rec.counter_add(
             Subsystem::Engine,
             "scan_cpu_ns",
-            (self.engine.config.cpu_cost_per_page_scan * state.scan_pages).as_nanos(),
+            (self.config.cpu_cost_per_page_scan * self.scan_pages).as_nanos(),
         );
-        if let Some(cold) = state.cold.as_mut() {
+        if let Some(cold) = self.cold.as_mut() {
             cold.report.cold_pages = cold.map.count_set();
             let r = cold.report;
-            let rec = &state.recorder;
             rec.counter_add(Subsystem::Engine, "cold_pages", r.cold_pages);
             rec.counter_add(Subsystem::Engine, "cold_deferred_pages", r.deferred_pages);
             rec.counter_add(
@@ -770,29 +701,29 @@ impl MigrationSession {
                 ],
             );
         }
-        state.recorder.instant(
+        rec.instant(
             clock.now(),
             Subsystem::Engine,
             "migration_outcome",
             vec![
                 (
                     "kind",
-                    match state.degraded {
+                    match self.degraded {
                         Some(_) => "degraded_vanilla".into(),
                         None => "completed".into(),
                     },
                 ),
                 (
                     "fault",
-                    match state.degraded {
+                    match self.degraded {
                         Some(fault) => fault.name().into(),
                         None => "none".into(),
                     },
                 ),
             ],
         );
-        let telemetry = state.recorder.snapshot();
-        let (msg_final_update, stragglers) = state.ready.unwrap_or((SimDuration::ZERO, 0));
+        let telemetry = rec.snapshot();
+        let (msg_final_update, stragglers) = self.ready.unwrap_or((SimDuration::ZERO, 0));
         let final_update = telemetry
             .spans_named(Subsystem::Lkm, "final_bitmap_update")
             .last()
@@ -808,7 +739,7 @@ impl MigrationSession {
         } else {
             enforced_gc
         };
-        let safepoint_wait = match t_enter_last {
+        let safepoint_wait = match self.t_enter_last {
             Some(t) => t_pause
                 .saturating_since(t)
                 .saturating_sub(enforced_gc)
@@ -817,67 +748,69 @@ impl MigrationSession {
         };
 
         Ok(SessionStep::Complete(Box::new(MigrationReport {
-            total_duration: clock.now().saturating_since(state.t0),
-            total_bytes: state.wire_bytes,
+            total_duration: clock.now().saturating_since(self.t0),
+            total_bytes: self.link.bytes_sent(),
             downtime: DowntimeBreakdown {
                 safepoint_wait,
                 enforced_gc,
                 final_update,
                 last_iteration: last_iter_duration,
-                resume: self.engine.config.resume_time,
+                resume: self.config.resume_time,
             },
-            cpu_time: state.cpu,
+            cpu_time: self.cpu,
             verification,
-            traffic_by_class: state.by_class,
-            stop_reason: stop_reason.unwrap_or(StopReason::DirtyThreshold),
-            outcome: match state.degraded {
+            traffic_by_class: self.by_class,
+            stop_reason: self.stop_reason.unwrap_or(StopReason::DirtyThreshold),
+            outcome: match self.degraded {
                 Some(fault) => MigrationOutcome::DegradedVanilla { fault },
                 None => MigrationOutcome::Completed,
             },
-            timeline: std::mem::replace(&mut state.timeline, simkit::trace::Trace::new()),
-            cold: state.cold.take().map(|c| c.report),
+            cold: self.cold.take().map(|c| c.report),
             lkm: vm.kernel().lkm().map(|l| l.stats().clone()),
             stragglers,
             iterations: std::mem::take(&mut self.iterations),
             telemetry,
         })))
     }
-}
 
-impl PrecopyEngine {
+    /// The LKM's transfer bitmap while the assisted protocol is live;
+    /// `None` for vanilla and degraded runs, which consult no bitmap. The
+    /// result borrows only `vm`, so a caller can hold it across sends.
+    fn transfer<'v>(&self, vm: &'v dyn MigratableVm) -> Option<&'v Bitmap> {
+        if !self.assist {
+            return None;
+        }
+        vm.kernel()
+            .lkm()
+            .map(|lkm| lkm.transfer_bitmap().as_bitmap())
+    }
+
     /// Abandons the assisted protocol: notify the LKM (`AbortAssist`, so it
     /// restores its transfer bitmap and releases held applications), stop
     /// consulting the transfer bitmap, and record the triggering fault.
-    fn degrade(
-        &self,
-        state: &mut RunState,
-        port: Option<&DaemonPort>,
-        now: SimTime,
-        fault: FaultKind,
-    ) {
-        if !state.assist {
+    fn degrade(&mut self, now: SimTime, fault: FaultKind) {
+        if !self.assist {
             return;
         }
-        state.assist = false;
-        state.degraded = Some(fault);
-        if let Some(cold) = state.cold.as_mut() {
+        self.assist = false;
+        self.degraded = Some(fault);
+        if let Some(cold) = self.cold.as_mut() {
             // Deferred cold pages were split out of earlier snapshots and
             // never sent; they may no longer be dirty, so park them with the
             // deferred skips for re-examination at the stop-and-copy.
-            state.deferred_skips.union_with(&cold.pending);
+            self.deferred_skips.union_with(&cold.pending);
             cold.pending.clear_all();
         }
-        if let Some(port) = port {
+        if let Some(port) = &self.port {
             port.send(now, CoordPayload::AbortAssist);
-            state.recorder.instant(
+            self.recorder.instant(
                 now,
                 Subsystem::Engine,
                 "abort_assist_sent",
                 vec![("fault", fault.name().into())],
             );
         }
-        state.timeline.push(now, EngineEvent::Degraded(fault));
-        state.recorder.instant(
+        self.recorder.instant(
             now,
             Subsystem::Engine,
             "degraded",
@@ -886,17 +819,17 @@ impl PrecopyEngine {
     }
 
     /// Applies a scheduled mid-run link degrade once its time arrives.
-    fn apply_link_plan(&self, state: &mut RunState, now: SimTime) -> Result<(), MigrateError> {
-        if let Some(plan) = state.link_plan {
-            if now.saturating_since(state.t0) >= plan.after {
-                state.link_plan = None;
+    fn apply_link_plan(&mut self, now: SimTime) -> Result<(), MigrateError> {
+        if let Some(plan) = self.link_plan {
+            if now.saturating_since(self.t0) >= plan.after {
+                self.link_plan = None;
                 if plan.factor <= 0.0 {
                     return Err(MigrateError::LinkDown);
                 }
-                state.link.set_bandwidth(Bandwidth::from_bytes_per_sec(
-                    state.base_bandwidth.bytes_per_sec() * plan.factor,
+                self.link.set_bandwidth(Bandwidth::from_bytes_per_sec(
+                    self.base_bandwidth.bytes_per_sec() * plan.factor,
                 ));
-                state.recorder.instant(
+                self.recorder.instant(
                     now,
                     Subsystem::Engine,
                     "link_degraded",
@@ -911,73 +844,62 @@ impl PrecopyEngine {
     /// messages with backoff, degrading (or failing) once the retry budget
     /// is exhausted.
     fn check_coord_deadlines(
-        &self,
-        state: &mut RunState,
+        &mut self,
         port: &DaemonPort,
         now: SimTime,
     ) -> Result<(), MigrateError> {
-        let coord = &self.config.coord;
-        if !state.coord.begin_acked && state.coord.begin_deadline.is_some_and(|dl| now >= dl) {
-            if state.coord.begin_attempts < coord.retry_limit {
-                state.coord.begin_attempts += 1;
-                state.coord.begin_wait = SimDuration::from_secs_f64(
-                    state.coord.begin_wait.as_secs_f64() * coord.retry_backoff,
-                );
+        let (retry_limit, backoff) = (
+            self.config.coord.retry_limit,
+            self.config.coord.retry_backoff,
+        );
+        let coord = &mut self.coord;
+        if !coord.begin_acked && coord.begin_deadline.is_some_and(|dl| now >= dl) {
+            if coord.begin_attempts < retry_limit {
+                coord.begin_attempts += 1;
+                coord.begin_wait =
+                    SimDuration::from_secs_f64(coord.begin_wait.as_secs_f64() * backoff);
                 port.send(now, CoordPayload::MigrationBegin);
-                state.coord.begin_sent_at = now;
-                state.coord.begin_deadline = Some(now + state.coord.begin_wait);
-                self.record_retry(state, now, "migration_begin", state.coord.begin_attempts);
+                coord.begin_sent_at = now;
+                coord.begin_deadline = Some(now + coord.begin_wait);
+                let attempt = coord.begin_attempts;
+                self.record_retry(now, "migration_begin", attempt);
             } else {
-                state.coord.begin_deadline = None;
+                coord.begin_deadline = None;
+                let waited = now.saturating_since(self.t0);
                 return self.coord_exhausted(
-                    state,
-                    port,
                     now,
                     FaultKind::BeginAckTimeout,
                     CoordPhase::BeginAck,
-                    now.saturating_since(state.t0),
+                    waited,
                 );
             }
         }
-        if state.assist
-            && state.ready.is_none()
-            && state.coord.ready_deadline.is_some_and(|dl| now >= dl)
-        {
-            if state.coord.ready_attempts < coord.retry_limit {
-                state.coord.ready_attempts += 1;
-                state.coord.ready_wait = SimDuration::from_secs_f64(
-                    state.coord.ready_wait.as_secs_f64() * coord.retry_backoff,
-                );
+        let coord = &mut self.coord;
+        if self.assist && self.ready.is_none() && coord.ready_deadline.is_some_and(|dl| now >= dl) {
+            if coord.ready_attempts < retry_limit {
+                coord.ready_attempts += 1;
+                coord.ready_wait =
+                    SimDuration::from_secs_f64(coord.ready_wait.as_secs_f64() * backoff);
                 port.send(now, CoordPayload::EnteringLastIter);
-                state.coord.ready_deadline = Some(now + state.coord.ready_wait);
-                self.record_retry(state, now, "entering_last_iter", state.coord.ready_attempts);
+                coord.ready_deadline = Some(now + coord.ready_wait);
+                let attempt = coord.ready_attempts;
+                self.record_retry(now, "entering_last_iter", attempt);
             } else {
-                state.coord.ready_deadline = None;
-                let since = state.coord.ready_since.unwrap_or(state.t0);
+                coord.ready_deadline = None;
+                let waited = now.saturating_since(coord.ready_since.unwrap_or(self.t0));
                 return self.coord_exhausted(
-                    state,
-                    port,
                     now,
                     FaultKind::ReadyTimeout,
                     CoordPhase::Ready,
-                    now.saturating_since(since),
+                    waited,
                 );
             }
         }
         Ok(())
     }
 
-    fn record_retry(
-        &self,
-        state: &mut RunState,
-        now: SimTime,
-        message: &'static str,
-        attempt: u32,
-    ) {
-        state
-            .timeline
-            .push(now, EngineEvent::CoordRetry { attempt });
-        state.recorder.instant(
+    fn record_retry(&self, now: SimTime, message: &'static str, attempt: u32) {
+        self.recorder.instant(
             now,
             Subsystem::Engine,
             "coord_retry",
@@ -986,9 +908,7 @@ impl PrecopyEngine {
     }
 
     fn coord_exhausted(
-        &self,
-        state: &mut RunState,
-        port: &DaemonPort,
+        &mut self,
         now: SimTime,
         fault: FaultKind,
         phase: CoordPhase,
@@ -997,34 +917,27 @@ impl PrecopyEngine {
         match self.config.fallback {
             FallbackPolicy::Fail => Err(MigrateError::CoordTimeout { phase, waited }),
             FallbackPolicy::DegradeToVanilla => {
-                self.degrade(state, Some(port), now, fault);
+                self.degrade(now, fault);
                 Ok(())
             }
         }
     }
 
-    /// One live iteration: scan `to_send`, transferring at link speed while
-    /// the guest keeps running. In `waiting` mode the iteration ends when
-    /// the LKM reports readiness — or when the coordination machinery gives
-    /// up and degrades the run.
-    ///
-    /// Scanning is word-granular (see the module docs): each step classifies
-    /// 64 pages with three word operations, retires send-free words
-    /// wholesale, and walks only the sendable pages bit by bit so the link
-    /// budget cuts off at exactly the same page as a per-bit scan would.
-    #[allow(clippy::too_many_arguments)]
+    /// One live iteration: scan the snapshot, transferring at link speed
+    /// while the guest keeps running. In `waiting` mode the iteration ends
+    /// when the LKM reports readiness — or when the coordination machinery
+    /// gives up and degrades the run.
     fn run_live_iteration(
-        &self,
+        &mut self,
         vm: &mut dyn MigratableVm,
         clock: &mut SimClock,
-        state: &mut RunState,
-        to_send: &mut Bitmap,
         index: u32,
-        port: Option<&DaemonPort>,
         waiting: bool,
     ) -> Result<IterationStats, MigrateError> {
         let start = clock.now();
-        let pages_to_send = to_send.count_set();
+        let pages_to_send = self.to_send.count_set();
+        let quantum = self.config.quantum;
+        let port = self.port.clone();
         let mut tally = IterTally::default();
         let mut quanta = 0u64;
 
@@ -1032,38 +945,23 @@ impl PrecopyEngine {
             // Send a quantum's worth of pages.
             let q_start = clock.now();
             let q_bytes = tally.bytes;
-            let mut budget = state.link.budget(self.config.quantum) as i64;
-            let mut cpu_budget = self.config.quantum;
+            let mut budget = self.link.budget(quantum) as i64;
+            let mut cpu_budget = quantum;
             loop {
-                match self.scan_quantum(
-                    &*vm,
-                    state,
-                    to_send,
-                    &mut tally,
-                    &mut budget,
-                    &mut cpu_budget,
-                ) {
+                match self.scan_quantum(&*vm, &mut tally, &mut budget, &mut cpu_budget) {
                     ScanExit::Budget => break,
                     ScanExit::Drained => {
-                        if waiting && state.assist {
+                        if waiting && self.assist {
                             // Snapshot drained but the guest is still
                             // preparing: pick up newly dirtied pages under
                             // the same iteration box.
-                            let snap = vm
-                                .kernel_mut()
-                                .memory_mut()
-                                .dirty_log_mut()
-                                .read_and_clear();
-                            state.ever_dirtied.union_with(&snap);
-                            *to_send = snap;
-                            self.split_cold(state, to_send);
+                            self.take_snapshot(vm);
                             tally.cursor = 0;
-                            if to_send.all_clear() {
+                            if self.to_send.all_clear() {
                                 // No hot work left: hand the rest of the
                                 // quantum to the cold bulk stream.
                                 self.drain_cold_quantum(
                                     &*vm,
-                                    state,
                                     &mut tally,
                                     &mut budget,
                                     &mut cpu_budget,
@@ -1074,19 +972,14 @@ impl PrecopyEngine {
                         }
                         // Hot snapshot drained: the cold bulk stream may
                         // spend whatever budget the hot pages left over.
-                        if !self.drain_cold_quantum(
-                            &*vm,
-                            state,
-                            &mut tally,
-                            &mut budget,
-                            &mut cpu_budget,
-                        ) {
+                        if !self.drain_cold_quantum(&*vm, &mut tally, &mut budget, &mut cpu_budget)
+                        {
                             // Cold backlog outlived the quantum: let the
                             // guest run and keep the iteration going.
                             break;
                         }
                         // Credit the partial quantum's traffic before leaving.
-                        state.link.sample_utilization(
+                        self.link.sample_utilization(
                             q_start,
                             SimDuration::ZERO,
                             tally.bytes - q_bytes,
@@ -1097,61 +990,60 @@ impl PrecopyEngine {
             }
 
             // Let the guest run for the quantum.
-            vm.advance_guest(clock.now(), self.config.quantum);
-            clock.advance(self.config.quantum);
-            state
-                .link
-                .sample_utilization(q_start, self.config.quantum, tally.bytes - q_bytes);
+            vm.advance_guest(clock.now(), quantum);
+            clock.advance(quantum);
+            self.link
+                .sample_utilization(q_start, quantum, tally.bytes - q_bytes);
             quanta += 1;
 
-            self.apply_link_plan(state, clock.now())?;
-            self.adopt_cold(&*vm, state, to_send);
+            self.apply_link_plan(clock.now())?;
+            self.adopt_cold(&*vm);
 
-            if let Some(port) = port {
-                if state.assist && state.ready.is_none() {
+            if let Some(port) = &port {
+                if self.assist && self.ready.is_none() {
                     for msg in port.recv(clock.now()) {
                         match msg.payload {
                             CoordPayload::BeginAck => {
                                 // The LKM re-acks every (retried) begin; only
                                 // the first ack is a meaningful round-trip.
-                                if !state.coord.begin_acked {
-                                    state.recorder.hist_dur(
+                                if !self.coord.begin_acked {
+                                    self.recorder.hist_dur(
                                         Subsystem::Engine,
                                         "coord_begin_rtt_ns",
-                                        clock.now().saturating_since(state.coord.begin_sent_at),
+                                        clock.now().saturating_since(self.coord.begin_sent_at),
                                     );
                                 }
-                                state.coord.begin_acked = true;
-                                state.coord.begin_deadline = None;
+                                self.coord.begin_acked = true;
+                                self.coord.begin_deadline = None;
                             }
                             CoordPayload::ReadyToSuspend {
                                 final_update,
                                 stragglers,
                             } => {
-                                if let Some(since) = state.coord.ready_since {
-                                    state.recorder.hist_dur(
+                                if let Some(since) = self.coord.ready_since {
+                                    self.recorder.hist_dur(
                                         Subsystem::Engine,
                                         "coord_ready_rtt_ns",
                                         clock.now().saturating_since(since),
                                     );
                                 }
-                                state.ready = Some((final_update, stragglers));
+                                self.ready = Some((final_update, stragglers));
                             }
                             _ => {}
                         }
                     }
-                    self.check_coord_deadlines(state, port, clock.now())?;
+                    self.check_coord_deadlines(port, clock.now())?;
                 }
             }
-            if waiting && (state.ready.is_some() || !state.assist) {
+            if waiting && (self.ready.is_some() || !self.assist) {
                 break;
             }
         }
 
         // An empty iteration still costs (at least) one bitmap read.
         if quanta == 0 {
-            vm.advance_guest(clock.now(), self.config.quantum);
-            clock.advance(self.config.quantum);
+            vm.advance_guest(clock.now(), quantum);
+            clock.advance(quantum);
         }
 
         Ok(IterationStats {
@@ -1167,228 +1059,200 @@ impl PrecopyEngine {
         })
     }
 
+    /// Reads and clears the dirty log into a fresh hot snapshot, then
+    /// splits the cold pages out of it (the defer action).
+    fn take_snapshot(&mut self, vm: &mut dyn MigratableVm) {
+        let snapshot = vm
+            .kernel_mut()
+            .memory_mut()
+            .dirty_log_mut()
+            .read_and_clear();
+        self.ever_dirtied.union_with(&snapshot);
+        self.to_send = snapshot;
+        if self.assist {
+            if let Some(cold) = self.cold.as_mut() {
+                cold.split(&mut self.to_send);
+            }
+        }
+    }
+
     /// The scan half of one quantum: classify snapshot words where the walk
-    /// reads them, retiring send-free words wholesale and walking sendable
-    /// pages in PFN order, until a budget runs out ([`ScanExit::Budget`])
-    /// or the snapshot has no set bit at or after the cursor
-    /// ([`ScanExit::Drained`]). The guest does not run inside a quantum, so
-    /// the dirty log and the transfer bitmap read here are frozen.
+    /// reads them and send each word's sendable pages, until a budget runs
+    /// out ([`ScanExit::Budget`]) or the snapshot has no set bit at or after
+    /// the cursor ([`ScanExit::Drained`]). The guest does not run inside a
+    /// quantum, so the dirty log and the transfer bitmap read here are
+    /// frozen.
     fn scan_quantum(
-        &self,
+        &mut self,
         vm: &dyn MigratableVm,
-        state: &mut RunState,
-        to_send: &mut Bitmap,
         tally: &mut IterTally,
         budget: &mut i64,
         cpu_budget: &mut SimDuration,
     ) -> ScanExit {
+        let dirty = vm.kernel().memory().dirty_log().peek_ref();
+        let transfer = self.transfer(vm);
         while *budget > 0 && !cpu_budget.is_zero() {
-            let Some(first) = to_send.next_set_at(tally.cursor) else {
+            let Some(first) = self.to_send.next_set_at(tally.cursor) else {
                 return ScanExit::Drained;
             };
             let wi = (first.0 / 64) as usize;
-            // Processed pages always leave the snapshot, so the whole
-            // word is still-pending work; whatever the scanner never
-            // reaches is the leftover the stop-and-copy inherits.
-            let w = to_send.words()[wi];
-            let kernel = vm.kernel();
-            let d = kernel.memory().dirty_log().peek_ref().words()[wi];
-            let t = if state.assist {
-                kernel
-                    .lkm()
-                    .map(|l| l.transfer_bitmap().as_bitmap().words()[wi])
-            } else {
-                None
-            };
-            let WordClass {
-                sends,
-                skips_transfer: skips_t,
-                skips_dirty: skips_d,
-            } = WordClass::of(w, d, t);
-
-            if sends == 0 {
-                // A word with no sendable page consumes no link budget:
-                // retire all 64 pages in one step.
-                state.cpu += self.config.cpu_cost_per_page_scan * u64::from(w.count_ones());
-                state.scan_pages += u64::from(w.count_ones());
-                tally.skip_transfer += u64::from(skips_t.count_ones());
-                tally.skip_dirty += u64::from(skips_d.count_ones());
-                state.deferred_skips.set_bits_in_word(wi, skips_t);
-                to_send.clear_bits_in_word(wi, w);
-                tally.cursor = (wi as u64 + 1) * 64;
-                continue;
-            }
-
-            // The word contains sends: walk them in PFN order, retiring
-            // the budget-free skips between consecutive sends in bulk
-            // and batching the traffic/CPU accounting for the word run.
-            let mut pending_sends = sends;
-            let mut word_wire = 0u64;
-            let mut word_cpu = SimDuration::ZERO;
-            let mut class_bytes = [0u64; PageClass::ALL.len()];
-            loop {
-                let bit = u64::from(pending_sends.trailing_zeros());
-                // Unprocessed pages below the send are skips (earlier
-                // sends were already cleared from the snapshot).
-                let below = to_send.words()[wi] & ((1u64 << bit) - 1);
-                if below != 0 {
-                    state.cpu += self.config.cpu_cost_per_page_scan * u64::from(below.count_ones());
-                    state.scan_pages += u64::from(below.count_ones());
-                    tally.skip_transfer += u64::from((below & skips_t).count_ones());
-                    tally.skip_dirty += u64::from((below & skips_d).count_ones());
-                    state.deferred_skips.set_bits_in_word(wi, below & skips_t);
-                    to_send.clear_bits_in_word(wi, below);
-                }
-                let pfn = Pfn(wi as u64 * 64 + bit);
-                to_send.clear_bits_in_word(wi, 1u64 << bit);
-                tally.cursor = pfn.0 + 1;
-                state.cpu += self.config.cpu_cost_per_page_scan;
-                state.scan_pages += 1;
-                let (wire, cpu, class) = self.transmit_page(vm, state, pfn);
-                *budget -= wire as i64;
-                *cpu_budget = cpu_budget.saturating_sub(cpu);
-                tally.bytes += wire;
-                tally.sent += 1;
-                word_wire += wire;
-                class_bytes[class.index()] += wire;
-                word_cpu +=
-                    cpu + SimDuration::from_secs_f64(wire as f64 * self.config.cpu_cost_per_byte);
-                pending_sends &= pending_sends - 1;
-                if *budget <= 0 || cpu_budget.is_zero() {
-                    // Budget cut off mid-word: the unreached pages (skips
-                    // included) stay in the snapshot for the next quantum,
-                    // exactly as a per-bit scan would leave them.
-                    break;
-                }
-                if pending_sends == 0 {
-                    // Trailing skips after the last send are budget-free.
-                    let rest = to_send.words()[wi];
-                    if rest != 0 {
-                        state.cpu +=
-                            self.config.cpu_cost_per_page_scan * u64::from(rest.count_ones());
-                        state.scan_pages += u64::from(rest.count_ones());
-                        tally.skip_transfer += u64::from((rest & skips_t).count_ones());
-                        tally.skip_dirty += u64::from((rest & skips_d).count_ones());
-                        state.deferred_skips.set_bits_in_word(wi, rest & skips_t);
-                        to_send.clear_bits_in_word(wi, rest);
-                    }
-                    tally.cursor = (wi as u64 + 1) * 64;
-                    break;
-                }
-            }
-            // Flush the word run's batched accounting.
-            state.link.record_send(word_wire);
-            state.wire_bytes += word_wire;
-            for class in PageClass::ALL {
-                let b = class_bytes[class.index()];
-                if b != 0 {
-                    state.by_class.add(class, b);
-                }
-            }
-            state.cpu += word_cpu;
+            // Processed pages always leave the snapshot, so the whole word
+            // is still-pending work; whatever the walk never reaches is the
+            // leftover the next quantum (or the stop-and-copy) inherits.
+            let w = self.to_send.words()[wi];
+            let class = WordClass::of(w, dirty.words()[wi], transfer.map(|t| t.words()[wi]));
+            let reached = self.send_word(vm, tally, wi, class.sends, budget, cpu_budget);
+            self.retire(
+                tally,
+                wi,
+                w & reached,
+                class.skips_transfer,
+                class.skips_dirty,
+            );
+            self.to_send.clear_bits_in_word(wi, w & reached);
+            tally.cursor = wi as u64 * 64 + u64::from(reached.count_ones());
         }
         ScanExit::Budget
     }
 
+    /// The one word sender: walks the pages of `sends` (word `wi`) in PFN
+    /// order through [`Self::transmit_page`], stopping at the send that
+    /// uses up the link or the CPU budget. Link bytes, class bytes and CPU
+    /// are booked once for the word, and the pages and bytes go to `tally`.
+    ///
+    /// Returns the mask of the pages the walk reached: `u64::MAX` when it
+    /// did not stop early, otherwise every page up to and including the
+    /// send it stopped at. Pages above that stay pending, exactly as a
+    /// per-page scan would leave them.
+    fn send_word(
+        &mut self,
+        vm: &dyn MigratableVm,
+        tally: &mut IterTally,
+        wi: usize,
+        mut sends: u64,
+        budget: &mut i64,
+        cpu_budget: &mut SimDuration,
+    ) -> u64 {
+        let mut reached = u64::MAX;
+        let mut word_wire = 0u64;
+        let mut word_cpu = SimDuration::ZERO;
+        let mut class_bytes = [0u64; PageClass::ALL.len()];
+        while sends != 0 {
+            let bit = sends.trailing_zeros();
+            sends &= sends - 1;
+            let (wire, cpu, class) = self.transmit_page(vm, Pfn(wi as u64 * 64 + u64::from(bit)));
+            *budget -= wire as i64;
+            *cpu_budget = cpu_budget.saturating_sub(cpu);
+            tally.sent += 1;
+            word_wire += wire;
+            class_bytes[class.index()] += wire;
+            word_cpu +=
+                cpu + SimDuration::from_secs_f64(wire as f64 * self.config.cpu_cost_per_byte);
+            if *budget <= 0 || cpu_budget.is_zero() {
+                reached = u64::MAX >> (63 - bit);
+                break;
+            }
+        }
+        tally.bytes += word_wire;
+        self.link.record_send(word_wire);
+        for class in PageClass::ALL {
+            let b = class_bytes[class.index()];
+            if b != 0 {
+                self.by_class.add(class, b);
+            }
+        }
+        self.cpu += word_cpu;
+        reached
+    }
+
+    /// Books the pages `done` of word `wi` that a walk reached: one scan
+    /// charge per page, the dirty and transfer skips among them, and the
+    /// vetoed pages, which join the deferred skips. Skips cost no link
+    /// budget.
+    fn retire(
+        &mut self,
+        tally: &mut IterTally,
+        wi: usize,
+        done: u64,
+        skips_transfer: u64,
+        skips_dirty: u64,
+    ) {
+        let scanned = u64::from(done.count_ones());
+        self.cpu += self.config.cpu_cost_per_page_scan * scanned;
+        self.scan_pages += scanned;
+        tally.skip_dirty += u64::from((done & skips_dirty).count_ones());
+        tally.skip_transfer += u64::from((done & skips_transfer).count_ones());
+        self.deferred_skips
+            .set_bits_in_word(wi, done & skips_transfer);
+    }
+
     /// The stop-and-copy: VM paused, remaining pages pushed at line rate.
     fn run_stop_and_copy(
-        &self,
+        &mut self,
         vm: &mut dyn MigratableVm,
         clock: &mut SimClock,
-        state: &mut RunState,
-        leftover: Bitmap,
-        index: u32,
     ) -> IterationStats {
         let start = clock.now();
         // Everything still dirty, everything left over from the interrupted
         // snapshot, and every page we ever skipped on transfer-bit grounds —
         // all filtered through the *final* transfer bitmap below.
-        let mut final_set = vm
+        let mut sendable = vm
             .kernel_mut()
             .memory_mut()
             .dirty_log_mut()
             .read_and_clear();
-        state.ever_dirtied.union_with(&final_set);
-        final_set.union_with(&leftover);
-        final_set.union_with(&state.deferred_skips);
-        if let Some(cold) = state.cold.as_mut() {
+        self.ever_dirtied.union_with(&sendable);
+        sendable.union_with(&self.to_send);
+        sendable.union_with(&self.deferred_skips);
+        if let Some(cold) = self.cold.as_mut() {
             // The cold backlog never shipped live: it rides the
             // stop-and-copy (as deltas where the cache holds a prior
             // version).
             cold.report.pending_at_pause = cold.pending.count_set();
-            final_set.union_with(&cold.pending);
+            sendable.union_with(&cold.pending);
             cold.pending.clear_all();
         }
         if self.config.last_iter_considers_all_dirtied {
-            final_set.union_with(&state.ever_dirtied);
+            sendable.union_with(&self.ever_dirtied);
         }
 
         // The VM is paused, so the final transfer bitmap is immutable: the
         // whole skip classification collapses to one word-wise intersection,
         // and every surviving bit is a send. A degraded run ignores the
         // bitmap entirely — everything pending goes on the wire.
-        let pages_to_send = final_set.count_set();
-        state.cpu += self.config.cpu_cost_per_page_scan * pages_to_send;
-        state.scan_pages += pages_to_send;
-        let mut sendable = final_set;
-        let skip_transfer = if state.assist {
-            match vm.kernel().lkm() {
-                Some(lkm) => {
-                    let tb = lkm.transfer_bitmap().as_bitmap();
-                    let skipped = sendable.count_and_not(tb);
-                    sendable.intersect_with(tb);
-                    skipped
-                }
-                None => 0,
+        let pages_to_send = sendable.count_set();
+        self.cpu += self.config.cpu_cost_per_page_scan * pages_to_send;
+        self.scan_pages += pages_to_send;
+        let vm = &*vm;
+        let skip_transfer = match self.transfer(vm) {
+            Some(tb) => {
+                let skipped = sendable.count_and_not(tb);
+                sendable.intersect_with(tb);
+                skipped
             }
-        } else {
-            0
+            None => 0,
         };
 
-        let mut sent = 0u64;
-        let mut bytes = 0u64;
-        for wi in 0..sendable.word_count() {
-            let mut bits = sendable.words()[wi];
-            if bits == 0 {
-                continue;
+        // Paused, so no budget limits the walk.
+        let mut tally = IterTally::default();
+        let (mut budget, mut cpu_budget) = (i64::MAX, SimDuration::MAX);
+        for (wi, &sends) in sendable.words().iter().enumerate() {
+            if sends != 0 {
+                self.send_word(vm, &mut tally, wi, sends, &mut budget, &mut cpu_budget);
             }
-            let mut word_wire = 0u64;
-            let mut word_cpu = SimDuration::ZERO;
-            let mut class_bytes = [0u64; PageClass::ALL.len()];
-            while bits != 0 {
-                let bit = u64::from(bits.trailing_zeros());
-                bits &= bits - 1;
-                let pfn = Pfn(wi as u64 * 64 + bit);
-                let (wire, cpu, class) = self.transmit_page(vm, state, pfn);
-                bytes += wire;
-                sent += 1;
-                word_wire += wire;
-                class_bytes[class.index()] += wire;
-                word_cpu +=
-                    cpu + SimDuration::from_secs_f64(wire as f64 * self.config.cpu_cost_per_byte);
-            }
-            state.link.record_send(word_wire);
-            state.wire_bytes += word_wire;
-            for class in PageClass::ALL {
-                let b = class_bytes[class.index()];
-                if b != 0 {
-                    state.by_class.add(class, b);
-                }
-            }
-            state.cpu += word_cpu;
         }
         // The VM is paused: transfer time passes without guest execution.
-        let duration = state.link.time_to_send(bytes);
-        state.link.sample_utilization(start, duration, bytes);
+        let duration = self.link.time_to_send(tally.bytes);
+        self.link.sample_utilization(start, duration, tally.bytes);
         clock.advance(duration);
 
         IterationStats {
-            index,
+            index: self.iterations.len() as u32 + 1,
             start,
             duration,
             pages_to_send,
-            pages_sent: sent,
-            bytes_sent: bytes,
+            pages_sent: tally.sent,
+            bytes_sent: tally.bytes,
             pages_skipped_dirty: 0,
             pages_skipped_transfer: skip_transfer,
             pages_dirtied_during: 0,
@@ -1397,14 +1261,9 @@ impl PrecopyEngine {
 
     /// Computes the wire cost of one page and stores it at the destination.
     ///
-    /// Traffic and CPU accounting are left to the caller, which batches
-    /// them per word run; returns (wire bytes, compression CPU, class).
-    fn transmit_page(
-        &self,
-        vm: &dyn MigratableVm,
-        state: &mut RunState,
-        pfn: Pfn,
-    ) -> (u64, SimDuration, PageClass) {
+    /// Traffic and CPU accounting are left to [`Self::send_word`], which
+    /// batches them per word; returns (wire bytes, compression CPU, class).
+    fn transmit_page(&mut self, vm: &dyn MigratableVm, pfn: Pfn) -> (u64, SimDuration, PageClass) {
         let page = vm.kernel().memory().page(pfn);
         let method = self.method_for(page.class);
         let full_body = method.compressed_size(PAGE_SIZE, page.class.compression_ratio());
@@ -1415,10 +1274,10 @@ impl PrecopyEngine {
         // against the version in the delta page cache. First sends (the
         // bulk copy) run no codec; they only prime the cache, so a cached
         // entry always means the destination can decode against it.
-        if state.assist {
-            if let Some(cold) = state.cold.as_mut() {
+        if self.assist {
+            if let Some(cold) = self.cold.as_mut() {
                 if let Some(cache) = cold.delta.as_mut() {
-                    if state.dest.has_received(pfn) {
+                    if self.dest.has_received(pfn) {
                         let (outcome, overflow) = cache.consult(pfn, page.version, full_body);
                         if overflow {
                             cold.report.delta_overflows += 1;
@@ -1441,20 +1300,8 @@ impl PrecopyEngine {
             }
         }
         let wire = body + PAGE_HEADER_BYTES;
-        state.dest.receive(pfn, page);
+        self.dest.receive(pfn, page);
         (wire, cpu, page.class)
-    }
-
-    /// Splits a fresh hot snapshot against the accumulated cold map: cold
-    /// dirty pages leave the snapshot for the deferred backlog (the defer
-    /// action); hot pages stay. No-op unless deferral is configured.
-    fn split_cold(&self, state: &mut RunState, to_send: &mut Bitmap) {
-        if !state.assist {
-            return;
-        }
-        if let Some(cold) = state.cold.as_mut() {
-            cold.split(to_send);
-        }
     }
 
     /// Folds the LKM's latest cold-region map into the engine's classifier.
@@ -1467,18 +1314,18 @@ impl PrecopyEngine {
     /// it sets ([`guestos::lkm::Lkm::cold_count`]), so the word-wise diff
     /// runs only when that count moved — at most once per application
     /// reply.
-    fn adopt_cold(&self, vm: &dyn MigratableVm, state: &mut RunState, to_send: &mut Bitmap) {
-        if !state.assist {
+    fn adopt_cold(&mut self, vm: &dyn MigratableVm) {
+        if !self.assist {
             return;
         }
-        let Some(cold) = state.cold.as_mut() else {
+        let Some(cold) = self.cold.as_mut() else {
             return;
         };
         let Some(lkm) = vm.kernel().lkm() else {
             return;
         };
         if let Some(lkm_cold) = lkm.cold_bitmap() {
-            cold.adopt(lkm_cold, lkm.cold_count(), to_send);
+            cold.adopt(lkm_cold, lkm.cold_count(), &mut self.to_send);
         }
     }
 
@@ -1494,89 +1341,45 @@ impl PrecopyEngine {
     /// (Xen's skip-if-redirtied, applied to the bulk stream). A page the
     /// transfer bitmap vetoes joins the deferred skips: a deferred page
     /// inside a skip-over area is the application's to drop, not ours. A
-    /// page that is both stays a dirty skip. Only the sends are walked one
-    /// by one, so the budget cuts off at the same page as a per-page scan.
+    /// page that is both stays a dirty skip. The sends go through the same
+    /// word sender as the hot scan, so the budget cuts off at the same page
+    /// as a per-page scan.
     fn drain_cold_quantum(
-        &self,
+        &mut self,
         vm: &dyn MigratableVm,
-        state: &mut RunState,
         tally: &mut IterTally,
         budget: &mut i64,
         cpu_budget: &mut SimDuration,
     ) -> bool {
-        if !state.assist || state.cold.as_ref().is_none_or(|c| !c.defer) {
+        if !self.assist || self.cold.as_ref().is_none_or(|c| !c.defer) {
             return true;
         }
-        let kernel = vm.kernel();
-        let dirty = kernel.memory().dirty_log().peek_ref();
-        let transfer = kernel.lkm().map(|l| l.transfer_bitmap().as_bitmap());
-        loop {
-            let cold = state.cold.as_mut().expect("cold state");
+        let dirty = vm.kernel().memory().dirty_log().peek_ref();
+        let transfer = self.transfer(vm);
+        let (sent, bytes) = (tally.sent, tally.bytes);
+        let drained = loop {
+            let cold = self.cold.as_mut().expect("cold state");
             let Some(first) = cold.pending.next_set_at(cold.drain_from) else {
                 cold.drain_from = cold.pending.len();
-                return true;
+                break true;
             };
             cold.drain_from = first.0;
             if *budget <= 0 || cpu_budget.is_zero() {
-                return false;
+                break false;
             }
             let wi = (first.0 / 64) as usize;
             let w = cold.pending.words()[wi];
             let d = dirty.words()[wi];
             let t = transfer.map_or(u64::MAX, |t| t.words()[wi]);
-            let skips_d = w & d;
-            let skips_t = w & !d & !t;
-            let mut sends = w & !d & t;
-
-            // Walk the sends in PFN order. `done` ends as the pages the
-            // walk reached: the whole word, unless the budget ran out at a
-            // send, which leaves the pages above it pending.
-            let mut done = w;
-            let mut word_sent = 0u64;
-            let mut word_wire = 0u64;
-            let mut word_cpu = SimDuration::ZERO;
-            let mut class_bytes = [0u64; PageClass::ALL.len()];
-            while sends != 0 {
-                let bit = sends.trailing_zeros();
-                sends &= sends - 1;
-                let pfn = Pfn(wi as u64 * 64 + u64::from(bit));
-                let (wire, cpu, class) = self.transmit_page(vm, state, pfn);
-                *budget -= wire as i64;
-                *cpu_budget = cpu_budget.saturating_sub(cpu);
-                tally.bytes += wire;
-                tally.sent += 1;
-                word_sent += 1;
-                word_wire += wire;
-                class_bytes[class.index()] += wire;
-                word_cpu +=
-                    cpu + SimDuration::from_secs_f64(wire as f64 * self.config.cpu_cost_per_byte);
-                if *budget <= 0 || cpu_budget.is_zero() {
-                    done &= u64::MAX >> (63 - bit);
-                    break;
-                }
-            }
-
-            // Every reached page costs scan CPU; the reached skips cost no
-            // link budget.
-            let scanned = u64::from(done.count_ones());
-            state.cpu += self.config.cpu_cost_per_page_scan * scanned + word_cpu;
-            state.scan_pages += scanned;
-            tally.skip_dirty += u64::from((done & skips_d).count_ones());
-            tally.skip_transfer += u64::from((done & skips_t).count_ones());
-            state.deferred_skips.set_bits_in_word(wi, done & skips_t);
-            state.link.record_send(word_wire);
-            state.wire_bytes += word_wire;
-            for class in PageClass::ALL {
-                let b = class_bytes[class.index()];
-                if b != 0 {
-                    state.by_class.add(class, b);
-                }
-            }
-            let cold = state.cold.as_mut().expect("cold state");
-            cold.pending.clear_bits_in_word(wi, done);
-            cold.report.deferred_sent_pages += word_sent;
-            cold.report.deferred_sent_bytes += word_wire;
-        }
+            let reached = self.send_word(vm, tally, wi, w & !d & t, budget, cpu_budget);
+            self.retire(tally, wi, w & reached, w & !d & !t, w & d);
+            let cold = self.cold.as_mut().expect("cold state");
+            cold.pending.clear_bits_in_word(wi, w & reached);
+        };
+        let cold = self.cold.as_mut().expect("cold state");
+        cold.report.deferred_sent_pages += tally.sent - sent;
+        cold.report.deferred_sent_bytes += tally.bytes - bytes;
+        drained
     }
 
     fn method_for(&self, class: PageClass) -> CompressionMethod {
@@ -1596,29 +1399,12 @@ impl PrecopyEngine {
     /// Dirty pages the transfer bitmap still allows sending — what the
     /// stop policy's threshold really cares about. For vanilla (or
     /// degraded) migration this equals the dirty count.
-    fn pending_transferable(&self, vm: &dyn MigratableVm, assist: bool) -> u64 {
+    fn pending_transferable(&self, vm: &dyn MigratableVm) -> u64 {
         let log = vm.kernel().memory().dirty_log();
-        if !assist {
-            return log.dirty_count();
-        }
-        match vm.kernel().lkm() {
+        match self.transfer(vm) {
             // An allocation-free word-AND popcount over both bitmaps.
-            Some(lkm) => log.peek_ref().count_and(lkm.transfer_bitmap().as_bitmap()),
+            Some(tb) => log.peek_ref().count_and(tb),
             None => log.dirty_count(),
         }
-    }
-
-    /// The skip set at pause time: pages whose final transfer bit is clear —
-    /// the word-wise negation of the LKM's transfer bitmap. Empty for
-    /// vanilla and degraded runs (everything is verified).
-    fn skip_bitmap(&self, vm: &dyn MigratableVm, npages: u64, assist: bool) -> Bitmap {
-        if assist {
-            if let Some(lkm) = vm.kernel().lkm() {
-                let mut skip = lkm.transfer_bitmap().as_bitmap().clone();
-                skip.invert();
-                return skip;
-            }
-        }
-        Bitmap::new(npages)
     }
 }

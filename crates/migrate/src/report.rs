@@ -4,8 +4,7 @@ use crate::assist::ColdReport;
 use crate::destination::VerifyReport;
 use crate::error::MigrationOutcome;
 use guestos::lkm::LkmStats;
-use simkit::trace::Trace;
-use simkit::{FaultKind, RunTelemetry, SimDuration, SimTime};
+use simkit::{RunTelemetry, SimDuration, SimTime};
 use vmem::{PageClass, PAGE_SIZE};
 
 /// Why the engine left the live pre-copy phase (Xen's three exits).
@@ -17,36 +16,6 @@ pub enum StopReason {
     TrafficCap,
     /// Few enough transferable dirty pages remained (convergence).
     DirtyThreshold,
-}
-
-/// A timestamped engine event (causality of the Figure 4 workflow).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineEvent {
-    /// Migration invoked; log-dirty mode enabled.
-    Begin,
-    /// A live iteration started.
-    IterationStart {
-        /// 1-based iteration index.
-        index: u32,
-    },
-    /// The stop policy fired.
-    StopCondition(StopReason),
-    /// `EnteringLastIter` was sent to the LKM (assisted only).
-    NotifiedLkm,
-    /// `ReadyToSuspend` arrived from the LKM (assisted only).
-    ReadyReceived,
-    /// A coordination retry: the named handshake message was resent.
-    CoordRetry {
-        /// 1-based resend attempt.
-        attempt: u32,
-    },
-    /// The assisted protocol was abandoned; the run continues as vanilla
-    /// pre-copy (the triggering fault is recorded).
-    Degraded(FaultKind),
-    /// The VM was paused for the stop-and-copy.
-    Paused,
-    /// The VM was activated at the destination.
-    Resumed,
 }
 
 /// Wire bytes broken down by the content class of the pages sent.
@@ -193,8 +162,6 @@ pub struct MigrationReport {
     /// Whether the requested protocol completed or degraded to vanilla
     /// pre-copy mid-run (with the triggering fault).
     pub outcome: MigrationOutcome,
-    /// Timestamped engine events.
-    pub timeline: Trace<EngineEvent>,
     /// What the cold-page assist did. `None` unless the run was configured
     /// with [`crate::assist::ColdAssistConfig`] enabled — the digest only
     /// emits its cold section (and bumps its schema) when this is present.

@@ -136,7 +136,6 @@ mod tests {
             traffic_by_class: TrafficByClass::default(),
             stop_reason: StopReason::DirtyThreshold,
             outcome: MigrationOutcome::Completed,
-            timeline: simkit::trace::Trace::new(),
             cold: None,
             lkm: None,
             stragglers: 0,

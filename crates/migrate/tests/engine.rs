@@ -368,34 +368,38 @@ fn migration_is_deterministic() {
 
 #[test]
 fn timeline_reflects_protocol_causality() {
-    use migrate::report::{EngineEvent, StopReason};
+    use migrate::report::StopReason;
+    use simkit::telemetry::{EventKind, Recorder, Subsystem};
 
     let mut vm = SyntheticVm::new(128 * MIB, 32 * MIB, 40e6, true);
     let mut clock = SimClock::new();
     let report = PrecopyEngine::new(fast_config(true))
-        .migrate(&mut vm, &mut clock)
+        .migrate_recorded(&mut vm, &mut clock, Recorder::new())
         .expect("migration failed");
 
-    let events: Vec<&EngineEvent> = report.timeline.iter().map(|(_, e)| e).collect();
-    // Ordering invariants of Figure 4.
-    let pos = |needle: &EngineEvent| {
-        events
-            .iter()
-            .position(|e| *e == needle)
-            .unwrap_or_else(|| panic!("missing {needle:?} in {events:?}"))
-    };
-    assert_eq!(pos(&EngineEvent::Begin), 0);
-    let stop = events
+    // The engine's instants are the run's event stream.
+    let events: Vec<_> = report
+        .telemetry
+        .events
         .iter()
-        .position(|e| matches!(e, EngineEvent::StopCondition(_)))
-        .expect("stop condition fired");
-    assert!(stop < pos(&EngineEvent::NotifiedLkm));
-    assert!(pos(&EngineEvent::NotifiedLkm) < pos(&EngineEvent::ReadyReceived));
-    assert!(pos(&EngineEvent::ReadyReceived) < pos(&EngineEvent::Paused));
-    assert!(pos(&EngineEvent::Paused) < pos(&EngineEvent::Resumed));
+        .filter(|e| e.subsystem == Subsystem::Engine && e.kind == EventKind::Instant)
+        .collect();
+    let names: Vec<&str> = events.iter().map(|e| e.name).collect();
+    // Ordering invariants of Figure 4.
+    let pos = |needle: &str| {
+        names
+            .iter()
+            .position(|n| *n == needle)
+            .unwrap_or_else(|| panic!("missing {needle} in {names:?}"))
+    };
+    assert_eq!(pos("begin"), 0);
+    let stop = pos("stop_condition");
+    assert!(stop < pos("notified_lkm"));
+    assert!(pos("notified_lkm") < pos("ready_received"));
+    assert!(pos("ready_received") < pos("paused"));
+    assert!(pos("paused") < pos("resumed"));
     // Timestamps are monotone.
-    let times: Vec<_> = report.timeline.iter().map(|&(t, _)| t).collect();
-    assert!(times.windows(2).all(|w| w[0] <= w[1]));
+    assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
     // The hot skipped guest converges once the bitmap hides its dirtying.
     assert_eq!(report.stop_reason, StopReason::DirtyThreshold);
 }

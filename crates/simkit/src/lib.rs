@@ -5,9 +5,9 @@
 //! reproduction rests on: a simulated clock ([`clock::SimClock`]),
 //! nanosecond time types ([`time::SimTime`], [`time::SimDuration`]),
 //! deterministic random numbers ([`rng::DetRng`]), statistics matching the
-//! paper's methodology ([`stats`]), byte/bandwidth units ([`units`]), a
-//! generic event trace ([`trace::Trace`]) and a cross-layer flight
-//! recorder with JSONL / Chrome-trace export ([`telemetry`]).
+//! paper's methodology ([`stats`]), byte/bandwidth units ([`units`]) and a
+//! cross-layer flight recorder with JSONL / Chrome-trace export
+//! ([`telemetry`]), whose instants are the one event stream of a run.
 //!
 //! # Design
 //!
@@ -27,7 +27,6 @@ pub mod rng;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 pub mod units;
 
 pub use clock::SimClock;

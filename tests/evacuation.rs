@@ -127,6 +127,13 @@ fn invalid_plans_are_rejected_up_front() {
         evacuate(&starved, FleetPolicy::Fifo).unwrap_err(),
         MigrateError::Config(ConfigError::InsufficientDestinationCapacity)
     );
+    // Pinned placement onto a destination the plan does not have.
+    let destinations = small_plan(PlacementPolicy::Greedy).destinations.len();
+    let stray = small_plan(PlacementPolicy::Pinned(destinations));
+    assert_eq!(
+        evacuate(&stray, FleetPolicy::Fifo).unwrap_err(),
+        MigrateError::Config(ConfigError::PinnedDestinationOutOfRange)
+    );
 }
 
 /// Mission control is observability, not control: a fault-free drain

@@ -49,22 +49,21 @@ fn degraded_digest_json() -> String {
     let mut vm = JavaVmConfig::paper(catalog::mpeg(), true, 31);
     vm.young_max = Some(256 * MIB);
     vm.lkm.reply_timeout = SimDuration::from_millis(500);
-    let config = MigrationConfig::builder()
-        .assisted(true)
-        .coord(CoordPolicy {
+    let config = MigrationConfig {
+        coord: CoordPolicy {
             degrade_on_stragglers: true,
             ..CoordPolicy::default()
-        })
-        .faults(FaultPlan {
+        },
+        faults: FaultPlan {
             seed: 7,
             evtchn: LaneFaults {
                 drop: 1.0,
                 ..LaneFaults::NONE
             },
             ..FaultPlan::none()
-        })
-        .build()
-        .expect("valid config");
+        },
+        ..MigrationConfig::javmm_default()
+    };
     let outcome = run_scenario_recorded(
         &Scenario::quick(
             vm,
