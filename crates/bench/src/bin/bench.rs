@@ -24,10 +24,11 @@
 //! trace, causal log and pipe exposition), and `cold` by
 //! [`javmm_bench::cold`] (`--cold-fraction` overrides the ladder).
 //!
-//! A numeric flag whose value does not parse or is out of range (a zero
-//! `--delta-cache` or `--series-cap`, a `--cold-fraction` outside
-//! `0.0..=0.9`, a `--pin-placement` past the plan's destinations) exits 2
-//! naming the flag and the value, before any migration runs.
+//! Each subcommand accepts only its own flags. An unknown argument, a flag
+//! without its value, or a numeric value that does not parse or is out of
+//! range (a zero `--delta-cache` or `--series-cap`, a `--cold-fraction`
+//! outside `0.0..=0.9`, a `--pin-placement` past the plan's destinations)
+//! exits 2 naming the argument, before any migration runs.
 //!
 //! `bench compare` diffs two documents under the baseline schema's row of
 //! `migrate::digest::GATES` and exits 1 on regression (naming the metric)
@@ -70,6 +71,7 @@
 
 use javmm::orchestrator::{run_scenario, Scenario};
 use javmm::vm::JavaVmConfig;
+use javmm_bench::cli::{check_flags, fail, flag, num_flag, parse_num};
 use javmm_bench::runner;
 use migrate::config::MigrationConfig;
 use migrate::digest::{Json, BENCH_PRECOPY_SCHEMA};
@@ -370,38 +372,12 @@ fn run_harness(plan: &runner::WorkerPlan) -> HarnessResult {
 // Subcommands.
 // ---------------------------------------------------------------------------
 
-/// The value following `name` in `args`, if any.
-fn flag(args: &[String], name: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == name)?;
-    args.get(i + 1).cloned()
-}
-
-/// Parses `value`, the argument of numeric flag `name`, and checks it
-/// with `valid`; exits 2 naming the flag and the value when either fails.
-fn parse_num<T: std::str::FromStr>(name: &str, value: &str, valid: impl Fn(&T) -> bool) -> T {
-    match value.trim().parse::<T>() {
-        Ok(x) if valid(&x) => x,
-        _ => {
-            eprintln!("bad value {value:?} for {name}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The value of numeric flag `name`, if given, through [`parse_num`].
-fn num_flag<T: std::str::FromStr>(
-    args: &[String],
-    name: &str,
-    valid: impl Fn(&T) -> bool,
-) -> Option<T> {
-    flag(args, name).map(|s| parse_num(name, &s, valid))
-}
-
 /// The fleet policy named `name`; exits 2 on an unknown name.
 fn parse_policy(name: &str) -> cluster::FleetPolicy {
     cluster::FleetPolicy::parse(name).unwrap_or_else(|| {
-        eprintln!("unknown policy {name}; use fifo, swsf, cycle or cycle-declared");
-        std::process::exit(2);
+        fail(&format!(
+            "unknown policy {name}; use fifo, swsf, cycle or cycle-declared"
+        ))
     })
 }
 
@@ -416,6 +392,7 @@ fn write_out(path: &str, contents: &str, what: &str) {
 
 /// Runs the digest roster, writing per-scenario JSON + Prometheus files.
 fn cmd_digest(args: &[String]) {
+    check_flags(args, &["--out-dir", "--scan-slowdown"], &[]);
     let out_dir = flag(args, "--out-dir").unwrap_or_else(|| "results".to_string());
     let scan_slowdown =
         num_flag(args, "--scan-slowdown", |&x: &f64| x.is_finite() && x > 0.0).unwrap_or(1.0);
@@ -437,18 +414,11 @@ fn cmd_digest(args: &[String]) {
 
 /// Diffs two documents; exit 1 on regression, 2 on parse/schema error.
 fn cmd_compare(args: &[String]) {
-    let (old_path, new_path) = match (args.first(), args.get(1)) {
-        (Some(a), Some(b)) => (a, b),
-        _ => {
-            eprintln!("usage: bench compare <old.json> <new.json>");
-            std::process::exit(2);
-        }
+    let [old_path, new_path] = args else {
+        fail("usage: bench compare <old.json> <new.json>");
     };
     let read = |path: &String| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        })
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")))
     };
     let (old_json, new_json) = (read(old_path), read(new_path));
     match migrate::digest::compare(&old_json, &new_json) {
@@ -458,16 +428,25 @@ fn cmd_compare(args: &[String]) {
                 std::process::exit(1);
             }
         }
-        Err(e) => {
-            eprintln!("compare failed: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => fail(&format!("compare failed: {e}")),
     }
 }
 
 /// Drains one roster under every fleet policy (or one, with `--policy`);
 /// writes the comparison and optional per-policy fleet digests.
 fn cmd_fleet(args: &[String]) {
+    check_flags(
+        args,
+        &[
+            "--roster",
+            "--seed",
+            "--out",
+            "--policy",
+            "--digest-dir",
+            "--series-cap",
+        ],
+        &[],
+    );
     let roster_name = flag(args, "--roster").unwrap_or_else(|| "drain12".to_string());
     let seed = num_flag(args, "--seed", |_: &u64| true).unwrap_or(7);
     let out_path = flag(args, "--out").unwrap_or_else(|| "BENCH_fleet.json".to_string());
@@ -478,8 +457,9 @@ fn cmd_fleet(args: &[String]) {
         Some(name) => vec![parse_policy(&name)],
     };
     let Some(mut host) = javmm_bench::fleet::roster_by_name(&roster_name, seed) else {
-        eprintln!("unknown roster {roster_name}; use solo, drain4, drain12 or adversarial");
-        std::process::exit(2);
+        fail(&format!(
+            "unknown roster {roster_name}; use solo, drain4, drain12 or adversarial"
+        ));
     };
     if let Some(cap) = series_cap {
         // Regression drill: starve the observatory's sample ring (below
@@ -517,6 +497,18 @@ fn cmd_fleet(args: &[String]) {
 /// with every VM pinned to one destination — the CI drill); writes the
 /// placement comparison document.
 fn cmd_evacuate(args: &[String]) {
+    check_flags(
+        args,
+        &[
+            "--seed",
+            "--out",
+            "--policy",
+            "--pin-placement",
+            "--eta-out",
+            "--trace-out",
+        ],
+        &["--freeze-eta"],
+    );
     let seed = num_flag(args, "--seed", |_: &u64| true).unwrap_or(7);
     let out_path = flag(args, "--out").unwrap_or_else(|| "BENCH_evacuate.json".to_string());
     let policy =
@@ -544,8 +536,7 @@ fn cmd_evacuate(args: &[String]) {
                 javmm_bench::evacuate::evacuate48_plan(seed, cluster::PlacementPolicy::Pinned(d))
                     .freeze_eta(freeze_eta);
             if let Err(e) = plan.validate() {
-                eprintln!("bad value \"{d}\" for --pin-placement: {e}");
-                std::process::exit(2);
+                fail(&format!("bad value \"{d}\" for --pin-placement: {e}"));
             }
             let out = cluster::evacuate(&plan, policy).expect("pinned evacuation failed");
             let run = javmm_bench::evacuate::reduce(&plan, &out);
@@ -604,6 +595,11 @@ fn cmd_evacuate(args: &[String]) {
 /// Runs the cold-heavy cacheapp roster baseline-vs-assist and writes
 /// `BENCH_cold.json`.
 fn cmd_cold(args: &[String]) {
+    check_flags(
+        args,
+        &["--out", "--delta-cache", "--cold-fraction", "--warmup-secs"],
+        &[],
+    );
     let out_path = flag(args, "--out").unwrap_or_else(|| "BENCH_cold.json".to_string());
     let delta_cache = num_flag(args, "--delta-cache", |&n: &u64| n > 0)
         .unwrap_or(javmm_bench::cold::COLD_DELTA_CACHE_PAGES);
@@ -639,6 +635,7 @@ fn main() {
         Some("cold") => return cmd_cold(&args[1..]),
         _ => {}
     }
+    check_flags(&args, &["--out"], &["--scan-only"]);
     let scan_only = args.iter().any(|a| a == "--scan-only");
     let out_path = flag(&args, "--out").unwrap_or_else(|| "BENCH_precopy.json".to_string());
 

@@ -2,24 +2,54 @@
 //! key metrics next to the paper's numbers.
 //!
 //! Usage: `calibrate [workload] [warmup_secs] [young_max_mb] [mbps] [g1]`
+//!
+//! An unknown workload, a positional argument that does not parse or is out
+//! of range, or a fifth positional argument exits 2 naming it.
 
 use javmm::orchestrator::{run_scenario, Scenario};
 use javmm::vm::{Collector, JavaVmConfig};
+use javmm_bench::cli::{fail, parse_num};
 use migrate::config::MigrationConfig;
 use simkit::units::{fmt_bytes, Bandwidth, MIB};
+use simkit::SimDuration;
 use workloads::catalog;
 
+/// Simulated time each scenario runs after its warm-up.
+const RUN_SECS: u64 = 150;
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let name = args.get(1).map(String::as_str).unwrap_or("derby");
-    let warmup: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(300);
-    let young_max: Option<u64> = args
-        .get(3)
-        .and_then(|s| s.parse().ok())
-        .map(|m: u64| m * MIB);
-    let mbps: Option<f64> = args.get(4).and_then(|s| s.parse().ok());
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let g1 = args.iter().any(|a| a == "g1");
-    let spec = catalog::by_name(name).expect("unknown workload");
+    let positional: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != "g1")
+        .collect();
+    if let Some(extra) = positional.get(4) {
+        fail(&format!(
+            "unexpected argument {extra:?}; usage: calibrate [workload] [warmup_secs] \
+             [young_max_mb] [mbps] [g1]"
+        ));
+    }
+    let name = positional.first().copied().unwrap_or("derby");
+    let warmup: u64 = positional.get(1).map_or(300, |s| {
+        parse_num("warmup_secs", s, |&w: &u64| {
+            w <= SimDuration::MAX.as_secs() - RUN_SECS
+        })
+    });
+    let young_max: Option<u64> = positional
+        .get(2)
+        .map(|s| parse_num("young_max_mb", s, |&m: &u64| m > 0 && m <= u64::MAX / MIB) * MIB);
+    let mbps: Option<f64> = positional
+        .get(3)
+        .map(|s| parse_num("mbps", s, |&x: &f64| x.is_finite() && x > 0.0));
+    let spec = catalog::by_name(name).unwrap_or_else(|| {
+        let known: Vec<&str> = catalog::known().iter().map(|w| w.name).collect();
+        fail(&format!(
+            "unknown workload {name:?}; use one of {}",
+            known.join(", ")
+        ))
+    });
 
     for (label, assisted, config) in [
         ("Xen  ", false, MigrationConfig::xen_default()),
@@ -37,8 +67,8 @@ fn main() {
             config.bandwidth = Bandwidth::from_mbytes_per_sec(mbps);
         }
         let mut sc = Scenario::paper(vmc, config);
-        sc.warmup = simkit::SimDuration::from_secs(warmup);
-        sc.total = sc.warmup + simkit::SimDuration::from_secs(150);
+        sc.warmup = SimDuration::from_secs(warmup);
+        sc.total = sc.warmup + SimDuration::from_secs(RUN_SECS);
         let t0 = std::time::Instant::now();
         let out = run_scenario(&sc).expect("scenario failed");
         let r = &out.report;

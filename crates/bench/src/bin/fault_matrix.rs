@@ -3,6 +3,9 @@
 //!
 //! Usage: `fault-matrix [--out <path>] [--guard-secs <n>]`
 //!
+//! An unknown argument, a flag without its value, or a `--guard-secs` that
+//! is not a positive integer exits 2 naming it.
+//!
 //! The sweep proves three properties the CI `fault-matrix` job gates on:
 //!
 //! * **no hangs** — each cell must finish inside the wall-clock guard or
@@ -20,6 +23,7 @@
 
 use javmm::orchestrator::{run_scenario, Scenario};
 use javmm::vm::{JavaVm, JavaVmConfig};
+use javmm_bench::cli::{check_flags, flag, num_flag};
 use migrate::config::{CoordPolicy, MigrationConfig};
 use migrate::error::{MigrateError, MigrationOutcome};
 use migrate::precopy::PrecopyEngine;
@@ -255,18 +259,10 @@ fn zero_fault_column(out: &mut String, guard: std::time::Duration) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let guard_secs: u64 = args
-        .iter()
-        .position(|a| a == "--guard-secs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(120);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, &["--out", "--guard-secs"], &[]);
+    let out_path = flag(&args, "--out");
+    let guard_secs = num_flag(&args, "--guard-secs", |&n: &u64| n > 0).unwrap_or(120);
     let guard = std::time::Duration::from_secs(guard_secs);
 
     let seeds = [1u64, 2];

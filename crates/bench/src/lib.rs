@@ -8,6 +8,7 @@
 //! ≥3 seeds, 90% confidence intervals).
 
 pub mod ablations;
+pub mod cli;
 pub mod cold;
 pub mod digests;
 pub mod evacuate;

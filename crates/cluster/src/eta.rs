@@ -312,11 +312,6 @@ impl EtaTracker {
         Some(predicted_end_ns)
     }
 
-    /// The most recent projection recorded for VM `vm`.
-    pub fn last_prediction(&self, vm: usize) -> Option<EtaPrediction> {
-        self.vms[vm].predictions.last().copied()
-    }
-
     /// Scores every projection of VM `vm` against its actual completion
     /// instant and folds the VM's terminal bias into the calibration EWMA.
     pub fn complete(&mut self, vm: usize, actual_end_ns: u64) {
@@ -546,7 +541,7 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{LinkSpec, PipeTimelines, Topology};
+    use netsim::{LinkSpec, PipeSel, PipeTimelines, Topology};
     use simkit::units::Bandwidth;
     use simkit::{SimDuration, SimTime};
 
@@ -741,7 +736,7 @@ mod tests {
         assert_eq!(w.observe_pipes(t1.as_nanos(), c, &pipes), 0);
         // The core degrades below the subscribed demand: one finding,
         // naming the pipe, exactly once.
-        assert!(topo.set_core_rate(mb(40.0)));
+        assert!(topo.set_pipe_rate(PipeSel::Core, mb(40.0)));
         let t2 = SimTime::from_nanos(200_000_000);
         topo.sample_pipes(t2, dt, &mut pipes);
         assert_eq!(w.observe_pipes(t2.as_nanos(), c, &pipes), 1);

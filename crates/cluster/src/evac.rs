@@ -37,7 +37,7 @@
 //! Flows ride a [`Topology`] instead of a bare uplink: the source host's
 //! NIC, an optional contended core switch, and — when the plan has
 //! destinations — the chosen destination's ingress NIC. A flow's rate is
-//! its bottleneck hop's fair share; over the degenerate one-host,
+//! its bottleneck pipe's fair share; over the degenerate one-host,
 //! no-core, no-destination topology that *is* the NIC share bit for bit,
 //! which is how [`run_fleet`](crate::sched::run_fleet) stays a thin
 //! adapter over this core without moving a single digest byte.
@@ -154,18 +154,6 @@ pub struct EvacuationPlan {
     pub pipe_faults: Vec<PipeFault>,
 }
 
-/// A seeded mid-drain degrade of the plan's core switch: the historical
-/// special case of [`PipeFault`], kept as the convenience spelling for
-/// the most common drill. [`EvacuationPlan::core_fault`] converts it to a
-/// [`PipeFault`] on [`PipeSel::Core`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoreFault {
-    /// Delay from the earliest drain start to the degrade.
-    pub after: SimDuration,
-    /// Multiplier applied to the core's rate (e.g. `0.25`).
-    pub factor: f64,
-}
-
 /// A seeded mid-drain degrade of one fabric pipe — a source NIC, the core
 /// trunk, or a destination ingress NIC (WAN or LAN): `after` into the
 /// drain (measured from the earliest host's drain start), the selected
@@ -226,16 +214,6 @@ impl EvacuationPlan {
     pub fn freeze_eta(mut self, freeze: bool) -> Self {
         self.freeze_eta = freeze;
         self
-    }
-
-    /// Seeds a mid-drain core degrade (sugar for a [`PipeFault`] on
-    /// [`PipeSel::Core`]).
-    pub fn core_fault(self, fault: CoreFault) -> Self {
-        self.pipe_fault(PipeFault {
-            pipe: PipeSel::Core,
-            after: fault.after,
-            factor: fault.factor,
-        })
     }
 
     /// Appends a mid-drain pipe degrade to the fault schedule.
@@ -427,8 +405,8 @@ struct Active {
     session: MigrationSession,
     flow: FlowId,
     /// Rate last applied to the session's link; re-rating is skipped when
-    /// the flow rate is unchanged so a sole subscriber's link state is
-    /// never touched (golden equivalence).
+    /// the flow rate is unchanged so a sole flow's link state is never
+    /// touched (golden equivalence).
     applied: Bandwidth,
 }
 
@@ -462,6 +440,8 @@ struct HostState {
     /// Admission queue in the policy's static order.
     pending: Vec<usize>,
     drain_start: SimTime,
+    /// The fleet lane: only the `fleet/migration_ns`, `fleet/downtime_ns`
+    /// and `fleet/queue_wait_ns` histograms, which merge into the digest.
     rec: Recorder,
     merger: HistMerger,
 }
@@ -600,23 +580,14 @@ pub(crate) fn drain_evacuation(
             };
             let degraded = Bandwidth::from_bytes_per_sec(base.bytes_per_sec() * factor);
             topo.set_pipe_rate(pipe, degraded);
-            let pipe_name = topo
-                .pipe_name(pipe)
-                .map_or_else(|| pipe.label(), str::to_string);
-            // The historical core drill keeps its causal tag; NIC and
-            // ingress degrades get the generic one.
-            let tag = if pipe == PipeSel::Core {
-                "core_degrade"
-            } else {
-                "pipe_degrade"
-            };
+            let pipe_name = topo.pipe_name(pipe).expect("a pipe with a rate has a name");
             mission.causal.emit(
                 at.as_nanos(),
                 CausalKind::Fault,
                 None,
-                pipe_name,
+                pipe_name.to_string(),
                 vec![
-                    ("fault", tag.to_string()),
+                    ("fault", "pipe_degrade".to_string()),
                     ("pipe", pipe.label()),
                     ("factor", format!("{factor}")),
                     ("rate_bps", format!("{:.0}", degraded.bytes_per_sec())),
@@ -630,7 +601,7 @@ pub(crate) fn drain_evacuation(
         let at_ns = at.as_nanos();
 
         // Re-rate to the flow's current bottleneck share; skipped when
-        // unchanged so a sole subscriber's link is never touched.
+        // unchanged so a sole flow's link is never touched.
         let share = topo.flow_rate(active.flow);
 
         // Project this VM's landing from its current state: remaining
@@ -807,16 +778,6 @@ pub(crate) fn drain_evacuation(
                 slot.last_causal = Some(done);
 
                 let admitted = slot.admitted_at.expect("completed slot was admitted");
-                host.rec.record_span(
-                    admitted,
-                    Subsystem::Fleet,
-                    "migration",
-                    ended.saturating_since(admitted),
-                    vec![
-                        ("slot", u64::from(vmid.slot).into()),
-                        ("bytes", report.total_bytes.into()),
-                    ],
-                );
                 host.rec.hist_dur(
                     Subsystem::Fleet,
                     "migration_ns",
@@ -827,10 +788,6 @@ pub(crate) fn drain_evacuation(
                     "downtime_ns",
                     report.downtime.workload_downtime(),
                 );
-                host.rec
-                    .counter_add(Subsystem::Fleet, "migrations_completed", 1);
-                host.rec
-                    .counter_add(Subsystem::Fleet, "bytes_total", report.total_bytes);
 
                 // Fold this tenant now, not at drain end: its tail runs on
                 // its own clock, its row streams to the sink, its
@@ -869,7 +826,7 @@ pub(crate) fn drain_evacuation(
 
                 // A completion is the only event that can unblock
                 // admission anywhere: it freed a concurrency slot on this
-                // host and link capacity on every hop its flow crossed.
+                // host and link capacity on every pipe its flow crossed.
                 for (h, host) in hosts.iter_mut().enumerate() {
                     admit_host(
                         plan,
@@ -985,17 +942,6 @@ fn boot_host(spec: &HostSpec, policy: FleetPolicy) -> HostState {
         .collect();
 
     let drain_start = slots[0].clock.now();
-    rec.instant(
-        drain_start,
-        Subsystem::Fleet,
-        "drain_begin",
-        vec![
-            ("tenants", (slots.len() as u64).into()),
-            ("uplink_bps", spec.uplink.bytes_per_sec().into()),
-            ("max_concurrent", u64::from(spec.max_concurrent).into()),
-            ("min_rate_enforced", spec.enforce_min_rate.into()),
-        ],
-    );
 
     let mut pending: Vec<usize> = (0..slots.len()).collect();
     if policy == FleetPolicy::SmallestWorkingSetFirst {
@@ -1132,10 +1078,13 @@ fn admit_host(
             let slot = &host.slots[host.pending[pos]];
             let tenant = &slot.tenant;
             if dests.is_empty() {
-                let ok = !spec.enforce_min_rate
-                    || topo.can_admit(h, None, tenant.weight, tenant.min_rate)
-                    || topo.path_idle(h, None);
-                if ok {
+                if topo.admits(
+                    h,
+                    None,
+                    tenant.weight,
+                    tenant.min_rate,
+                    spec.enforce_min_rate,
+                ) {
                     chosen = Some((pos, None));
                     break;
                 }
@@ -1278,45 +1227,6 @@ fn admit_host(
             applied,
         });
         slot.admitted_at = Some(fleet_now);
-        host.rec.instant(
-            fleet_now,
-            Subsystem::Fleet,
-            "admit",
-            vec![
-                ("slot", (idx as u64).into()),
-                ("active", (topo.host_active(h) as u64).into()),
-            ],
-        );
-        // First-class estimate telemetry: an instant per admission and a
-        // confidence gauge. Gauges and instants are excluded from the
-        // merged fleet histograms, so these stay digest-safe — as is the
-        // placement instant, emitted only when a destination pool exists.
-        host.rec.instant(
-            fleet_now,
-            Subsystem::Fleet,
-            "workload_estimate",
-            vec![
-                ("slot", (idx as u64).into()),
-                ("period_ns", slot.detected_period_ns.into()),
-                ("confidence", slot.detected_confidence.into()),
-                ("confident", slot.detect_confident.into()),
-                ("declared_period_ns", slot.declared_period_ns.into()),
-            ],
-        );
-        host.rec.gauge(
-            fleet_now,
-            Subsystem::Fleet,
-            "detect_confidence",
-            slot.detected_confidence,
-        );
-        if let Some(d) = dst {
-            host.rec.instant(
-                fleet_now,
-                Subsystem::Fleet,
-                "placement",
-                vec![("slot", (idx as u64).into()), ("dest", (d as u64).into())],
-            );
-        }
         host.rec.hist_dur(
             Subsystem::Fleet,
             "queue_wait_ns",

@@ -3,14 +3,15 @@
 //!
 //! The paper migrates one VM; this crate evacuates whole hosts of them.
 //! N guests run as independent deterministic simulations whose migrations
-//! cross a shared [`netsim::topology::Topology`] (per-host NICs, an
-//! optional contended core switch, destination ingress links) under
-//! weighted-fair arbitration. The event-driven core
-//! ([`evac::evacuate`]) interleaves the per-VM
+//! cross a shared [`netsim::topology::Topology`]: one list of
+//! weighted-fair pipes (per-host NICs, an optional contended core switch,
+//! destination ingress links), none of them special. The event-driven
+//! core ([`evac::evacuate`]) interleaves the per-VM
 //! [`migrate::precopy::MigrationSession`]s conservatively — a binary heap
 //! of session-ready times keyed by `(SimTime, VmId)` pops the laggard —
-//! applies admission control (a concurrency cap plus per-hop minimum-rate
-//! feasibility, so no admitted pre-copy is starved out of convergence),
+//! applies admission control (a concurrency cap plus
+//! [`netsim::Topology::admits`], minimum-rate feasibility on every pipe of
+//! the path, so no admitted pre-copy is starved out of convergence),
 //! orders each host's queue with a pluggable [`policy::FleetPolicy`]
 //! (FIFO, smallest-working-set-first, or the cycle-aware deferral of
 //! Baruchi et al.), and places each admitted VM on a destination with a
@@ -32,8 +33,8 @@ pub mod sched;
 pub use detect::{detect, WorkloadEstimate};
 pub use eta::{EtaSummary, EtaTracker, Watchdog, WatchdogFinding};
 pub use evac::{
-    evacuate, evacuate_streamed, CoreFault, DestSpec, EvacOutcome, EvacuationPlan, EventQueue,
-    MissionControl, PipeFault, VmId, VmPlacement,
+    evacuate, evacuate_streamed, DestSpec, EvacOutcome, EvacuationPlan, EventQueue, MissionControl,
+    PipeFault, VmId, VmPlacement,
 };
 pub use netsim::PipeSel;
 pub use place::{DestState, PlacementPolicy};

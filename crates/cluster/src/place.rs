@@ -9,11 +9,11 @@
 //! permanently: an evacuated VM stays where it was put.
 //!
 //! A destination is *feasible* for a candidate when it still has a free
-//! slot and the candidate's path to it passes the same admission test a
-//! single-host drain applies per-uplink: every hop keeps every subscriber
-//! (and the candidate) at or above its declared minimum rate, or the
-//! whole path is idle (the deadlock-avoidance clause — with nothing in
-//! flight the candidate gets the best path it will ever see).
+//! slot and the candidate's path to it passes [`Topology::admits`], the
+//! same test a single-host drain applies to its uplink: every pipe keeps
+//! every flow (and the candidate) at or above its declared minimum rate,
+//! or the whole path is idle (the deadlock-avoidance clause — with
+//! nothing in flight the candidate gets the best path it will ever see).
 //!
 //! Policies are pure functions of scheduler state, so placement is as
 //! deterministic as everything else: same plan, same seed ⇒ the same
@@ -181,10 +181,10 @@ pub fn choose(
     }
 }
 
-/// The destinations `tenant` could currently land on: a free slot, and
-/// (when minimum rates are enforced) either admissible without starving
-/// anyone or an idle path. Shared by [`choose`] and [`rationale`] so the
-/// decision and its explanation can never see different candidate sets.
+/// The destinations `tenant` could currently land on: a free slot and a
+/// path that [`Topology::admits`] it. Shared by [`choose`] and
+/// [`rationale`] so the decision and its explanation can never see
+/// different candidate sets.
 fn feasible_dests(
     topo: &Topology,
     dests: &[DestState],
@@ -197,9 +197,13 @@ fn feasible_dests(
         .enumerate()
         .filter(|(d, state)| {
             state.free_slots > 0
-                && (!enforce_min_rate
-                    || topo.can_admit(src, Some(*d), tenant.weight, tenant.min_rate)
-                    || topo.path_idle(src, Some(*d)))
+                && topo.admits(
+                    src,
+                    Some(*d),
+                    tenant.weight,
+                    tenant.min_rate,
+                    enforce_min_rate,
+                )
         })
         .map(|(d, _)| d)
         .collect()
@@ -356,7 +360,7 @@ mod tests {
     #[test]
     fn infeasible_destinations_are_skipped() {
         // A second source host parks a min-rate-100 incumbent on rack-a's
-        // ingress, so rack-a fails per-hop admission for any newcomer and
+        // ingress, so rack-a fails per-pipe admission for any newcomer and
         // its path is not idle either.
         let dests = vec![
             DestSpec::new("wan", 8).with_ingress(mb(40.0)).with_wan(),

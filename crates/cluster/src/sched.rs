@@ -24,7 +24,7 @@
 //!   confidence gate.
 //! * **Determinism** — same seed + same policy ⇒ a byte-identical
 //!   [`FleetDigest`].
-//! * **The one-VM degenerate case** — a sole subscriber's share is its
+//! * **The one-VM degenerate case** — a sole flow's share is its
 //!   engine's own configured bandwidth exactly, so a 1-VM FIFO drain
 //!   reproduces the single-VM `precopy_equivalence` goldens bit for bit.
 

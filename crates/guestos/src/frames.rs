@@ -27,7 +27,6 @@ use vmem::Pfn;
 pub struct FrameAllocator {
     /// Free frames, popped from the back.
     free: Vec<Pfn>,
-    total: u64,
 }
 
 impl FrameAllocator {
@@ -44,7 +43,7 @@ impl FrameAllocator {
         // spread across the range; reverse so pop() yields index 0 first.
         let mut free: Vec<Pfn> = (0..n).map(|i| Pfn(start + (i * stride) % n)).collect();
         free.reverse();
-        Self { free, total: n }
+        Self { free }
     }
 
     /// Allocates `n` frames, or `None` if the pool has fewer than `n` free.
@@ -71,11 +70,6 @@ impl FrameAllocator {
     /// Returns the number of free frames.
     pub fn free_count(&self) -> u64 {
         self.free.len() as u64
-    }
-
-    /// Returns the total number of frames managed.
-    pub fn total_count(&self) -> u64 {
-        self.total
     }
 }
 

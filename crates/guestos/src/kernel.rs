@@ -214,11 +214,6 @@ impl GuestKernel {
         self.netlink.install_faults(faults, rng);
     }
 
-    /// Netlink messages dropped by fault injection so far.
-    pub fn netlink_dropped(&self) -> u64 {
-        self.netlink.dropped_count()
-    }
-
     /// Services the LKM: processes queued daemon and application messages.
     pub fn service_lkm(&mut self, now: SimTime) {
         if let Some(lkm) = &mut self.lkm {

@@ -37,7 +37,6 @@ struct BusCore {
     app_seq: u64,
     /// Legacy fault injection: probability of silently dropping a message.
     loss: Option<(f64, DetRng)>,
-    dropped: u64,
     /// Structured fault injection (drop/delay/duplicate) for the plan-driven
     /// harness; independent of `loss`.
     faults: Option<LaneFaultState>,
@@ -48,15 +47,7 @@ impl BusCore {
     /// Returns `true` when legacy loss injection drops this message.
     fn drops(&mut self) -> bool {
         match &mut self.loss {
-            Some((p, rng)) => {
-                let p = *p;
-                if rng.chance(p) {
-                    self.dropped += 1;
-                    true
-                } else {
-                    false
-                }
-            }
+            Some((p, rng)) => rng.chance(*p),
             None => false,
         }
     }
@@ -120,7 +111,6 @@ impl NetlinkBus {
                 kernel_seq: 0,
                 app_seq: 0,
                 loss: None,
-                dropped: 0,
                 faults: None,
                 telemetry: Recorder::disabled(),
             })),
@@ -139,11 +129,6 @@ impl NetlinkBus {
     /// Arms structured fault injection (drop/delay/duplicate) on this hop.
     pub fn install_faults(&self, faults: LaneFaults, rng: DetRng) {
         self.core.borrow_mut().faults = Some(LaneFaultState::new(faults, rng));
-    }
-
-    /// Messages dropped by legacy loss injection so far.
-    pub fn dropped_count(&self) -> u64 {
-        self.core.borrow().dropped
     }
 
     /// Attaches a flight recorder: every delivered copy (either direction)

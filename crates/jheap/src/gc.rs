@@ -40,13 +40,6 @@ pub struct GcRecord {
     pub shrunk: Vec<VaRange>,
 }
 
-impl GcRecord {
-    /// Young-generation bytes examined by this GC (Eden + From).
-    pub fn young_used_before(&self) -> u64 {
-        self.eden_used_before + self.from_used_before
-    }
-}
-
 /// An append-only log of collections.
 #[derive(Debug, Clone, Default)]
 pub struct GcLog {

@@ -16,7 +16,7 @@
 
 use crate::vmhost::MigratableVm;
 use guestos::CoordPayload;
-use netsim::{Capacity, Link, PAGE_HEADER_BYTES};
+use netsim::PAGE_HEADER_BYTES;
 use simkit::units::Bandwidth;
 use simkit::{SimClock, SimDuration};
 use vmem::{Pfn, PAGE_SIZE};
@@ -103,30 +103,14 @@ impl CheckpointEngine {
     }
 
     /// Replicates `vm` for the configured number of epochs over a
-    /// dedicated replication NIC at the configured bandwidth.
+    /// dedicated replication NIC at the configured bandwidth, which decides
+    /// how much backlog one epoch absorbs and how long the guest throttles
+    /// when the stream falls behind.
     ///
     /// # Panics
     ///
     /// Panics if assistance is requested but the guest has no LKM.
     pub fn replicate(&self, vm: &mut dyn MigratableVm, clock: &mut SimClock) -> CheckpointReport {
-        self.replicate_over(vm, clock, &mut Link::new(self.config.bandwidth))
-    }
-
-    /// Replicates `vm`, metering the replication stream through `pipe` —
-    /// any [`Capacity`], so a checkpoint stream can share an uplink with
-    /// live migrations instead of assuming a private NIC. The pipe's
-    /// current rate decides how much backlog one epoch absorbs and how
-    /// long the guest throttles when the stream falls behind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if assistance is requested but the guest has no LKM.
-    pub fn replicate_over(
-        &self,
-        vm: &mut dyn MigratableVm,
-        clock: &mut SimClock,
-        pipe: &mut dyn Capacity,
-    ) -> CheckpointReport {
         let t0 = clock.now();
         let port = if self.config.assisted {
             Some(
@@ -180,12 +164,11 @@ impl CheckpointEngine {
             // (Remus throttles the guest when the link falls behind).
             let bytes = pages * (PAGE_SIZE + PAGE_HEADER_BYTES);
             backlog_bytes += bytes;
-            pipe.record_send(bytes);
-            let capacity = pipe.rate().bytes_in(self.config.interval);
+            let capacity = self.config.bandwidth.bytes_in(self.config.interval);
             let backlog_wait = if backlog_bytes > capacity {
                 let excess = backlog_bytes - capacity;
                 backlog_bytes = capacity;
-                let wait = pipe.time_to_send(excess);
+                let wait = self.config.bandwidth.time_to_send(excess);
                 clock.advance(wait);
                 wait
             } else {

@@ -20,7 +20,6 @@ use vmem::{Bitmap, PageInfo, Pfn};
 #[derive(Debug, Clone)]
 pub struct DestinationVm {
     pages: Vec<PageInfo>,
-    received: u64,
 }
 
 impl DestinationVm {
@@ -28,7 +27,6 @@ impl DestinationVm {
     pub fn new(npages: u64) -> Self {
         Self {
             pages: vec![PageInfo::default(); npages as usize],
-            received: 0,
         }
     }
 
@@ -39,12 +37,6 @@ impl DestinationVm {
     /// Panics if `pfn` is out of range.
     pub fn receive(&mut self, pfn: Pfn, page: PageInfo) {
         self.pages[pfn.0 as usize] = page;
-        self.received += 1;
-    }
-
-    /// Number of page receptions (re-transfers count again).
-    pub fn pages_received(&self) -> u64 {
-        self.received
     }
 
     /// Returns the stored page metadata.

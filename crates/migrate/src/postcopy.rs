@@ -23,7 +23,7 @@
 //! which is the paper's point.
 
 use crate::vmhost::MigratableVm;
-use netsim::{Capacity, Link, PAGE_HEADER_BYTES};
+use netsim::{Link, PAGE_HEADER_BYTES};
 use simkit::units::Bandwidth;
 use simkit::{SimClock, SimDuration};
 use vmem::{Bitmap, Pfn, PAGE_SIZE};
@@ -82,21 +82,10 @@ impl PostcopyEngine {
     }
 
     /// Migrates `vm` post-copy style over a dedicated NIC at the
-    /// configured bandwidth.
+    /// configured bandwidth, which governs demand-fetch stalls and the
+    /// background-push budget alike.
     pub fn migrate(&self, vm: &mut dyn MigratableVm, clock: &mut SimClock) -> PostcopyReport {
-        self.migrate_over(vm, clock, &mut Link::new(self.config.bandwidth))
-    }
-
-    /// Migrates `vm` post-copy style, metering every transfer through
-    /// `pipe` — a bare [`Link`], a fair-share [`netsim::SharedUplink`]
-    /// subscription, or any other [`Capacity`]. The pipe's current rate
-    /// governs demand-fetch stalls and the background-push budget alike.
-    pub fn migrate_over(
-        &self,
-        vm: &mut dyn MigratableVm,
-        clock: &mut SimClock,
-        pipe: &mut dyn Capacity,
-    ) -> PostcopyReport {
+        let mut link = Link::new(self.config.bandwidth);
         let t0 = clock.now();
         let npages = vm.kernel().memory().page_count();
 
@@ -135,17 +124,16 @@ impl PostcopyEngine {
                 .memory_mut()
                 .dirty_log_mut()
                 .read_and_clear();
-            let mut budget = pipe.budget(self.config.quantum) as i64;
+            let mut budget = link.budget(self.config.quantum) as i64;
             for pfn in touched.iter_set() {
                 if present.set(pfn) {
                     remaining -= 1;
                     demand_fetches += 1;
                     let wire = PAGE_SIZE + PAGE_HEADER_BYTES;
                     total_bytes += wire;
-                    pipe.record_send(wire);
                     budget -= wire as i64;
                     // The guest stalled for the round trip + transfer.
-                    let stall = self.config.fetch_rtt + pipe.time_to_send(wire);
+                    let stall = self.config.fetch_rtt + link.time_to_send(wire);
                     stall_time += stall;
                     clock.advance(stall);
                 }
@@ -160,7 +148,6 @@ impl PostcopyEngine {
                 remaining -= 1;
                 let wire = PAGE_SIZE + PAGE_HEADER_BYTES;
                 total_bytes += wire;
-                pipe.record_send(wire);
                 budget -= wire as i64;
             }
         }

@@ -396,12 +396,6 @@ impl MigrationSession {
         self.npages
     }
 
-    /// Whether the engine has notified the LKM and is waiting for
-    /// `ReadyToSuspend` (the paper's "second-last iteration").
-    pub fn is_waiting(&self) -> bool {
-        self.t_enter_last.is_some()
-    }
-
     /// Pages queued for the next live iteration that would actually ship:
     /// the dirty snapshot taken at the end of the last [`Self::step`],
     /// intersected with the LKM's transfer bitmap when assistance is

@@ -5,21 +5,15 @@
 //! dirties faster than the link can carry it, pre-copy cannot converge.
 //! [`link::Link`] models the paper's gigabit Ethernet testbed as a
 //! rate-limited pipe with deterministic byte budgeting; [`compress`] models
-//! the per-page compression methods of the §6 extension; [`shared`] models
-//! one physical uplink arbitrated across many concurrent migrations for
-//! whole-host drains. [`capacity::Capacity`] is the accounting contract
-//! both pipes share, and [`topology`] composes them into a multi-host
-//! fabric — per-host NICs feeding a contended core switch feeding
-//! destination NICs — for cluster-wide evacuations.
+//! the per-page compression methods of the §6 extension; and [`topology`]
+//! models the multi-host fabric of cluster-wide evacuations — per-host
+//! NICs feeding a contended core switch feeding destination NICs — as one
+//! list of pipes, each split weighted-fair across the flows that cross it.
 
-pub mod capacity;
 pub mod compress;
 pub mod link;
-pub mod shared;
 pub mod topology;
 
-pub use capacity::{carry_budget, utilization_fraction, Capacity};
 pub use compress::Method as CompressionMethod;
-pub use link::{achieved_rate, Link, PAGE_HEADER_BYTES};
-pub use shared::{SharedUplink, SubscriberId};
+pub use link::{Link, PAGE_HEADER_BYTES};
 pub use topology::{FlowId, LinkSpec, PipeSel, PipeTimeline, PipeTimelines, Topology};

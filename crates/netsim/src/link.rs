@@ -33,10 +33,6 @@ pub const PAGE_HEADER_BYTES: u64 = 8;
 #[derive(Debug, Clone)]
 pub struct Link {
     bandwidth: Bandwidth,
-    /// The construction-time bandwidth, restored by [`Link::reset`] so a
-    /// reset link is indistinguishable from a freshly constructed one even
-    /// after mid-run [`Link::set_bandwidth`] calls.
-    base_bandwidth: Bandwidth,
     bytes_sent: u64,
     carry: f64,
     telemetry: Recorder,
@@ -49,7 +45,6 @@ impl Link {
     pub fn new(bandwidth: Bandwidth) -> Self {
         Self {
             bandwidth,
-            base_bandwidth: bandwidth,
             bytes_sent: 0,
             carry: 0.0,
             telemetry: Recorder::disabled(),
@@ -79,22 +74,12 @@ impl Link {
         let end = at + dt;
         let elapsed = end.saturating_since(start);
         if elapsed >= UTIL_WINDOW {
-            let capacity = self.bandwidth.bytes_per_sec() * elapsed.as_secs_f64();
-            let util = if capacity > 0.0 {
-                (self.window_sent as f64 / capacity).min(1.0)
-            } else {
-                0.0
-            };
+            let util = utilization(self.bandwidth, elapsed, self.window_sent);
             self.telemetry
                 .gauge(end, Subsystem::Net, "utilization", util);
             self.window_start = Some(end);
             self.window_sent = 0;
         }
-    }
-
-    /// The paper's testbed link.
-    pub fn gigabit() -> Self {
-        Self::new(Bandwidth::gigabit_ethernet())
     }
 
     /// Returns the link bandwidth.
@@ -111,10 +96,14 @@ impl Link {
 
     /// Returns how many bytes may be sent during `dt`.
     ///
-    /// Sub-byte residue carries over to the next call so long runs do not
-    /// systematically under-use the link.
+    /// Exactly `rate · dt + carry`, truncated; the sub-byte residue
+    /// carries over to the next call so long runs do not systematically
+    /// under-use the link. The f64 operation order decides digest bytes.
     pub fn budget(&mut self, dt: SimDuration) -> u64 {
-        crate::capacity::carry_budget(self.bandwidth, dt, &mut self.carry)
+        let exact = self.bandwidth.bytes_per_sec() * dt.as_secs_f64() + self.carry;
+        let whole = exact as u64;
+        self.carry = exact - whole as f64;
+        whole
     }
 
     /// Accounts `bytes` as sent.
@@ -131,29 +120,17 @@ impl Link {
     pub fn time_to_send(&self, bytes: u64) -> SimDuration {
         self.bandwidth.time_to_send(bytes)
     }
-
-    /// Resets the link to its freshly constructed state (e.g. between
-    /// migrations): traffic counter, budget carry, utilization-window
-    /// sampling state, and any mid-run [`Link::set_bandwidth`] override are
-    /// all cleared — afterwards the link is indistinguishable from
-    /// `Link::new(bandwidth)` with the construction-time bandwidth.
-    pub fn reset(&mut self) {
-        self.bandwidth = self.base_bandwidth;
-        self.bytes_sent = 0;
-        self.carry = 0.0;
-        self.window_start = None;
-        self.window_sent = 0;
-    }
 }
 
-/// A windowless transfer-rate observation helper: given bytes sent between
-/// two instants, the achieved rate in bytes/second.
-pub fn achieved_rate(bytes: u64, from: SimTime, to: SimTime) -> f64 {
-    let secs = to.saturating_since(from).as_secs_f64();
-    if secs <= 0.0 {
-        0.0
+/// The fraction of `rate · dt` that `sent` bytes consume, clamped to
+/// `[0, 1]` (0 when the window carries no capacity): the one utilization
+/// formula of the link gauge and the topology's pipe timelines.
+pub(crate) fn utilization(rate: Bandwidth, dt: SimDuration, sent: u64) -> f64 {
+    let capacity = rate.bytes_per_sec() * dt.as_secs_f64();
+    if capacity > 0.0 {
+        (sent as f64 / capacity).min(1.0)
     } else {
-        bytes as f64 / secs
+        0.0
     }
 }
 
@@ -174,50 +151,18 @@ mod tests {
 
     #[test]
     fn gigabit_budget_per_ms() {
-        let mut link = Link::gigabit();
+        let mut link = Link::new(Bandwidth::gigabit_ethernet());
         let b = link.budget(SimDuration::from_millis(1));
         // ~117.5 KB per millisecond.
         assert!((117_000..118_000).contains(&b), "budget {b}");
     }
 
     #[test]
-    fn send_accounting_and_reset() {
-        let mut link = Link::gigabit();
+    fn send_accounting() {
+        let mut link = Link::new(Bandwidth::from_bytes_per_sec(100.0));
         link.record_send(500);
         link.record_send(1500);
         assert_eq!(link.bytes_sent(), 2000);
-        link.reset();
-        assert_eq!(link.bytes_sent(), 0);
-    }
-
-    #[test]
-    fn reset_is_indistinguishable_from_fresh() {
-        // Dirty every piece of mutable state a run can touch: accumulate a
-        // fractional budget carry, traffic, utilization-window progress, and
-        // a mid-run bandwidth override.
-        let rate = Bandwidth::from_bytes_per_sec(3.0);
-        let mut used = Link::new(rate);
-        used.budget(SimDuration::from_millis(500)); // leaves carry = 0.5
-        used.record_send(1);
-        used.sample_utilization(SimTime::ZERO, SimDuration::from_millis(500), 1);
-        used.set_bandwidth(Bandwidth::from_bytes_per_sec(1000.0));
-        used.reset();
-
-        let mut fresh = Link::new(rate);
-        assert_eq!(used.bandwidth().bytes_per_sec(), rate.bytes_per_sec());
-        assert_eq!(used.bytes_sent(), fresh.bytes_sent());
-        // Identical budget sequences prove the carry (and bandwidth) match.
-        for _ in 0..7 {
-            let dt = SimDuration::from_millis(500);
-            assert_eq!(used.budget(dt), fresh.budget(dt));
-        }
-    }
-
-    #[test]
-    fn achieved_rate_computes() {
-        let from = SimTime::ZERO;
-        let to = SimTime::from_nanos(2_000_000_000);
-        assert_eq!(achieved_rate(200, from, to), 100.0);
-        assert_eq!(achieved_rate(200, to, from), 0.0, "inverted interval");
+        assert_eq!(link.time_to_send(250), SimDuration::from_millis(2500));
     }
 }

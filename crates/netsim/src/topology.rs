@@ -1,31 +1,35 @@
-//! A multi-host migration fabric: per-host NICs, a contended core switch,
-//! and destination NICs.
+//! The migration fabric: one list of weighted-fair pipes.
 //!
 //! A whole-rack evacuation pushes many hosts' migration traffic through
-//! shared infrastructure at once. [`Topology`] models the three hops that
-//! traffic crosses — the source host's egress NIC, an optional core
-//! switch shared by *all* hosts, and the destination host's ingress NIC —
-//! each as an independent [`SharedUplink`] with the same weighted-fair
-//! arbitration a single-host drain uses. A migration is a [`FlowId`]:
-//! opening it subscribes the flow to every hop on its path, and its
-//! end-to-end rate is the minimum of its per-hop fair shares (the
-//! bottleneck hop binds, exactly as max-min fairness would for a single
-//! congested resource on the path).
+//! shared infrastructure at once. [`Topology`] models every link that
+//! traffic crosses — each source host's egress NIC, an optional core switch
+//! shared by *all* hosts, and each destination host's ingress NIC — as the
+//! same kind of pipe: a capacity split **weighted-fair** across the flows
+//! that cross it. Flow *i* on a pipe gets `capacity · wᵢ / Σw`; the split
+//! is work-conserving and changes whenever a flow opens or closes.
 //!
-//! The degenerate topology — one source host, no core switch, no
-//! destination NICs — is a single `SharedUplink` wearing a new name:
-//! a flow's rate *is* its egress share, bit for bit, because the
-//! minimum over one operand returns that operand unchanged. That identity
-//! is what keeps the single-host drain digests byte-stable under the
-//! evacuation-core redesign (see `cluster::evac`).
+//! A migration is a [`FlowId`]: opening it registers the flow, with its
+//! weight and declared minimum rate, on every pipe of its path, and its
+//! end-to-end rate is the minimum of its per-pipe shares (the bottleneck
+//! pipe binds, exactly as max-min fairness would for a single congested
+//! resource on the path).
 //!
-//! Hops that are not part of the topology are *absent*, never "infinitely
-//! fast": an absent core switch contributes no share to minimise over and
-//! no subscription to arbitrate, so it cannot perturb the arithmetic of
-//! the hops that do exist.
+//! The minimum rate is what admission control checks: a pre-copy
+//! migration only converges while its share outruns the VM's dirty rate,
+//! so admitting one VM too many can starve *every* in-flight migration
+//! below convergence. [`Topology::admits`] answers whether a candidate fits
+//! without pushing anyone on its path (or itself) under its minimum.
+//!
+//! Everything here is deterministic: a pipe sums its flows in opening
+//! order, and a sole flow's share is *exactly* the pipe's capacity (no
+//! floating point detour). Over a one-pipe path the minimum returns that
+//! share unchanged, which is what lets a one-VM drain reproduce the
+//! dedicated-link goldens bit for bit (see `cluster::evac`). Pipes that are
+//! not part of the topology are *absent*, never "infinitely fast": an
+//! absent core contributes no share to minimise over, so it cannot perturb
+//! the arithmetic of the pipes that do exist.
 
-use crate::capacity::Capacity;
-use crate::shared::{SharedUplink, SubscriberId};
+use crate::link::utilization;
 use simkit::telemetry::SampleSeries;
 use simkit::units::Bandwidth;
 use simkit::{SimDuration, SimTime};
@@ -73,7 +77,7 @@ pub struct FlowId(usize);
 /// Selects one pipe of a [`Topology`] — a source-host egress NIC, the
 /// core trunk, or a destination-host ingress NIC. Mid-run re-rating
 /// ([`Topology::set_pipe_rate`]) and fault schedules address pipes with
-/// this selector rather than special-casing the core.
+/// this selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipeSel {
     /// Source host `i`'s egress NIC.
@@ -96,13 +100,54 @@ impl PipeSel {
     }
 }
 
+/// One fair-share pipe of the fabric.
 #[derive(Debug, Clone)]
-struct FlowPath {
-    src: usize,
-    dst: Option<usize>,
-    egress_sub: SubscriberId,
-    core_sub: Option<SubscriberId>,
-    ingress_sub: Option<SubscriberId>,
+struct Pipe {
+    spec: LinkSpec,
+    /// The current capacity; fault injection re-rates it mid-run.
+    rate: Bandwidth,
+    /// Open flows crossing the pipe as `(flow, weight, min_rate)`, in
+    /// opening order — the order every sum over them runs in.
+    flows: Vec<(usize, f64, Bandwidth)>,
+}
+
+impl Pipe {
+    fn total_weight(&self) -> f64 {
+        self.flows.iter().map(|f| f.1).sum()
+    }
+
+    /// The share of a crossing flow of `weight`: `capacity · w / Σw`, and
+    /// the capacity itself for a sole flow.
+    fn share(&self, weight: f64) -> Bandwidth {
+        if self.flows.len() == 1 {
+            return self.rate;
+        }
+        Bandwidth::from_bytes_per_sec(self.rate.bytes_per_sec() * (weight / self.total_weight()))
+    }
+
+    /// The share a candidate of `weight` would get if it joined now.
+    fn post_join(&self, weight: f64) -> f64 {
+        self.rate.bytes_per_sec() * (weight / (self.total_weight() + weight))
+    }
+
+    /// Whether a candidate can join and every crossing flow, the candidate
+    /// included, keeps a share at or above its declared minimum.
+    fn admits(&self, weight: f64, min_rate: Bandwidth) -> bool {
+        let total = self.total_weight() + weight;
+        let cap = self.rate.bytes_per_sec();
+        cap * (weight / total) >= min_rate.bytes_per_sec()
+            && self
+                .flows
+                .iter()
+                .all(|&(_, w, min)| cap * (w / total) >= min.bytes_per_sec())
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Flow {
+    /// Indices of the pipes the flow crosses, egress first.
+    path: Vec<usize>,
+    weight: f64,
 }
 
 /// The migration fabric: per-source egress NICs, an optional shared core
@@ -133,13 +178,13 @@ struct FlowPath {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Topology {
-    egress_specs: Vec<LinkSpec>,
-    core_spec: Option<LinkSpec>,
-    ingress_specs: Vec<LinkSpec>,
-    egress: Vec<SharedUplink>,
-    core: Option<SharedUplink>,
-    ingress: Vec<SharedUplink>,
-    flows: Vec<Option<FlowPath>>,
+    /// Egress NICs, then the core (when there is one), then ingress NICs.
+    pipes: Vec<Pipe>,
+    /// Number of egress NICs: the index of the core or first ingress pipe.
+    sources: usize,
+    /// Index of the first ingress NIC.
+    ingress_from: usize,
+    flows: Vec<Option<Flow>>,
 }
 
 impl Topology {
@@ -152,66 +197,68 @@ impl Topology {
     /// If `egress` is empty.
     pub fn new(egress: Vec<LinkSpec>, core: Option<LinkSpec>, ingress: Vec<LinkSpec>) -> Self {
         assert!(!egress.is_empty(), "topology needs at least one source NIC");
-        let mk = |s: &LinkSpec| SharedUplink::new(s.bandwidth);
+        let sources = egress.len();
+        let ingress_from = sources + usize::from(core.is_some());
+        let pipes = egress
+            .into_iter()
+            .chain(core)
+            .chain(ingress)
+            .map(|spec| Pipe {
+                rate: spec.bandwidth,
+                spec,
+                flows: Vec::new(),
+            })
+            .collect();
         Self {
-            egress: egress.iter().map(mk).collect(),
-            core: core.as_ref().map(mk),
-            ingress: ingress.iter().map(mk).collect(),
-            egress_specs: egress,
-            core_spec: core,
-            ingress_specs: ingress,
+            pipes,
+            sources,
+            ingress_from,
             flows: Vec::new(),
         }
     }
 
-    /// The degenerate single-host fabric: one egress NIC, no core switch,
-    /// no destination NICs. A flow's end-to-end rate over this topology is
-    /// its egress fair share *exactly* — the identity the single-host
-    /// drain adapter relies on for byte-stable digests.
-    pub fn single_uplink(capacity: Bandwidth) -> Self {
-        Self::new(vec![LinkSpec::lan("uplink", capacity)], None, Vec::new())
+    /// The index of the selected pipe, or `None` when the fabric has no
+    /// such pipe (no core, or the NIC index is out of range).
+    fn index(&self, pipe: PipeSel) -> Option<usize> {
+        let (i, lo, hi) = match pipe {
+            PipeSel::Egress(i) => (i, 0, self.sources),
+            PipeSel::Core => (0, self.sources, self.ingress_from),
+            PipeSel::Ingress(i) => (i, self.ingress_from, self.pipes.len()),
+        };
+        (i < hi - lo).then_some(lo + i)
     }
 
-    /// Number of source-host egress NICs.
-    pub fn sources(&self) -> usize {
-        self.egress.len()
+    /// The pipes a flow `src → dst` crosses, in order.
+    ///
+    /// # Panics
+    ///
+    /// If `src` or `dst` names no NIC of the fabric.
+    fn path(&self, src: usize, dst: Option<usize>) -> impl Iterator<Item = usize> {
+        let nic = |sel: PipeSel| {
+            self.index(sel)
+                .unwrap_or_else(|| panic!("the fabric has no pipe {}", sel.label()))
+        };
+        std::iter::once(nic(PipeSel::Egress(src)))
+            .chain(self.index(PipeSel::Core))
+            .chain(dst.map(|d| nic(PipeSel::Ingress(d))))
     }
 
-    /// Number of destination-host ingress NICs.
-    pub fn destinations(&self) -> usize {
-        self.ingress.len()
-    }
-
-    /// Spec of source host `src`'s egress NIC.
-    pub fn egress_spec(&self, src: usize) -> &LinkSpec {
-        &self.egress_specs[src]
-    }
-
-    /// Spec of destination host `dst`'s ingress NIC.
-    pub fn ingress_spec(&self, dst: usize) -> &LinkSpec {
-        &self.ingress_specs[dst]
-    }
-
-    /// Spec of the core switch, if the fabric has one.
-    pub fn core_spec(&self) -> Option<&LinkSpec> {
-        self.core_spec.as_ref()
-    }
-
-    /// In-flight flows leaving source host `src` (its egress subscriber
-    /// count) — the per-host concurrency the admission loop throttles on.
+    /// In-flight flows leaving source host `src` — the per-host
+    /// concurrency the admission loop throttles on.
     pub fn host_active(&self, src: usize) -> usize {
-        self.egress[src].active()
+        self.pipes[..self.sources][src].flows.len()
     }
 
     /// Opens an end-to-end flow from source host `src` to destination
     /// `dst` (or to nowhere in particular on a destination-less fabric),
-    /// subscribing it to every hop on its path with fair-share `weight`
+    /// registering it on every pipe of its path with fair-share `weight`
     /// and declared minimum `min_rate`.
     ///
     /// # Panics
     ///
-    /// If `src`/`dst` are out of range, or `dst` is `None` while the
-    /// fabric has destination NICs (a placed evacuation must name one).
+    /// If `weight` is not strictly positive and finite, if `src`/`dst`
+    /// are out of range, or if `dst` is `None` while the fabric has
+    /// destination NICs (a placed evacuation must name one).
     pub fn open_flow(
         &mut self,
         src: usize,
@@ -220,244 +267,144 @@ impl Topology {
         min_rate: Bandwidth,
     ) -> FlowId {
         assert!(
-            dst.is_some() || self.ingress.is_empty(),
+            weight.is_finite() && weight > 0.0,
+            "flow weight must be positive, got {weight}"
+        );
+        assert!(
+            dst.is_some() || self.ingress_from == self.pipes.len(),
             "flows over a fabric with destination NICs must name a destination"
         );
-        let egress_sub = self.egress[src].subscribe(weight, min_rate);
-        let core_sub = self.core.as_mut().map(|c| c.subscribe(weight, min_rate));
-        let ingress_sub = dst.map(|d| self.ingress[d].subscribe(weight, min_rate));
-        let id = FlowId(self.flows.len());
-        self.flows.push(Some(FlowPath {
-            src,
-            dst,
-            egress_sub,
-            core_sub,
-            ingress_sub,
-        }));
-        id
+        let id = self.flows.len();
+        let path: Vec<usize> = self.path(src, dst).collect();
+        for &p in &path {
+            self.pipes[p].flows.push((id, weight, min_rate));
+        }
+        self.flows.push(Some(Flow { path, weight }));
+        FlowId(id)
     }
 
-    /// Closes a flow (its migration finished or aborted), releasing its
-    /// subscription on every hop. Closing an already-closed flow panics —
+    /// Closes a flow (its migration finished or aborted), releasing it on
+    /// every pipe of its path. Closing an already-closed flow panics —
     /// that is a scheduler accounting bug, not a recoverable state.
     pub fn close_flow(&mut self, flow: FlowId) {
-        let path = self.flows[flow.0]
+        let closed = self.flows[flow.0]
             .take()
             .expect("close_flow() of an already-closed flow");
-        self.egress[path.src].unsubscribe(path.egress_sub);
-        if let (Some(core), Some(sub)) = (self.core.as_mut(), path.core_sub) {
-            core.unsubscribe(sub);
-        }
-        if let (Some(d), Some(sub)) = (path.dst, path.ingress_sub) {
-            self.ingress[d].unsubscribe(sub);
+        for p in closed.path {
+            self.pipes[p].flows.retain(|f| f.0 != flow.0);
         }
     }
 
     /// The flow's end-to-end rate: the minimum of its fair shares on every
-    /// hop along the path. The bottleneck hop's share is returned
-    /// *unchanged* — in particular, over a single-hop path the result is
-    /// the egress share bit for bit.
+    /// pipe along the path. The bottleneck pipe's share is returned
+    /// *unchanged* — over a one-pipe path the result is that pipe's share
+    /// bit for bit.
     ///
     /// # Panics
     ///
     /// If the flow is closed.
     pub fn flow_rate(&self, flow: FlowId) -> Bandwidth {
-        let path = self.flows[flow.0]
+        let flow = self.flows[flow.0]
             .as_ref()
             .expect("flow_rate() of a closed flow");
-        let mut rate = self.egress[path.src].share(path.egress_sub);
-        if let (Some(core), Some(sub)) = (self.core.as_ref(), path.core_sub) {
-            let share = core.share(sub);
-            if share.bytes_per_sec() < rate.bytes_per_sec() {
-                rate = share;
-            }
-        }
-        if let (Some(d), Some(sub)) = (path.dst, path.ingress_sub) {
-            let share = self.ingress[d].share(sub);
-            if share.bytes_per_sec() < rate.bytes_per_sec() {
-                rate = share;
-            }
-        }
-        rate
+        flow.path
+            .iter()
+            .map(|&p| self.pipes[p].share(flow.weight))
+            .reduce(|rate, share| {
+                if share.bytes_per_sec() < rate.bytes_per_sec() {
+                    share
+                } else {
+                    rate
+                }
+            })
+            .expect("a path starts at its egress NIC")
     }
 
     /// Whether a candidate flow `src → dst` with (`weight`, `min_rate`)
-    /// can join without starving any subscriber on any hop of its path
-    /// below its declared minimum ([`SharedUplink::can_admit`] per hop).
-    pub fn can_admit(
+    /// may open now. Without `enforce_min_rate` every path admits. With it,
+    /// the candidate must join without pushing any flow on any pipe of its
+    /// path, or itself, below its declared minimum — unless the whole path
+    /// is idle: a drain must never deadlock, and with nothing in flight the
+    /// candidate gets the best path it will ever see.
+    pub fn admits(
         &self,
         src: usize,
         dst: Option<usize>,
         weight: f64,
         min_rate: Bandwidth,
+        enforce_min_rate: bool,
     ) -> bool {
-        if !self.egress[src].can_admit(weight, min_rate) {
-            return false;
-        }
-        if let Some(core) = self.core.as_ref() {
-            if !core.can_admit(weight, min_rate) {
-                return false;
-            }
-        }
-        if let Some(d) = dst {
-            if !self.ingress[d].can_admit(weight, min_rate) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Whether every hop on the path `src → dst` is idle. The admission
-    /// loop's deadlock-avoidance clause: a VM whose minimum rate no share
-    /// could ever satisfy is still admitted once its whole path is quiet,
-    /// generalising the single-uplink `active() == 0` escape hatch.
-    pub fn path_idle(&self, src: usize, dst: Option<usize>) -> bool {
-        if self.egress[src].active() != 0 {
-            return false;
-        }
-        if let Some(core) = self.core.as_ref() {
-            if core.active() != 0 {
-                return false;
-            }
-        }
-        if let Some(d) = dst {
-            if self.ingress[d].active() != 0 {
-                return false;
-            }
-        }
-        true
+        !enforce_min_rate
+            || self
+                .path(src, dst)
+                .all(|p| self.pipes[p].admits(weight, min_rate))
+            || self.path(src, dst).all(|p| self.pipes[p].flows.is_empty())
     }
 
     /// The rate a candidate flow would get if admitted now: the minimum
-    /// over its path of each hop's hypothetical post-join share
+    /// over its path of each pipe's hypothetical post-join share
     /// `capacity · w / (Σw + w)`. Placement policies use this to score
     /// destinations; it is an estimate of the *initial* rate only (shares
     /// re-balance as flows come and go).
     pub fn predicted_rate(&self, src: usize, dst: Option<usize>, weight: f64) -> Bandwidth {
-        let post_join = |up: &SharedUplink| {
-            let total = up.total_weight() + weight;
-            up.capacity().bytes_per_sec() * (weight / total)
-        };
-        let mut rate = post_join(&self.egress[src]);
-        if let Some(core) = self.core.as_ref() {
-            rate = rate.min(post_join(core));
-        }
-        if let Some(d) = dst {
-            rate = rate.min(post_join(&self.ingress[d]));
-        }
+        let rate = self
+            .path(src, dst)
+            .map(|p| self.pipes[p].post_join(weight))
+            .reduce(f64::min)
+            .expect("a path starts at its egress NIC");
         Bandwidth::from_bytes_per_sec(rate)
-    }
-
-    /// The core switch's *current* rate (it may have been re-rated
-    /// mid-run), or `None` on a core-less fabric.
-    pub fn core_rate(&self) -> Option<Bandwidth> {
-        self.pipe_rate(PipeSel::Core)
-    }
-
-    /// Re-rates the core switch mid-run (fault injection: a degraded
-    /// inter-rack trunk). Every in-flight flow crossing the core sees the
-    /// new rate from its next [`Topology::flow_rate`] re-grant — the
-    /// existing re-rating path, no special casing. Returns whether the
-    /// fabric had a core to re-rate.
-    pub fn set_core_rate(&mut self, rate: Bandwidth) -> bool {
-        self.set_pipe_rate(PipeSel::Core, rate)
     }
 
     /// The selected pipe's *current* capacity, or `None` when the fabric
     /// has no such pipe (no core, or the NIC index is out of range).
     pub fn pipe_rate(&self, pipe: PipeSel) -> Option<Bandwidth> {
-        self.pipe_at(pipe).map(SharedUplink::capacity)
+        self.index(pipe).map(|i| self.pipes[i].rate)
     }
 
     /// Re-rates any pipe of the fabric mid-run — a source NIC, the core
-    /// trunk, or a destination ingress NIC. Fault injection over the whole
-    /// fabric rides this: every in-flight flow crossing the pipe sees the
-    /// new rate at its next [`Topology::flow_rate`] re-grant, exactly like
-    /// [`Topology::set_core_rate`] (which this generalizes). Returns
-    /// whether the fabric had the selected pipe.
+    /// trunk, or a destination ingress NIC. Every in-flight flow crossing
+    /// the pipe sees the new rate at its next [`Topology::flow_rate`]
+    /// re-grant. Returns whether the fabric had the selected pipe.
     pub fn set_pipe_rate(&mut self, pipe: PipeSel, rate: Bandwidth) -> bool {
-        match self.pipe_at_mut(pipe) {
-            Some(p) => {
-                p.set_rate(rate);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn pipe_at(&self, pipe: PipeSel) -> Option<&SharedUplink> {
-        match pipe {
-            PipeSel::Egress(i) => self.egress.get(i),
-            PipeSel::Core => self.core.as_ref(),
-            PipeSel::Ingress(i) => self.ingress.get(i),
-        }
-    }
-
-    fn pipe_at_mut(&mut self, pipe: PipeSel) -> Option<&mut SharedUplink> {
-        match pipe {
-            PipeSel::Egress(i) => self.egress.get_mut(i),
-            PipeSel::Core => self.core.as_mut(),
-            PipeSel::Ingress(i) => self.ingress.get_mut(i),
-        }
+        let Some(i) = self.index(pipe) else {
+            return false;
+        };
+        self.pipes[i].rate = rate;
+        true
     }
 
     /// The selected pipe's [`LinkSpec`] name, or `None` when the fabric
     /// has no such pipe. Fault narration uses this so a seeded degrade
     /// names the link it hit.
     pub fn pipe_name(&self, pipe: PipeSel) -> Option<&str> {
-        match pipe {
-            PipeSel::Egress(i) => self.egress_specs.get(i).map(|s| s.name.as_str()),
-            PipeSel::Core => self.core_spec.as_ref().map(|s| s.name.as_str()),
-            PipeSel::Ingress(i) => self.ingress_specs.get(i).map(|s| s.name.as_str()),
-        }
+        self.index(pipe).map(|i| self.pipes[i].spec.name.as_str())
     }
 
     /// Samples every pipe of the fabric into `out` (built by
     /// [`PipeTimelines::for_topology`]): utilization over the window
     /// `[at - dt, at)` from the rates currently granted to open flows
-    /// (each flow's end-to-end rate is attributed to every hop it
-    /// crosses), and the aggregate minimum-rate demand subscribed on the
-    /// pipe. Pure arithmetic over existing state — sampling never
-    /// perturbs shares, budgets or carries.
-    pub fn sample_pipes(&mut self, at: SimTime, dt: SimDuration, out: &mut PipeTimelines) {
-        let mut egress_bps = vec![0.0f64; self.egress.len()];
-        let mut core_bps = 0.0f64;
-        let mut ingress_bps = vec![0.0f64; self.ingress.len()];
-        for i in 0..self.flows.len() {
-            let Some((src, dst, crosses_core)) = self.flows[i]
-                .as_ref()
-                .map(|p| (p.src, p.dst, p.core_sub.is_some()))
-            else {
+    /// (each flow's end-to-end rate is attributed to every pipe it
+    /// crosses), and the aggregate minimum-rate demand of the flows
+    /// crossing the pipe. Pure arithmetic over existing state.
+    pub fn sample_pipes(&self, at: SimTime, dt: SimDuration, out: &mut PipeTimelines) {
+        let mut bps = vec![0.0f64; self.pipes.len()];
+        for (i, flow) in self.flows.iter().enumerate() {
+            let Some(flow) = flow else {
                 continue;
             };
             let rate = self.flow_rate(FlowId(i)).bytes_per_sec();
-            egress_bps[src] += rate;
-            if crosses_core {
-                core_bps += rate;
-            }
-            if let Some(d) = dst {
-                ingress_bps[d] += rate;
+            for &p in &flow.path {
+                bps[p] += rate;
             }
         }
         let secs = dt.as_secs_f64();
-        let mut k = 0;
-        let mut push = |pipe: &mut SharedUplink, demand_bps: f64, out: &mut PipeTimelines| {
-            let sent = (demand_bps * secs) as u64;
-            let util = pipe.sample_utilization(at, dt, sent);
-            let p = &mut out.pipes[k];
-            p.utilization.push(at.as_nanos(), util);
-            p.queued_demand.push(at.as_nanos(), pipe.queued_demand());
-            p.last_capacity_bps = pipe.capacity().bytes_per_sec();
-            k += 1;
-        };
-        for (i, pipe) in self.egress.iter_mut().enumerate() {
-            push(pipe, egress_bps[i], out);
-        }
-        if let Some(core) = self.core.as_mut() {
-            push(core, core_bps, out);
-        }
-        for (i, pipe) in self.ingress.iter_mut().enumerate() {
-            push(pipe, ingress_bps[i], out);
+        for ((pipe, bps), line) in self.pipes.iter().zip(bps).zip(&mut out.pipes) {
+            let sent = (bps * secs) as u64;
+            let demand: f64 = pipe.flows.iter().map(|f| f.2.bytes_per_sec()).sum();
+            line.utilization
+                .push(at.as_nanos(), utilization(pipe.rate, dt, sent));
+            line.queued_demand.push(at.as_nanos(), demand);
+            line.last_capacity_bps = pipe.rate.bytes_per_sec();
         }
     }
 }
@@ -471,7 +418,7 @@ pub struct PipeTimeline {
     pub wan: bool,
     /// Utilization samples in `[0, 1]`.
     pub utilization: SampleSeries,
-    /// Aggregate subscribed minimum-rate demand, bytes/second.
+    /// Aggregate minimum-rate demand of the crossing flows, bytes/second.
     pub queued_demand: SampleSeries,
     /// The pipe's capacity at the most recent sample, bytes/second
     /// (0 until first sampled). Mid-run re-rates — a degraded core — show
@@ -496,18 +443,17 @@ impl PipeTimelines {
     /// are recorded as irregular series (wakeups, not a wall timer, drive
     /// sampling).
     pub fn for_topology(topo: &Topology, capacity: usize) -> Self {
-        let mk = |spec: &LinkSpec| PipeTimeline {
-            name: spec.name.clone(),
-            wan: spec.wan,
-            utilization: SampleSeries::new(0, capacity),
-            queued_demand: SampleSeries::new(0, capacity),
-            last_capacity_bps: 0.0,
-        };
-        let mut pipes: Vec<PipeTimeline> = topo.egress_specs.iter().map(mk).collect();
-        if let Some(core) = topo.core_spec.as_ref() {
-            pipes.push(mk(core));
-        }
-        pipes.extend(topo.ingress_specs.iter().map(mk));
+        let pipes = topo
+            .pipes
+            .iter()
+            .map(|p| PipeTimeline {
+                name: p.spec.name.clone(),
+                wan: p.spec.wan,
+                utilization: SampleSeries::new(0, capacity),
+                queued_demand: SampleSeries::new(0, capacity),
+                last_capacity_bps: 0.0,
+            })
+            .collect();
         Self { pipes }
     }
 
@@ -525,45 +471,100 @@ mod tests {
         Bandwidth::from_mbytes_per_sec(x)
     }
 
+    /// One source NIC and nothing else: the fabric of a one-host drain.
+    fn one_pipe(cap: Bandwidth) -> Topology {
+        Topology::new(vec![LinkSpec::lan("uplink", cap)], None, Vec::new())
+    }
+
     #[test]
-    fn degenerate_topology_is_the_shared_uplink_bit_for_bit() {
-        // The identity the drain adapter depends on: a flow over the
-        // single-uplink fabric rates exactly like a SharedUplink subscriber.
+    fn sole_flow_gets_exactly_the_pipe_capacity() {
         let cap = Bandwidth::gigabit_ethernet();
-        let mut topo = Topology::single_uplink(cap);
-        let mut up = SharedUplink::new(cap);
-
-        let fa = topo.open_flow(0, None, 1.0, mb(10.0));
-        let sa = up.subscribe(1.0, mb(10.0));
+        let mut topo = one_pipe(cap);
+        let f = topo.open_flow(0, None, 3.0, mb(1.0));
         assert_eq!(
-            topo.flow_rate(fa).bytes_per_sec(),
-            up.share(sa).bytes_per_sec()
-        );
-        assert_eq!(
-            topo.flow_rate(fa).bytes_per_sec(),
+            topo.flow_rate(f).bytes_per_sec(),
             cap.bytes_per_sec(),
-            "sole flow sees undivided capacity, no float detour"
+            "a sole flow sees the undivided capacity, no float detour"
         );
+        // The same holds on every pipe of a longer path.
+        let mut topo = Topology::new(
+            vec![LinkSpec::lan("src", cap)],
+            Some(LinkSpec::lan("core", mb(300.0))),
+            vec![LinkSpec::lan("dst", mb(500.0))],
+        );
+        let f = topo.open_flow(0, Some(0), 3.0, mb(1.0));
+        assert_eq!(topo.flow_rate(f).bytes_per_sec(), cap.bytes_per_sec());
+    }
 
-        let fb = topo.open_flow(0, None, 3.0, mb(10.0));
-        let sb = up.subscribe(3.0, mb(10.0));
-        assert_eq!(
-            topo.flow_rate(fa).bytes_per_sec(),
-            up.share(sa).bytes_per_sec()
+    #[test]
+    fn weighted_shares_sum_to_the_capacity() {
+        let mut topo = one_pipe(mb(120.0));
+        let flows = [1.0, 2.0, 3.0].map(|w| topo.open_flow(0, None, w, mb(1.0)));
+        let total: f64 = flows
+            .iter()
+            .map(|&f| topo.flow_rate(f).bytes_per_sec())
+            .sum();
+        assert!((total - 120_000_000.0).abs() < 1.0, "shares sum {total}");
+        assert!(
+            topo.flow_rate(flows[2]).bytes_per_sec() > topo.flow_rate(flows[0]).bytes_per_sec()
         );
-        assert_eq!(
-            topo.flow_rate(fb).bytes_per_sec(),
-            up.share(sb).bytes_per_sec()
-        );
+        topo.close_flow(flows[0]);
+        topo.close_flow(flows[1]);
+        assert_eq!(topo.flow_rate(flows[2]).bytes_per_sec(), 120_000_000.0);
+    }
 
-        assert_eq!(
-            topo.can_admit(0, None, 2.0, mb(300.0)),
-            up.can_admit(2.0, mb(300.0))
+    #[test]
+    fn admission_protects_the_candidate_and_the_incumbents() {
+        let mut topo = one_pipe(mb(100.0));
+        topo.open_flow(0, None, 1.0, mb(40.0));
+        // A second equal-weight flow would cut the first to 50 — fine for
+        // its 40 minimum but not for a candidate demanding 60.
+        assert!(topo.admits(0, None, 1.0, mb(40.0), true));
+        assert!(
+            !topo.admits(0, None, 1.0, mb(60.0), true),
+            "candidate starves itself"
         );
-        assert!(!topo.path_idle(0, None));
-        topo.close_flow(fa);
-        topo.close_flow(fb);
-        assert!(topo.path_idle(0, None));
+        // Three ways: 33.3 each — the incumbent's 40 minimum now breaks.
+        topo.open_flow(0, None, 1.0, mb(20.0));
+        assert!(
+            !topo.admits(0, None, 1.0, mb(10.0), true),
+            "incumbent would starve"
+        );
+        assert!(
+            topo.admits(0, None, 1.0, mb(10.0), false),
+            "unenforced minimums admit anything"
+        );
+    }
+
+    #[test]
+    fn admission_checks_every_hop() {
+        let mut topo = Topology::new(
+            vec![LinkSpec::lan("src", mb(125.0))],
+            None,
+            vec![
+                LinkSpec::wan("wan", mb(40.0)),
+                LinkSpec::lan("lan", mb(125.0)),
+            ],
+        );
+        // Feasible on the NIC, infeasible on the WAN ingress — but the path
+        // is idle, so the floor is waived rather than deadlocking.
+        assert!(topo.admits(0, Some(0), 1.0, mb(50.0), true));
+        // An incumbent on the NIC makes the path busy. The NIC would still
+        // give both flows 62.5 MB/s, above either floor, so only the WAN
+        // ingress behind it can refuse.
+        let f = topo.open_flow(0, Some(1), 1.0, mb(20.0));
+        assert!(
+            topo.admits(0, Some(0), 1.0, mb(30.0), true),
+            "both pipes meet a 30 MB/s floor"
+        );
+        assert!(
+            !topo.admits(0, Some(0), 1.0, mb(50.0), true),
+            "the NIC meets a 50 MB/s floor, the 40 MB/s WAN ingress does not"
+        );
+        assert!(!topo.admits(0, Some(0), 1.0, mb(65.0), true));
+        assert!(topo.admits(0, Some(0), 1.0, mb(50.0), false));
+        topo.close_flow(f);
+        assert!(topo.admits(0, Some(0), 1.0, mb(50.0), true));
     }
 
     #[test]
@@ -602,31 +603,17 @@ mod tests {
         );
         let a = topo.open_flow(0, Some(0), 1.0, mb(1.0));
         let b = topo.open_flow(1, Some(0), 2.0, mb(1.0));
+        assert_eq!(topo.host_active(0), 1);
         // Each host's NIC is otherwise idle; the 150 MB/s core splits 1:2.
         assert_eq!(topo.flow_rate(a).bytes_per_sec(), mb(50.0).bytes_per_sec());
         assert_eq!(topo.flow_rate(b).bytes_per_sec(), mb(100.0).bytes_per_sec());
         topo.close_flow(a);
+        assert_eq!(topo.host_active(0), 0);
         assert_eq!(
             topo.flow_rate(b).bytes_per_sec(),
             mb(125.0).bytes_per_sec(),
             "after the peer leaves, the NIC binds, not the core"
         );
-    }
-
-    #[test]
-    fn admission_checks_every_hop() {
-        let mut topo = Topology::new(
-            vec![LinkSpec::lan("src", mb(125.0))],
-            None,
-            vec![LinkSpec::wan("wan", mb(40.0))],
-        );
-        // Feasible on the NIC, infeasible on the WAN ingress.
-        assert!(!topo.can_admit(0, Some(0), 1.0, mb(65.0)));
-        assert!(topo.can_admit(0, Some(0), 1.0, mb(20.0)));
-        let f = topo.open_flow(0, Some(0), 1.0, mb(20.0));
-        assert!(!topo.path_idle(0, Some(0)));
-        topo.close_flow(f);
-        assert!(topo.path_idle(0, Some(0)));
     }
 
     #[test]
@@ -638,7 +625,7 @@ mod tests {
         );
         let _f = topo.open_flow(0, Some(0), 1.0, mb(1.0));
         // Joining with weight 1 against an incumbent of weight 1: half the
-        // 100 MB/s NIC, a third of nothing on the roomy ingress.
+        // 100 MB/s NIC, half of the roomy 300 MB/s ingress.
         let r = topo.predicted_rate(0, Some(0), 1.0);
         assert_eq!(r.bytes_per_sec(), mb(50.0).bytes_per_sec());
     }
@@ -679,6 +666,23 @@ mod tests {
         assert_eq!(p[0].queued_demand.last(), Some(10_000_000.0));
         assert_eq!(p[2].queued_demand.last(), Some(20_000_000.0));
         assert_eq!(p[3].queued_demand.last(), Some(20_000_000.0));
+        assert_eq!(p[2].last_capacity_bps, mb(150.0).bytes_per_sec());
+
+        // A zero-length window carries no capacity and reads idle.
+        topo.sample_pipes(at, SimDuration::ZERO, &mut pipes);
+        assert!(pipes
+            .pipes()
+            .iter()
+            .all(|p| p.utilization.last() == Some(0.0)));
+    }
+
+    #[test]
+    fn utilization_is_the_sent_fraction_clamped_at_one() {
+        let rate = Bandwidth::from_bytes_per_sec(1000.0);
+        let dt = SimDuration::from_secs(1);
+        assert_eq!(utilization(rate, dt, 250), 0.25);
+        assert_eq!(utilization(rate, dt, 9_999), 1.0, "oversubscribed clamps");
+        assert_eq!(utilization(rate, SimDuration::ZERO, 10), 0.0);
     }
 
     #[test]
@@ -690,23 +694,78 @@ mod tests {
         );
         let f = topo.open_flow(0, Some(0), 1.0, mb(1.0));
         assert_eq!(topo.flow_rate(f).bytes_per_sec(), mb(125.0).bytes_per_sec());
-        assert!(topo.set_core_rate(mb(30.0)));
+        assert!(topo.set_pipe_rate(PipeSel::Core, mb(30.0)));
         assert_eq!(
-            topo.core_rate().unwrap().bytes_per_sec(),
+            topo.pipe_rate(PipeSel::Core).unwrap().bytes_per_sec(),
             mb(30.0).bytes_per_sec()
         );
+        assert_eq!(topo.pipe_name(PipeSel::Core), Some("core"));
         assert_eq!(
             topo.flow_rate(f).bytes_per_sec(),
             mb(30.0).bytes_per_sec(),
             "degraded core becomes the bottleneck at the next re-grant"
         );
-        let mut coreless = Topology::single_uplink(mb(100.0));
-        assert!(!coreless.set_core_rate(mb(1.0)));
+        let mut coreless = one_pipe(mb(100.0));
+        assert!(!coreless.set_pipe_rate(PipeSel::Core, mb(1.0)));
+        assert!(!coreless.set_pipe_rate(PipeSel::Egress(1), mb(1.0)));
+        assert!(coreless.pipe_name(PipeSel::Ingress(0)).is_none());
+    }
+
+    #[test]
+    fn pipe_selectors_address_their_own_pipes() {
+        let mut topo = Topology::new(
+            vec![
+                LinkSpec::lan("src0", mb(1.0)),
+                LinkSpec::lan("src1", mb(2.0)),
+            ],
+            None,
+            vec![
+                LinkSpec::lan("dst0", mb(3.0)),
+                LinkSpec::lan("dst1", mb(4.0)),
+            ],
+        );
+        let names = [
+            PipeSel::Egress(0),
+            PipeSel::Egress(1),
+            PipeSel::Core,
+            PipeSel::Ingress(0),
+            PipeSel::Ingress(1),
+            PipeSel::Ingress(2),
+        ]
+        .map(|sel| topo.pipe_name(sel));
+        assert_eq!(
+            names,
+            [
+                Some("src0"),
+                Some("src1"),
+                None,
+                Some("dst0"),
+                Some("dst1"),
+                None
+            ]
+        );
+        assert!(topo.set_pipe_rate(PipeSel::Ingress(1), mb(8.0)));
+        assert_eq!(topo.pipe_rate(PipeSel::Ingress(1)), Some(mb(8.0)));
+        assert_eq!(topo.pipe_rate(PipeSel::Egress(1)), Some(mb(2.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "the fabric has no pipe ingress2")]
+    fn a_flow_to_a_missing_destination_panics() {
+        let mut topo = Topology::new(
+            vec![LinkSpec::lan("src", mb(1.0))],
+            None,
+            vec![
+                LinkSpec::lan("dst0", mb(1.0)),
+                LinkSpec::lan("dst1", mb(1.0)),
+            ],
+        );
+        topo.open_flow(0, Some(2), 1.0, mb(1.0));
     }
 
     #[test]
     fn flow_ids_are_never_reused() {
-        let mut topo = Topology::single_uplink(mb(100.0));
+        let mut topo = one_pipe(mb(100.0));
         let a = topo.open_flow(0, None, 1.0, mb(1.0));
         topo.close_flow(a);
         let b = topo.open_flow(0, None, 1.0, mb(1.0));

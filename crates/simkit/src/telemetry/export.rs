@@ -9,7 +9,6 @@
 //! instant events, and `C` counter events for gauge samples.
 
 use std::fmt::Write as _;
-use std::io::{self, Write};
 
 use super::recorder::{Event, EventKind, RunTelemetry, Value};
 use super::Subsystem;
@@ -168,11 +167,6 @@ pub fn jsonl_to_string(t: &RunTelemetry) -> String {
     out
 }
 
-/// Writes [`jsonl_to_string`] to `w`.
-pub fn write_jsonl<W: Write>(t: &RunTelemetry, w: &mut W) -> io::Result<()> {
-    w.write_all(jsonl_to_string(t).as_bytes())
-}
-
 fn chrome_instant(out: &mut String, e: &Event) {
     let _ = write!(
         out,
@@ -246,11 +240,6 @@ pub fn chrome_trace_to_string(t: &RunTelemetry) -> String {
     }
     out.push_str("\n]}\n");
     out
-}
-
-/// Writes [`chrome_trace_to_string`] to `w`.
-pub fn write_chrome_trace<W: Write>(t: &RunTelemetry, w: &mut W) -> io::Result<()> {
-    w.write_all(chrome_trace_to_string(t).as_bytes())
 }
 
 /// Serialises the metrics registry in Prometheus text exposition format,

@@ -164,16 +164,6 @@ impl Bitmap {
         }
     }
 
-    /// Copies all bits from `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn copy_from(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words.copy_from_slice(&other.words);
-    }
-
     /// Swaps contents with `other` in O(1).
     ///
     /// # Panics

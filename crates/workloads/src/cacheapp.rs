@@ -116,11 +116,6 @@ impl CacheApp {
         VaRange::new(Vaddr(self.region.start().0 + keep), self.region.end()).align_inward()
     }
 
-    /// Returns `true` once the tail was purged for a migration.
-    pub fn is_purged(&self) -> bool {
-        self.purged
-    }
-
     /// Pages in the cold band (the long-tail resident set), clamped to the
     /// head so coldness never overlaps the skip-over tail.
     fn cold_pages(&self) -> u64 {

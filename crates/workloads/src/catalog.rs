@@ -270,13 +270,17 @@ pub fn all() -> Vec<WorkloadSpec> {
     ]
 }
 
-/// Looks a workload up by name (including the §6 JVM-language workloads
-/// `jython` and `jruby`).
+/// Every workload [`by_name`] knows: the nine of [`all`], then the §6
+/// JVM-language workloads `jython` and `jruby`.
+pub fn known() -> Vec<WorkloadSpec> {
+    let mut known = all();
+    known.extend([jython_like(), jruby_like()]);
+    known
+}
+
+/// Looks a workload up by name among [`known`].
 pub fn by_name(name: &str) -> Option<WorkloadSpec> {
-    all()
-        .into_iter()
-        .chain([jython_like(), jruby_like()])
-        .find(|w| w.name == name)
+    known().into_iter().find(|w| w.name == name)
 }
 
 #[cfg(test)]

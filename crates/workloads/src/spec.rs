@@ -88,11 +88,6 @@ impl WorkloadSpec {
         config
     }
 
-    /// Builds the JVM configuration with this workload's default `-Xmn`.
-    pub fn default_jvm_config(&self) -> JvmConfig {
-        self.jvm_config(self.default_young_max)
-    }
-
     /// The mutator profile this workload exhibits.
     pub fn profile(&self) -> MutatorProfile {
         MutatorProfile {

@@ -4,8 +4,8 @@
 //! order.
 
 use cluster::{
-    evacuate, roster, run_fleet, CoreFault, EvacuationPlan, EventQueue, FleetPolicy, PipeFault,
-    PipeSel, PlacementPolicy, VmId,
+    evacuate, roster, run_fleet, EvacuationPlan, EventQueue, FleetPolicy, PipeFault, PipeSel,
+    PlacementPolicy, VmId,
 };
 use proptest::prelude::*;
 use simkit::{SimDuration, SimTime};
@@ -154,7 +154,8 @@ fn watchdog_flags_a_mid_drain_core_degrade() {
         clean.mission.findings
     );
 
-    let faulted_plan = small_plan(PlacementPolicy::SlaAware).core_fault(CoreFault {
+    let faulted_plan = small_plan(PlacementPolicy::SlaAware).pipe_fault(PipeFault {
+        pipe: PipeSel::Core,
         after: SimDuration::from_secs(4),
         factor: 0.1,
     });
@@ -182,6 +183,24 @@ fn watchdog_flags_a_mid_drain_core_degrade() {
         .find(|e| e.id == finding.causal)
         .expect("the finding's causal id resolves in the flow trace");
     assert!(matches!(causal.kind, simkit::telemetry::CausalKind::Wakeup));
+    // The core is a pipe like any other: its degrade carries the generic
+    // tag and its selector label.
+    let fault_event = faulted
+        .mission
+        .causal
+        .events()
+        .iter()
+        .find(|e| matches!(e.kind, simkit::telemetry::CausalKind::Fault))
+        .expect("the seeded degrade leaves a causal fault event");
+    let detail: Vec<(&str, &str)> = fault_event
+        .detail
+        .iter()
+        .map(|(k, v)| (*k, v.as_str()))
+        .collect();
+    assert!(
+        detail.contains(&("fault", "pipe_degrade")) && detail.contains(&("pipe", "core")),
+        "the core degrade is tagged like every pipe degrade, got {detail:?}"
+    );
 
     // The faulted drain's digests stay deterministic too.
     let again = evacuate(&faulted_plan, FleetPolicy::CycleAware).expect("faulted evacuation");
@@ -193,7 +212,7 @@ fn watchdog_flags_a_mid_drain_core_degrade() {
 /// The generalised fault schedule reaches every pipe of the fabric, not
 /// just the core: a seeded degrade of a source NIC surfaces as a
 /// `pipe_saturation` finding naming that host's egress pipe, the causal
-/// fault event carries the generic `pipe_degrade` tag with the pipe
+/// fault event carries the `pipe_degrade` tag with the pipe
 /// selector label, and a fault naming a pipe the fabric does not have is
 /// consumed without a trace.
 #[test]
@@ -232,7 +251,7 @@ fn pipe_fault_schedule_degrades_a_source_nic() {
             .detail
             .iter()
             .any(|(k, v)| *k == "fault" && v == "pipe_degrade"),
-        "non-core degrades carry the generic tag, got {:?}",
+        "pipe degrades carry the pipe_degrade tag, got {:?}",
         fault_event.detail
     );
     assert!(

@@ -50,8 +50,8 @@ fn recorder_covers_every_layer_in_causal_order() {
     assert!(t.enabled, "run was recorded");
 
     // Every instrumented subsystem shows up in the event stream or spans.
-    // Fleet is the exception: it only speaks during multi-VM drains, which
-    // tests/fleet.rs and tests/evacuation.rs record separately.
+    // Fleet is the exception: only multi-VM drains write to it, and only
+    // the three histogram families their fleet digests merge.
     for sub in Subsystem::ALL {
         if sub == Subsystem::Fleet {
             continue;
