@@ -466,18 +466,27 @@ fn cmd_fleet(args: &[String]) {
         // 16 samples the detector refuses to certify anything).
         host.sense_capacity = cap;
     }
-    // Rows stream out of the scheduler in completion order; narrate them
-    // so long drains show progress instead of going dark.
-    let runs = javmm_bench::fleet::run_policies_with(&host, &policies, &mut |policy, entry| {
-        eprintln!(
-            "{}: {} done at {:.1}s (confident={} window_hit={:?})",
-            policy.name(),
-            entry.digest.meta.name,
-            entry.ended_at_ns as f64 / 1e9,
-            entry.detect_confident,
-            entry.window_hit,
-        );
-    });
+    // Narrate each drain's VMs in completion order as the drain ends, so
+    // a run over several policies shows progress instead of going dark.
+    let runs: Vec<_> = policies
+        .iter()
+        .map(|&policy| {
+            let run = javmm_bench::fleet::run_policy(&host, policy);
+            let mut done: Vec<_> = run.digest.vms.iter().collect();
+            done.sort_by_key(|vm| vm.ended_at_ns);
+            for vm in done {
+                eprintln!(
+                    "{}: {} done at {:.1}s (confident={} window_hit={:?})",
+                    policy.name(),
+                    vm.digest.meta.name,
+                    vm.ended_at_ns as f64 / 1e9,
+                    vm.detect_confident,
+                    vm.window_hit,
+                );
+            }
+            run
+        })
+        .collect();
     print!("{}", javmm_bench::fleet::render_table(&runs));
     let json = javmm_bench::fleet::to_json(&host, &runs);
     write_out(&out_path, &json, "fleet results");

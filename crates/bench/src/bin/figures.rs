@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! Usage:
-//!   figures [--quick] [--serial] [--out DIR] [--trace FILE] [fig1|fig5|fig8|fig10|fig11|fig12|table1|table2|table3|ablations|all]
+//!   figures [--quick] [--serial] [--out DIR] [--trace FILE] [fig1|fig5|fig8|fig9|fig10|fig11|fig12|table1|table2|table3|ablations|all]
 //!
 //! `--quick` (or JAVMM_BENCH=quick) shortens warmups and uses two seeds.
 //! `--serial` disables the parallel cell runner (output is byte-identical
@@ -10,41 +10,48 @@
 //! `--trace FILE` flight-records each figure migration and writes the last
 //! run as a Chrome trace (plus a `.jsonl` flight log) to FILE; combine with
 //! a single-figure target, e.g. `figures --quick fig10 --trace t.json`.
+//!
+//! An unknown target or flag, or `--out`/`--trace` without a value, exits 2
+//! naming it before any simulation runs.
 
+use javmm_bench::cli::{fail, flag, operands};
 use javmm_bench::{ablations, figs, FigOpts};
+
+/// Every target `figures` accepts.
+const TARGETS: [&str; 12] = [
+    "fig1",
+    "fig5",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "table1",
+    "table2",
+    "table3",
+    "ablations",
+    "all",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_dir = flag_value("--out");
-    let mut opts = if quick {
+    let targets = operands(&args, &["--out", "--trace"], &["--quick", "--serial"]);
+    if let Some(target) = targets.iter().find(|t| !TARGETS.contains(t)) {
+        fail(&format!(
+            "unknown target {target:?}; use one of {}",
+            TARGETS.join(", ")
+        ));
+    }
+    let out_dir = flag(&args, "--out");
+    let mut opts = if args.iter().any(|a| a == "--quick") {
         FigOpts::quick()
     } else {
         FigOpts::from_env()
     };
-    opts.trace = flag_value("--trace");
+    opts.trace = flag(&args, "--trace");
     if args.iter().any(|a| a == "--serial") {
         opts.parallel = false;
     }
-    let targets: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && (*i == 0
-                    || !matches!(
-                        args.get(i - 1).map(String::as_str),
-                        Some("--out") | Some("--trace")
-                    ))
-        })
-        .map(|(_, a)| a.as_str())
-        .collect();
     let want =
         |name: &str| targets.is_empty() || targets.contains(&name) || targets.contains(&"all");
     let emit = |name: &str, body: String| {

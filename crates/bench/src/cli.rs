@@ -1,5 +1,5 @@
-//! Argument parsing shared by the `bench`, `calibrate` and `fault-matrix`
-//! binaries. A bad argument ends the process with exit status 2 and a
+//! Argument parsing shared by the `bench`, `calibrate`, `fault-matrix`
+//! and `figures` binaries. A bad argument ends the process with exit status 2 and a
 //! message naming it: never a panic, and never a silent fall-back to a
 //! default.
 
@@ -16,18 +16,32 @@ pub fn fail(msg: &str) -> ! {
 /// naming an unknown argument, or a valued flag whose value is missing
 /// (absent, or another `--` flag).
 pub fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) {
+    if let Some(arg) = operands(args, valued, switches).first() {
+        fail(&format!("unknown argument {arg:?}"));
+    }
+}
+
+/// The operands in `args`, in order: every argument that is neither one
+/// of the flags [`check_flags`] accepts nor a valued flag's value. Exits 2
+/// as [`check_flags`] does on an unknown `--` flag or a missing value.
+pub fn operands<'a>(args: &'a [String], valued: &[&str], switches: &[&str]) -> Vec<&'a str> {
+    let mut found = Vec::new();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if switches.contains(&arg.as_str()) {
             continue;
         }
-        if !valued.contains(&arg.as_str()) {
+        if valued.contains(&arg.as_str()) {
+            if rest.next().is_none_or(|v| v.starts_with("--")) {
+                fail(&format!("missing value for {arg}"));
+            }
+        } else if arg.starts_with("--") {
             fail(&format!("unknown argument {arg:?}"));
-        }
-        if rest.next().is_none_or(|v| v.starts_with("--")) {
-            fail(&format!("missing value for {arg}"));
+        } else {
+            found.push(arg.as_str());
         }
     }
+    found
 }
 
 /// The value following `name` in `args`, if any.

@@ -6,15 +6,13 @@
 //! observatory accuracy (confident estimates, window-hit rate, period
 //! accuracy), plus each policy's eviction ratio against the FIFO
 //! baseline and a detected-vs-declared comparison of the cycle-aware
-//! policy against its declared-hint oracle. Per-VM rows stream out of
-//! the scheduler as each migration completes (the digest never needs
-//! every report in memory at once), and everything is deterministic —
+//! policy against its declared-hint oracle. Everything is deterministic —
 //! same roster + same seed produce a byte-identical document — so CI
 //! diffs two fresh runs to prove it.
 
-use cluster::{roster, run_fleet_streamed, FleetPolicy, FleetRowSink};
+use cluster::{evacuate, roster, EvacuationPlan, FleetPolicy};
 use javmm::host::HostSpec;
-use migrate::digest::{FleetDigest, FleetVmEntry, Json};
+use migrate::digest::{FleetDigest, Json};
 use std::fmt::Write as _;
 
 /// Looks up a roster by its CLI name.
@@ -36,33 +34,14 @@ pub struct PolicyRun {
     pub digest: FleetDigest,
 }
 
-/// Adapter turning a closure into a [`FleetRowSink`].
-struct RowTap<'a>(&'a mut dyn FnMut(&FleetVmEntry));
-
-impl FleetRowSink for RowTap<'_> {
-    fn row(&mut self, entry: &FleetVmEntry) {
-        (self.0)(entry);
+/// Drains `host` alone under `policy`.
+pub fn run_policy(host: &HostSpec, policy: FleetPolicy) -> PolicyRun {
+    let plan = EvacuationPlan::single_host(host.clone());
+    let mut out = evacuate(&plan, policy).expect("drain failed");
+    PolicyRun {
+        policy,
+        digest: out.hosts.remove(0),
     }
-}
-
-/// Drains `host` once per listed policy, streaming each completed VM's
-/// row to `on_row` as the drain produces it (completion order).
-pub fn run_policies_with(
-    host: &HostSpec,
-    policies: &[FleetPolicy],
-    on_row: &mut dyn FnMut(FleetPolicy, &FleetVmEntry),
-) -> Vec<PolicyRun> {
-    policies
-        .iter()
-        .map(|&policy| {
-            let mut tap = |entry: &FleetVmEntry| on_row(policy, entry);
-            let mut sink = RowTap(&mut tap);
-            PolicyRun {
-                policy,
-                digest: run_fleet_streamed(host, policy, &mut sink).expect("drain failed"),
-            }
-        })
-        .collect()
 }
 
 /// Renders the per-policy comparison as an aligned text table.

@@ -73,3 +73,11 @@ fn calibrate_and_fault_matrix_reject_bad_input() {
     assert_rejected(fault_matrix, &["--guard-secs"], &["--guard-secs"]);
     assert_rejected(fault_matrix, &["--gaurd-secs", "5"], &["--gaurd-secs"]);
 }
+
+#[test]
+fn figures_rejects_unknown_targets_and_flags() {
+    let figures = env!("CARGO_BIN_EXE_figures");
+    assert_rejected(figures, &["--quick", "fig100"], &["fig100", "fig10, fig11"]);
+    assert_rejected(figures, &["--quik", "table1"], &["--quik"]);
+    assert_rejected(figures, &["--quick", "table1", "--trace"], &["--trace"]);
+}

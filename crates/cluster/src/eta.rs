@@ -269,23 +269,6 @@ impl EtaTracker {
         self.vms.len() - 1
     }
 
-    /// Projects VM `vm`'s completion from its current state and records
-    /// it, returning the (bias-calibrated) predicted completion instant.
-    /// On a frozen tracker the admission-time projection is re-served
-    /// instead (see [`EtaTracker::record`]).
-    pub fn project(
-        &mut self,
-        vm: usize,
-        at_ns: u64,
-        remaining_bytes: f64,
-        bandwidth_bps: f64,
-        dirty_bps: f64,
-        iters_left: u32,
-    ) -> Option<u64> {
-        let eta = project_eta_secs(remaining_bytes, bandwidth_bps, dirty_bps, iters_left);
-        self.record(vm, at_ns, eta)
-    }
-
     /// Records a projection computed by the caller (e.g. the cycle-aware
     /// [`project_eta_cycle_secs`]): folds in the VM's cohort terminal bias
     /// and stores the prediction. On a frozen tracker the fresh projection
@@ -564,7 +547,8 @@ mod tests {
         let vm = t.admit("vm0", "w");
         // Perfect projection: 10 MB at 1 MB/s, no dirtying, plus the
         // terminal-cost prior -> lands at exactly 10.05 s.
-        t.project(vm, 0, 10e6, 1e6, 0.0, 30).unwrap();
+        t.record(vm, 0, project_eta_secs(10e6, 1e6, 0.0, 30))
+            .unwrap();
         t.complete(vm, 10_050_000_000);
         let s = t.summary();
         assert_eq!(s.vms, 1);
@@ -584,7 +568,9 @@ mod tests {
         let mut last_err = None;
         for i in 0..5 {
             let vm = t.admit(&format!("vm{i}"), "w");
-            let p = t.project(vm, 0, 10e6, 1e6, 0.0, 30).unwrap();
+            let p = t
+                .record(vm, 0, project_eta_secs(10e6, 1e6, 0.0, 30))
+                .unwrap();
             let actual = 10_400_000_000u64; // 10 s projected + 0.4 s overhead
             let err = (actual as f64 - p as f64).abs();
             if i == 0 {
@@ -609,13 +595,18 @@ mod tests {
         // must still project from the prior, not the other's residuals.
         for i in 0..5 {
             let vm = t.admit(&format!("h{i}"), "gc-heavy");
-            t.project(vm, 0, 10e6, 1e6, 0.0, 30).unwrap();
+            t.record(vm, 0, project_eta_secs(10e6, 1e6, 0.0, 30))
+                .unwrap();
             t.complete(vm, 10_400_000_000);
         }
         let heavy = t.admit("h-last", "gc-heavy");
-        let ph = t.project(heavy, 0, 10e6, 1e6, 0.0, 30).unwrap();
+        let ph = t
+            .record(heavy, 0, project_eta_secs(10e6, 1e6, 0.0, 30))
+            .unwrap();
         let idle = t.admit("i0", "idle");
-        let pi = t.project(idle, 0, 10e6, 1e6, 0.0, 30).unwrap();
+        let pi = t
+            .record(idle, 0, project_eta_secs(10e6, 1e6, 0.0, 30))
+            .unwrap();
         assert!(ph > pi, "the late cohort must have learned extra cost");
         assert_eq!(pi, 10_000_000_000 + TERMINAL_COST_PRIOR_NS as u64);
     }
@@ -624,12 +615,17 @@ mod tests {
     fn frozen_tracker_reserves_the_admission_projection() {
         let mut t = EtaTracker::new(true);
         let vm = t.admit("vm0", "w");
-        let first = t.project(vm, 0, 10e6, 1e6, 0.0, 30).unwrap();
+        let first = t
+            .record(vm, 0, project_eta_secs(10e6, 1e6, 0.0, 30))
+            .unwrap();
         // Later wakeups keep serving the stale admission ETA verbatim,
         // and every serving is scored.
-        assert_eq!(t.project(vm, 5_000_000_000, 5e6, 1e6, 0.0, 30), Some(first));
         assert_eq!(
-            t.project(vm, 19_000_000_000, 1e6, 1e6, 0.0, 30),
+            t.record(vm, 5_000_000_000, project_eta_secs(5e6, 1e6, 0.0, 30)),
+            Some(first)
+        );
+        assert_eq!(
+            t.record(vm, 19_000_000_000, project_eta_secs(1e6, 1e6, 0.0, 30)),
             Some(first)
         );
         t.complete(vm, 20_000_000_000);

@@ -1,49 +1,44 @@
 //! The event-driven evacuation core: drain hosts H₁..Hₙ onto destinations
-//! D₁..Dₘ over topology T.
+//! D₁..Dₘ over topology T. [`evacuate`] is the one way to run a drain; a
+//! single host is the degenerate plan [`EvacuationPlan::single_host`]
+//! (one source, no destinations, no core switch).
 //!
-//! This is the cluster-scale generalisation of the single-host drain. Each
-//! guest still runs as an independent simulation on its own [`SimClock`];
-//! what changed is *how the scheduler finds the next session to step*. The
-//! old core re-scanned every active session per iteration (O(active) per
-//! step). This core keeps a binary heap of session-ready times keyed by
+//! Each guest runs as an independent simulation on its own [`SimClock`].
+//! The scheduler keeps a binary heap of session-ready times keyed by
 //! `(SimTime, VmId)`: pop the minimum, step that session once, push it
 //! back at its new clock. O(log active) per step, and the key order makes
 //! tie-breaking explicit — equal clocks resolve by `VmId` (host-major,
-//! then roster slot), exactly the tie order the scan used.
+//! then roster slot).
 //!
-//! # Why the heap is equivalent to the laggard scan
+//! # Why the heap pops the laggard
 //!
-//! The scan picked `min_by_key((clock, slot))` over active sessions. The
-//! heap pops the same minimum provided every active session has exactly
-//! one entry carrying its *current* clock. That invariant holds by
-//! construction: an entry is pushed at admission (with the post-`begin`
-//! clock) and re-pushed after every yielded step (with the post-step
-//! clock); nothing else advances an active session's clock — the
-//! catch-up/sensing path only ever touches *pending* slots, and a
-//! completed session leaves the heap by simply not being re-pushed. So
-//! pop-min ≡ scan-min at every iteration, and the event-driven drain is
-//! byte-identical to the stepped baseline (locked by
-//! `tests/evacuation.rs` against the committed drain12 digest).
+//! The drain must step the in-flight session with the smallest local
+//! clock, ties by `(host, slot)`. The heap pops exactly that minimum
+//! provided every active session has exactly one entry carrying its
+//! *current* clock. That invariant holds by construction: an entry is
+//! pushed at admission (with the post-`begin` clock) and re-pushed after
+//! every yielded step (with the post-step clock); nothing else advances an
+//! active session's clock — the catch-up/sensing path only ever touches
+//! *pending* slots, and a completed session leaves the heap by simply not
+//! being re-pushed. `tests/evacuation.rs` locks the resulting interleaving
+//! byte for byte against the committed drain12 digest.
 //!
-//! Admission, sensing, re-rating and per-VM digest folding are untouched;
-//! they moved here from `cluster::sched` verbatim. The admission sweep
-//! runs once at drain start and again after every completion — the only
-//! two moments its outcome can change, since feasibility is a function of
-//! link subscriptions alone, and the fleet clock only advances on
-//! completion.
+//! The admission sweep runs once at drain start and again after every
+//! completion — the only two moments its outcome can change, since
+//! feasibility is a function of link subscriptions alone, and the fleet
+//! clock only advances on completion. Each tenant folds into its per-VM
+//! digest row the moment its migration (plus tail) finishes; the row and
+//! the migration report are both kept to the end of the drain.
 //!
 //! # Topology and placement
 //!
-//! Flows ride a [`Topology`] instead of a bare uplink: the source host's
-//! NIC, an optional contended core switch, and — when the plan has
-//! destinations — the chosen destination's ingress NIC. A flow's rate is
-//! its bottleneck pipe's fair share; over the degenerate one-host,
-//! no-core, no-destination topology that *is* the NIC share bit for bit,
-//! which is how [`run_fleet`](crate::sched::run_fleet) stays a thin
-//! adapter over this core without moving a single digest byte.
-//! Destinations are chosen at admission by the plan's
-//! [`PlacementPolicy`](crate::place::PlacementPolicy) and consumed
-//! permanently (a placed VM stays placed).
+//! Flows ride a [`Topology`]: the source host's NIC, an optional contended
+//! core switch, and — when the plan has destinations — the chosen
+//! destination's ingress NIC. A flow's rate is its bottleneck pipe's fair
+//! share; over the degenerate one-host, no-core, no-destination topology
+//! that is the NIC share bit for bit. Destinations are chosen at admission
+//! by the plan's [`PlacementPolicy`] and consumed permanently (a placed VM
+//! stays placed).
 //!
 //! A drain must never deadlock, and an evacuation must never deadlock on
 //! placement either: [`EvacuationPlan::validate`] requires destination
@@ -70,61 +65,19 @@ use simkit::{SimClock, SimDuration, SimTime};
 
 use crate::detect::{detect, WorkloadEstimate, CONFIDENCE_GATE};
 use crate::eta::{self, EtaSummary, EtaTracker, Watchdog, WatchdogFinding, WIRE_PAGE_BYTES};
-use crate::place::{self, DestState, PlacementPolicy};
+use crate::place::{self, DestState, PlacementPolicy, PlacementRationale};
 use crate::policy::{cycle_average_rate, FleetPolicy};
-use crate::sched::FleetRowSink;
 
 pub use javmm::host::DestSpec;
 
 /// Identifies one VM in an evacuation: host index, then roster slot.
 ///
-/// The derived order is the event queue's tie-break — sessions whose
-/// clocks collide step in host-major, then roster order, the same order
-/// the single-host laggard scan used for its slot tie-break.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VmId {
-    /// Index into the plan's source hosts.
-    pub host: u32,
-    /// Roster slot within that host.
-    pub slot: u32,
-}
-
-/// The scheduler's ready queue: session wake-ups ordered by
-/// `(SimTime, VmId)`, minimum first.
-///
-/// Public so the tie-order invariant is testable in isolation (see the
-/// proptest in `tests/evacuation.rs`): popping never reorders entries
-/// with equal times away from `VmId` order.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(SimTime, VmId)>>,
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `vm` to step when the fleet reaches `at`.
-    pub fn push(&mut self, at: SimTime, vm: VmId) {
-        self.heap.push(Reverse((at, vm)));
-    }
-
-    /// The earliest entry: smallest time, ties by smallest `VmId`.
-    pub fn pop(&mut self) -> Option<(SimTime, VmId)> {
-        self.heap.pop().map(|Reverse(e)| e)
-    }
-
-    /// Entries currently queued.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
+/// The derived order is the ready heap's tie-break: sessions whose clocks
+/// collide step in host-major, then roster order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct VmId {
+    host: u32,
+    slot: u32,
 }
 
 /// A whole evacuation: which hosts drain, where their VMs may land, and
@@ -186,8 +139,8 @@ impl EvacuationPlan {
         }
     }
 
-    /// The degenerate plan [`run_fleet`](crate::sched::run_fleet) adapts
-    /// through: one source, no destinations, no core switch.
+    /// The degenerate plan that drains one host: one source, no
+    /// destinations, no core switch.
     pub fn single_host(host: HostSpec) -> Self {
         Self::new(host.name.clone(), vec![host])
     }
@@ -318,8 +271,7 @@ pub struct EvacOutcome {
     pub eviction_ns: u64,
     /// Summed SLA cost across every migrated VM.
     pub sla_total: SlaCost,
-    /// Per-VM reports in roster order, one vector per source host (empty
-    /// when streamed).
+    /// Per-VM reports in roster order, one vector per source host.
     pub reports: Vec<Vec<MigrationReport>>,
     /// The drain's mission-control record: the causal flow trace, pipe
     /// timelines, ETA calibration and watchdog findings. Derived state
@@ -341,31 +293,6 @@ pub struct MissionControl {
     pub eta: EtaSummary,
     /// SLO watchdog findings, in firing order.
     pub findings: Vec<WatchdogFinding>,
-}
-
-/// Runs an evacuation under `policy` (the per-host admission-order
-/// policy; destination choice is the plan's placement policy).
-///
-/// # Errors
-///
-/// An invalid plan ([`EvacuationPlan::validate`]) or the first
-/// [`MigrateError`] any tenant's engine raises.
-pub fn evacuate(plan: &EvacuationPlan, policy: FleetPolicy) -> Result<EvacOutcome, MigrateError> {
-    drain_evacuation(plan, policy, None, true)
-}
-
-/// Like [`evacuate`], but streams per-VM digest rows to `sink` in
-/// completion order and drops the heavy reports.
-///
-/// # Errors
-///
-/// Same as [`evacuate`].
-pub fn evacuate_streamed(
-    plan: &EvacuationPlan,
-    policy: FleetPolicy,
-    sink: &mut dyn FleetRowSink,
-) -> Result<EvacOutcome, MigrateError> {
-    drain_evacuation(plan, policy, Some(sink), false)
 }
 
 /// One guest's slot in the drain.
@@ -485,12 +412,17 @@ impl Mission {
     }
 }
 
-pub(crate) fn drain_evacuation(
-    plan: &EvacuationPlan,
-    policy: FleetPolicy,
-    mut sink: Option<&mut dyn FleetRowSink>,
-    keep_reports: bool,
-) -> Result<EvacOutcome, MigrateError> {
+/// Runs an evacuation under `policy` (the per-host admission-order
+/// policy; destination choice is the plan's placement policy).
+///
+/// # Errors
+///
+/// An invalid plan ([`EvacuationPlan::validate`], which runs
+/// [`HostSpec::validate`] on every source) or the first [`MigrateError`]
+/// any tenant's engine raises (missing LKM, exhausted coordination under
+/// the `Fail` fallback). Degraded-but-completed migrations are not
+/// errors; they show up in the digests' `degraded` counts.
+pub fn evacuate(plan: &EvacuationPlan, policy: FleetPolicy) -> Result<EvacOutcome, MigrateError> {
     plan.validate().map_err(MigrateError::Config)?;
     let mut topo = plan.topology();
     let mut dests: Vec<DestState> = plan
@@ -522,7 +454,7 @@ pub(crate) fn drain_evacuation(
         .min()
         .expect("validated plan has sources");
 
-    let mut queue = EventQueue::new();
+    let mut ready: BinaryHeap<Reverse<(SimTime, VmId)>> = BinaryHeap::new();
     let mut placements: Vec<VmPlacement> = Vec::new();
     let mut sla_total = SlaCost::ZERO;
     let mut last_end = global_start;
@@ -563,12 +495,12 @@ pub(crate) fn drain_evacuation(
             &mut dests,
             fleet_now,
             &mut placements,
-            &mut queue,
+            &mut ready,
             &mut mission,
         )?;
     }
 
-    while let Some((at, vmid)) = queue.pop() {
+    while let Some(Reverse((at, vmid))) = ready.pop() {
         // Seeded pipe degrades fire at the first wakeup past their
         // trigger, in schedule order; in-flight flows pick the new
         // bottleneck up through the ordinary re-grant below. A fault on a
@@ -597,7 +529,7 @@ pub(crate) fn drain_evacuation(
 
         let host = &mut hosts[vmid.host as usize];
         let slot = &mut host.slots[vmid.slot as usize];
-        let active = slot.active.as_mut().expect("queued session is active");
+        let active = slot.active.as_mut().expect("a ready session is active");
         let at_ns = at.as_nanos();
 
         // Re-rate to the flow's current bottleneck share; skipped when
@@ -740,7 +672,7 @@ pub(crate) fn drain_evacuation(
 
         // Sample every pipe over the window since the previous wakeup and
         // run the saturation rule over the fresh samples. Wakeup times are
-        // monotone (the queue pops minima), so windows never overlap.
+        // monotone (the heap pops minima), so windows never overlap.
         match mission.last_sample_at {
             None => mission.last_sample_at = Some(at),
             Some(prev) if at > prev => {
@@ -789,10 +721,9 @@ pub(crate) fn drain_evacuation(
                     report.downtime.workload_downtime(),
                 );
 
-                // Fold this tenant now, not at drain end: its tail runs on
-                // its own clock, its row streams to the sink, its
-                // histograms merge into bounded state, and the heavy
-                // report can drop.
+                // Fold this tenant now: its tail runs on its own clock,
+                // its digest row is scored, and its histograms merge into
+                // the host's.
                 slot.vm
                     .run_for(&mut slot.clock, host.spec.tail, host.spec.tick);
                 let tail_end = slot.clock.now();
@@ -816,13 +747,8 @@ pub(crate) fn drain_evacuation(
                 };
                 sla_total.add(&entry.sla);
                 host.merger.add(&report.telemetry);
-                if let Some(sink) = sink.as_deref_mut() {
-                    sink.row(&entry);
-                }
                 slot.entry = Some(entry);
-                if keep_reports {
-                    slot.report = Some(*report);
-                }
+                slot.report = Some(*report);
 
                 // A completion is the only event that can unblock
                 // admission anywhere: it freed a concurrency slot on this
@@ -837,12 +763,12 @@ pub(crate) fn drain_evacuation(
                         &mut dests,
                         fleet_now,
                         &mut placements,
-                        &mut queue,
+                        &mut ready,
                         &mut mission,
                     )?;
                 }
             }
-            _ => queue.push(slot.clock.now(), vmid),
+            _ => ready.push(Reverse((slot.clock.now(), vmid))),
         }
     }
     for host in &hosts {
@@ -874,14 +800,12 @@ pub(crate) fn drain_evacuation(
             vms,
             histograms,
         ));
-        reports.push(if keep_reports {
+        reports.push(
             host.slots
                 .iter_mut()
                 .map(|s| s.report.take().expect("every tenant migrated"))
-                .collect()
-        } else {
-            Vec::new()
-        });
+                .collect(),
+        );
     }
     Ok(EvacOutcome {
         hosts: digests,
@@ -1042,7 +966,7 @@ fn rank_candidates(policy: FleetPolicy, slots: &mut [Slot], pending: &[usize]) -
 
 /// Admits tenants on host `h` until the concurrency cap, path
 /// feasibility, or placement capacity stops us; every admission schedules
-/// the new session on the event queue.
+/// the new session on the ready heap.
 #[allow(clippy::too_many_arguments)]
 fn admit_host(
     plan: &EvacuationPlan,
@@ -1053,7 +977,7 @@ fn admit_host(
     dests: &mut [DestState],
     fleet_now: SimTime,
     placements: &mut Vec<VmPlacement>,
-    queue: &mut EventQueue,
+    ready: &mut BinaryHeap<Reverse<(SimTime, VmId)>>,
     mission: &mut Mission,
 ) -> Result<(), MigrateError> {
     let spec = &host.spec;
@@ -1073,7 +997,7 @@ fn admit_host(
         // plan has destinations, placement finds it a home. Placement
         // folds the per-destination path checks into its own feasibility
         // filter.
-        let mut chosen: Option<(usize, Option<usize>)> = None;
+        let mut chosen: Option<(usize, Option<(usize, PlacementRationale)>)> = None;
         for pos in order {
             let slot = &host.slots[host.pending[pos]];
             let tenant = &slot.tenant;
@@ -1091,7 +1015,7 @@ fn admit_host(
             } else {
                 let heap = slot.vm.jvm().heap();
                 let ws = heap.young_committed() + heap.old_used();
-                if let Some(d) = place::choose(
+                if let Some(placed) = place::choose(
                     plan.placement,
                     topo,
                     dests,
@@ -1101,18 +1025,19 @@ fn admit_host(
                     spec.enforce_min_rate,
                     placements.len() as u64,
                 ) {
-                    chosen = Some((pos, Some(d)));
+                    chosen = Some((pos, Some(placed)));
                     break;
                 }
             }
         }
-        let Some((pos, dst)) = chosen else {
+        let Some((pos, placed)) = chosen else {
             // Every candidate the policy may pick is infeasible; capacity
             // frees up when an active migration completes, and admission
             // re-runs then.
             break;
         };
         let idx = host.pending.remove(pos);
+        let dst = placed.map(|(d, _)| d);
 
         let slot = &mut host.slots[idx];
         // Freeze the observatory's view of this tenant at its admission
@@ -1145,8 +1070,8 @@ fn admit_host(
 
         // Mission control: working set for the first ETA projection, the
         // causal admit record rooted on the host's drain event, and — when
-        // a destination was chosen — the placement rationale, scored
-        // *before* the flow opens so it reflects the decision instant.
+        // a destination was chosen — the placement rationale, scored when
+        // the pick was made, before the flow opens.
         let heap = slot.vm.jvm().heap();
         slot.ws_bytes = heap.young_committed() + heap.old_used();
         let vm_label = format!("{}/{}", spec.name, slot.tenant.name);
@@ -1170,23 +1095,12 @@ fn admit_host(
             ],
         );
         slot.last_causal = Some(admit_id);
-        let rationale = dst.map(|d| {
-            place::rationale(
-                topo,
-                dests,
-                h,
-                &slot.tenant,
-                slot.ws_bytes,
-                spec.enforce_min_rate,
-                d,
-            )
-        });
 
         let flow = topo.open_flow(h, dst, slot.tenant.weight, slot.tenant.min_rate);
         if let Some(d) = dst {
             dests[d].occupy();
         }
-        if let (Some(d), Some(r)) = (dst, rationale.as_ref()) {
+        if let Some((d, r)) = placed {
             let mut detail = vec![
                 ("dest", dests[d].spec.name.clone()),
                 ("policy", plan.placement.name().to_string()),
@@ -1212,11 +1126,9 @@ fn admit_host(
             vm: slot.tenant.name.clone(),
             dest: dst,
             dest_name: dst.map(|d| dests[d].spec.name.clone()),
-            chosen_score: rationale.as_ref().map(|r| r.chosen_score),
-            runner_up: rationale
-                .as_ref()
-                .and_then(|r| r.runner_up.map(|ru| dests[ru].spec.name.clone())),
-            runner_up_score: rationale.as_ref().and_then(|r| r.runner_up_score),
+            chosen_score: placed.map(|(_, r)| r.chosen_score),
+            runner_up: placed.and_then(|(_, r)| r.runner_up.map(|ru| dests[ru].spec.name.clone())),
+            runner_up_score: placed.and_then(|(_, r)| r.runner_up_score),
         });
         let engine = PrecopyEngine::new(slot.tenant.migration.clone());
         let session = engine.begin(&mut slot.vm, &mut slot.clock, Recorder::new())?;
@@ -1233,14 +1145,14 @@ fn admit_host(
             fleet_now.saturating_since(SimTime::ZERO + spec.warmup),
         );
         // Schedule the new session at its post-begin clock: from here on
-        // it owns exactly one queue entry until it completes.
-        queue.push(
+        // it owns exactly one heap entry until it completes.
+        ready.push(Reverse((
             slot.clock.now(),
             VmId {
                 host: h as u32,
                 slot: idx as u32,
             },
-        );
+        )));
     }
     Ok(())
 }

@@ -126,9 +126,34 @@ pub fn sla_score(sla: &SlaModel, ws_bytes: u64, rate_bytes_per_sec: f64) -> f64 
     downtime + brownout + penalty
 }
 
-/// Picks a destination for `tenant` evacuating from source host `src`,
-/// or `None` when no destination is currently feasible (the admission
-/// loop retries after the next completion frees capacity).
+/// Why a placement decision went the way it did: the chosen candidate's
+/// estimated SLA cost against the best alternative's.
+///
+/// Every feasible destination is scored with [`sla_score`] whatever the
+/// policy, so every pick (even greedy or random ones) is explained on a
+/// common scale. Lower is better.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlacementRationale {
+    /// Estimated SLA cost of the chosen destination.
+    pub chosen_score: f64,
+    /// The cheapest feasible alternative, if any other candidate existed.
+    pub runner_up: Option<usize>,
+    /// The runner-up's estimated SLA cost.
+    pub runner_up_score: Option<f64>,
+    /// How many destinations were feasible when the decision was made.
+    pub candidates: usize,
+}
+
+/// Picks a destination for `tenant` evacuating from source host `src`
+/// and explains the pick, or returns `None` when no destination is
+/// currently feasible (the admission loop retries after the next
+/// completion frees capacity). [`PlacementPolicy::Pinned`] always picks
+/// its destination, feasible or not.
+///
+/// A destination is feasible when it has a free slot and a path that
+/// [`Topology::admits`] the tenant. Each feasible destination is scored
+/// once, before the chosen slot is occupied or the flow opened, so the
+/// rationale reflects the decision instant.
 ///
 /// `ordinal` is the fleet-wide admission counter; the random policy forks
 /// its stream from it so each decision is independent of how many
@@ -143,56 +168,12 @@ pub fn choose(
     ws_bytes: u64,
     enforce_min_rate: bool,
     ordinal: u64,
-) -> Option<usize> {
-    if let PlacementPolicy::Pinned(d) = policy {
-        // `EvacuationPlan::validate` rejects an index outside the pool.
-        return Some(d);
-    }
-    let feasible = feasible_dests(topo, dests, src, tenant, enforce_min_rate);
-    if feasible.is_empty() {
-        return None;
-    }
-    match policy {
-        PlacementPolicy::Greedy => feasible.into_iter().max_by(|&a, &b| {
-            let ka = (dests[a].free_slots, dests[a].spec.ingress.bytes_per_sec());
-            let kb = (dests[b].free_slots, dests[b].spec.ingress.bytes_per_sec());
-            ka.partial_cmp(&kb)
-                .expect("ingress rates are finite")
-                // max_by keeps the *later* of equal elements; prefer the
-                // lower index on ties instead.
-                .then(b.cmp(&a))
-        }),
-        PlacementPolicy::SlaAware => feasible.into_iter().min_by(|&a, &b| {
-            let score = |d: usize| {
-                let rate = topo.predicted_rate(src, Some(d), tenant.weight);
-                sla_score(&tenant.sla, ws_bytes, rate.bytes_per_sec())
-            };
-            score(a)
-                .partial_cmp(&score(b))
-                .expect("sla scores are finite")
-                .then(a.cmp(&b))
-        }),
-        PlacementPolicy::Random(seed) => {
-            let mut rng = DetRng::new(seed).fork(ordinal);
-            let pick = rng.below(feasible.len() as u64) as usize;
-            Some(feasible[pick])
-        }
-        PlacementPolicy::Pinned(_) => unreachable!("handled above"),
-    }
-}
-
-/// The destinations `tenant` could currently land on: a free slot and a
-/// path that [`Topology::admits`] it. Shared by [`choose`] and
-/// [`rationale`] so the decision and its explanation can never see
-/// different candidate sets.
-fn feasible_dests(
-    topo: &Topology,
-    dests: &[DestState],
-    src: usize,
-    tenant: &VmTenant,
-    enforce_min_rate: bool,
-) -> Vec<usize> {
-    dests
+) -> Option<(usize, PlacementRationale)> {
+    let score = |d: usize| {
+        let rate = topo.predicted_rate(src, Some(d), tenant.weight);
+        sla_score(&tenant.sla, ws_bytes, rate.bytes_per_sec())
+    };
+    let feasible: Vec<(usize, f64)> = dests
         .iter()
         .enumerate()
         .filter(|(d, state)| {
@@ -205,64 +186,55 @@ fn feasible_dests(
                     enforce_min_rate,
                 )
         })
-        .map(|(d, _)| d)
-        .collect()
-}
-
-/// Why a placement decision went the way it did: the chosen candidate's
-/// estimated SLA cost against the best alternative's.
-///
-/// Reporting only — [`choose`] already made the decision; this re-scores
-/// the same feasible set with [`sla_score`] so every policy's pick (even
-/// greedy or random ones) is explained on a common scale. Lower is
-/// better.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlacementRationale {
-    /// Estimated SLA cost of the chosen destination.
-    pub chosen_score: f64,
-    /// The cheapest feasible alternative, if any other candidate existed.
-    pub runner_up: Option<usize>,
-    /// The runner-up's estimated SLA cost.
-    pub runner_up_score: Option<f64>,
-    /// How many destinations were feasible when the decision was made.
-    pub candidates: usize,
-}
-
-/// Scores the decision [`choose`] just made: `chosen`'s [`sla_score`]
-/// plus the best-scored feasible alternative. Pure and side-effect free —
-/// it must be called *before* the chosen destination's slot is occupied
-/// or the flow opened, while the topology still reflects the decision
-/// instant.
-pub fn rationale(
-    topo: &Topology,
-    dests: &[DestState],
-    src: usize,
-    tenant: &VmTenant,
-    ws_bytes: u64,
-    enforce_min_rate: bool,
-    chosen: usize,
-) -> PlacementRationale {
-    let score = |d: usize| {
-        let rate = topo.predicted_rate(src, Some(d), tenant.weight);
-        sla_score(&tenant.sla, ws_bytes, rate.bytes_per_sec())
+        .map(|(d, _)| (d, score(d)))
+        .collect();
+    // Cheapest first, ties to the lower index.
+    let cheaper = |a: &&(usize, f64), b: &&(usize, f64)| {
+        a.1.partial_cmp(&b.1)
+            .expect("sla scores are finite")
+            .then(a.0.cmp(&b.0))
     };
-    let feasible = feasible_dests(topo, dests, src, tenant, enforce_min_rate);
+    let chosen = match policy {
+        // `EvacuationPlan::validate` rejects an index outside the pool.
+        PlacementPolicy::Pinned(d) => d,
+        _ if feasible.is_empty() => return None,
+        PlacementPolicy::Greedy => {
+            feasible
+                .iter()
+                .max_by(|&&(a, _), &&(b, _)| {
+                    let ka = (dests[a].free_slots, dests[a].spec.ingress.bytes_per_sec());
+                    let kb = (dests[b].free_slots, dests[b].spec.ingress.bytes_per_sec());
+                    ka.partial_cmp(&kb)
+                        .expect("ingress rates are finite")
+                        // max_by keeps the *later* of equal elements;
+                        // prefer the lower index on ties instead.
+                        .then(b.cmp(&a))
+                })?
+                .0
+        }
+        PlacementPolicy::SlaAware => feasible.iter().min_by(cheaper)?.0,
+        PlacementPolicy::Random(seed) => {
+            let mut rng = DetRng::new(seed).fork(ordinal);
+            feasible[rng.below(feasible.len() as u64) as usize].0
+        }
+    };
+    let chosen_score = match feasible.iter().find(|&&(d, _)| d == chosen) {
+        Some(&(_, s)) => s,
+        None => score(chosen),
+    };
     let runner_up = feasible
         .iter()
-        .copied()
-        .filter(|&d| d != chosen)
-        .min_by(|&a, &b| {
-            score(a)
-                .partial_cmp(&score(b))
-                .expect("sla scores are finite")
-                .then(a.cmp(&b))
-        });
-    PlacementRationale {
-        chosen_score: score(chosen),
-        runner_up,
-        runner_up_score: runner_up.map(score),
-        candidates: feasible.len(),
-    }
+        .filter(|&&(d, _)| d != chosen)
+        .min_by(cheaper);
+    Some((
+        chosen,
+        PlacementRationale {
+            chosen_score,
+            runner_up: runner_up.map(|&(d, _)| d),
+            runner_up_score: runner_up.map(|&(_, s)| s),
+            candidates: feasible.len(),
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -303,36 +275,33 @@ mod tests {
         (topo, dests.into_iter().map(DestState::new).collect())
     }
 
+    /// The destination [`choose`] picks for `t` from source 0, with a
+    /// 100 MiB working set and min-rate admission on.
+    fn pick(
+        policy: PlacementPolicy,
+        topo: &Topology,
+        dests: &[DestState],
+        t: &VmTenant,
+        ordinal: u64,
+    ) -> Option<usize> {
+        choose(policy, topo, dests, 0, t, 100 << 20, true, ordinal).map(|(d, _)| d)
+    }
+
     #[test]
     fn sla_aware_avoids_the_wan_when_a_lan_is_feasible() {
         let (topo, dests) = pool();
-        let choice = choose(
-            PlacementPolicy::SlaAware,
-            &topo,
-            &dests,
-            0,
-            &tenant(),
-            100 << 20,
-            true,
-            0,
+        assert_eq!(
+            pick(PlacementPolicy::SlaAware, &topo, &dests, &tenant(), 0),
+            Some(1),
+            "fast LAN with most slots wins"
         );
-        assert_eq!(choice, Some(1), "fast LAN with most slots wins");
     }
 
     #[test]
     fn greedy_prefers_headroom_then_ingress() {
         let (topo, mut dests) = pool();
         assert_eq!(
-            choose(
-                PlacementPolicy::Greedy,
-                &topo,
-                &dests,
-                0,
-                &tenant(),
-                100 << 20,
-                true,
-                0
-            ),
+            pick(PlacementPolicy::Greedy, &topo, &dests, &tenant(), 0),
             Some(1),
             "wan and rack-a tie on slots; rack-a wins on ingress"
         );
@@ -342,16 +311,7 @@ mod tests {
             dests[1].occupy();
         }
         assert_eq!(
-            choose(
-                PlacementPolicy::Greedy,
-                &topo,
-                &dests,
-                0,
-                &tenant(),
-                100 << 20,
-                true,
-                1
-            ),
+            pick(PlacementPolicy::Greedy, &topo, &dests, &tenant(), 1),
             Some(2),
             "rack-b now has the most free slots"
         );
@@ -380,18 +340,8 @@ mod tests {
         );
         let states: Vec<DestState> = dests.into_iter().map(DestState::new).collect();
         let _incumbent = topo.open_flow(1, Some(1), 1.0, mb(100.0));
-        let choice = choose(
-            PlacementPolicy::SlaAware,
-            &topo,
-            &states,
-            0,
-            &tenant(),
-            100 << 20,
-            true,
-            0,
-        );
         assert_eq!(
-            choice,
+            pick(PlacementPolicy::SlaAware, &topo, &states, &tenant(), 0),
             Some(2),
             "rack-a is infeasible (incumbent would starve); rack-b beats the WAN on cost"
         );
@@ -406,16 +356,7 @@ mod tests {
         dests[1].free_slots = 0;
         dests[2].free_slots = 0;
         assert_eq!(
-            choose(
-                PlacementPolicy::SlaAware,
-                &topo,
-                &dests,
-                0,
-                &heavy,
-                100 << 20,
-                true,
-                0
-            ),
+            pick(PlacementPolicy::SlaAware, &topo, &dests, &heavy, 0),
             Some(0),
             "the WAN path is idle, so the floor is waived rather than deadlocking"
         );
@@ -424,26 +365,8 @@ mod tests {
     #[test]
     fn random_is_deterministic_and_feasible() {
         let (topo, dests) = pool();
-        let a = choose(
-            PlacementPolicy::Random(7),
-            &topo,
-            &dests,
-            0,
-            &tenant(),
-            100 << 20,
-            true,
-            3,
-        );
-        let b = choose(
-            PlacementPolicy::Random(7),
-            &topo,
-            &dests,
-            0,
-            &tenant(),
-            100 << 20,
-            true,
-            3,
-        );
+        let a = pick(PlacementPolicy::Random(7), &topo, &dests, &tenant(), 3);
+        let b = pick(PlacementPolicy::Random(7), &topo, &dests, &tenant(), 3);
         assert_eq!(a, b, "same seed and ordinal, same pick");
         assert!(a.is_some());
     }
@@ -452,17 +375,11 @@ mod tests {
     fn pinned_ignores_capacity() {
         let (topo, mut dests) = pool();
         dests[0].free_slots = 0;
-        let choice = choose(
-            PlacementPolicy::Pinned(0),
-            &topo,
-            &dests,
-            0,
-            &tenant(),
-            100 << 20,
-            true,
-            0,
+        assert_eq!(
+            pick(PlacementPolicy::Pinned(0), &topo, &dests, &tenant(), 0),
+            Some(0),
+            "the drill places onto full hosts"
         );
-        assert_eq!(choice, Some(0), "the drill places onto full hosts");
     }
 
     #[test]
@@ -478,9 +395,8 @@ mod tests {
         let (topo, dests) = pool();
         let t = tenant();
         let ws = 100u64 << 20;
-        let chosen = choose(PlacementPolicy::SlaAware, &topo, &dests, 0, &t, ws, true, 0)
+        let (_, r) = choose(PlacementPolicy::SlaAware, &topo, &dests, 0, &t, ws, true, 0)
             .expect("pool has feasible destinations");
-        let r = rationale(&topo, &dests, 0, &t, ws, true, chosen);
         assert_eq!(r.candidates, 3);
         assert_eq!(r.runner_up, Some(2), "the other 125 MB/s rack is next-best");
         assert!(
@@ -489,7 +405,17 @@ mod tests {
         );
         // A pinned pick onto the WAN is explained as strictly worse than
         // the LAN runner-up — the score gap the drill asserts on.
-        let pinned = rationale(&topo, &dests, 0, &t, ws, true, 0);
+        let (_, pinned) = choose(
+            PlacementPolicy::Pinned(0),
+            &topo,
+            &dests,
+            0,
+            &t,
+            ws,
+            true,
+            0,
+        )
+        .expect("pinned always places");
         assert!(pinned.chosen_score > pinned.runner_up_score.unwrap());
         assert_eq!(pinned.runner_up, Some(1));
     }

@@ -162,19 +162,9 @@ impl HostSpec {
         self
     }
 
-    /// A validating builder with the same defaults as [`HostSpec::new`].
-    /// Prefer it for hand-assembled drains: it rejects a bad spec once, at
-    /// build time, instead of letting the scheduler panic mid-drain.
-    pub fn builder(name: impl Into<String>, seed: u64) -> HostSpecBuilder {
-        HostSpecBuilder {
-            spec: Self::new(name, seed),
-        }
-    }
-
     /// Checks every invariant the fleet scheduler relies on. This is the
-    /// *single* home of host validation: [`HostSpecBuilder::build`] calls
-    /// it, and the scheduler re-checks it on entry instead of asserting
-    /// piecemeal.
+    /// *single* home of host validation: the scheduler checks it on entry
+    /// (through `EvacuationPlan::validate`) instead of asserting piecemeal.
     ///
     /// # Errors
     ///
@@ -208,92 +198,6 @@ impl HostSpec {
             }
         }
         Ok(())
-    }
-}
-
-/// Builds a [`HostSpec`] and validates it once at the end, mirroring
-/// `MigrationConfig`'s builder.
-///
-/// # Examples
-///
-/// ```
-/// use javmm::host::HostSpec;
-/// use simkit::units::Bandwidth;
-///
-/// let err = HostSpec::builder("empty", 1)
-///     .uplink(Bandwidth::gigabit_ethernet())
-///     .build()
-///     .unwrap_err();
-/// assert_eq!(format!("{err}"), "host drain needs at least one tenant");
-/// ```
-#[derive(Debug, Clone)]
-pub struct HostSpecBuilder {
-    spec: HostSpec,
-}
-
-impl HostSpecBuilder {
-    /// Appends a tenant (roster order is admission order under FIFO).
-    pub fn tenant(mut self, tenant: VmTenant) -> Self {
-        self.spec.tenants.push(tenant);
-        self
-    }
-
-    /// Sets the shared uplink capacity.
-    pub fn uplink(mut self, uplink: Bandwidth) -> Self {
-        self.spec.uplink = uplink;
-        self
-    }
-
-    /// Sets the in-flight migration cap.
-    pub fn max_concurrent(mut self, cap: u32) -> Self {
-        self.spec.max_concurrent = cap;
-        self
-    }
-
-    /// Enables or disables min-rate admission control.
-    pub fn enforce_min_rate(mut self, enforce: bool) -> Self {
-        self.spec.enforce_min_rate = enforce;
-        self
-    }
-
-    /// Sets the pre-drain warmup.
-    pub fn warmup(mut self, warmup: SimDuration) -> Self {
-        self.spec.warmup = warmup;
-        self
-    }
-
-    /// Sets the post-migration per-VM tail.
-    pub fn tail(mut self, tail: SimDuration) -> Self {
-        self.spec.tail = tail;
-        self
-    }
-
-    /// Sets the guest tick.
-    pub fn tick(mut self, tick: SimDuration) -> Self {
-        self.spec.tick = tick;
-        self
-    }
-
-    /// Sets the dirty-rate sensing cadence.
-    pub fn sense_cadence(mut self, cadence: SimDuration) -> Self {
-        self.spec.sense_cadence = cadence;
-        self
-    }
-
-    /// Sets the sensing ring capacity.
-    pub fn sense_capacity(mut self, capacity: usize) -> Self {
-        self.spec.sense_capacity = capacity;
-        self
-    }
-
-    /// Validates the assembled spec and returns it.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`HostSpec::validate`] rejects.
-    pub fn build(self) -> Result<HostSpec, ConfigError> {
-        self.spec.validate()?;
-        Ok(self.spec)
     }
 }
 
@@ -401,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_every_scheduler_invariant() {
+    fn validate_checks_every_scheduler_invariant() {
         let tenant = || {
             VmTenant::new(
                 "t",
@@ -409,42 +313,30 @@ mod tests {
                 MigrationConfig::javmm_default(),
             )
         };
+        let empty = HostSpec::new("h", 1).validate().unwrap_err();
+        assert_eq!(empty, ConfigError::EmptyRoster);
+        assert_eq!(empty.to_string(), "host drain needs at least one tenant");
+        let mut capped = HostSpec::new("h", 1).tenant(tenant());
+        capped.max_concurrent = 0;
+        assert_eq!(capped.validate().unwrap_err(), ConfigError::ZeroConcurrency);
+        let mut misaligned = HostSpec::new("h", 1).tenant(tenant());
+        misaligned.sense_cadence = SimDuration::from_millis(3);
         assert_eq!(
-            HostSpec::builder("h", 1).build().unwrap_err(),
-            ConfigError::EmptyRoster
-        );
-        assert_eq!(
-            HostSpec::builder("h", 1)
-                .tenant(tenant())
-                .max_concurrent(0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroConcurrency
-        );
-        assert_eq!(
-            HostSpec::builder("h", 1)
-                .tenant(tenant())
-                .sense_cadence(SimDuration::from_millis(3))
-                .build()
-                .unwrap_err(),
+            misaligned.validate().unwrap_err(),
             ConfigError::SenseCadenceMisaligned,
             "cadence must align to the 2 ms tick"
         );
         assert_eq!(
-            HostSpec::builder("h", 1)
+            HostSpec::new("h", 1)
                 .tenant(tenant().with_weight(0.0))
-                .build()
+                .validate()
                 .unwrap_err(),
             ConfigError::NonPositiveWeight
         );
-        let ok = HostSpec::builder("h", 1)
+        HostSpec::new("h", 1)
             .tenant(tenant())
-            .warmup(SimDuration::from_secs(4))
-            .tail(SimDuration::from_secs(1))
-            .build()
+            .validate()
             .expect("valid spec");
-        assert_eq!(ok.warmup, SimDuration::from_secs(4));
-        ok.validate().expect("built specs stay valid");
     }
 
     #[test]

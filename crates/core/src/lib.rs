@@ -42,7 +42,7 @@ pub mod profiles;
 pub mod vm;
 
 pub use experiment::{across_seeds, summarize_across_seeds, Summary};
-pub use host::{DestSpec, HostSpec, HostSpecBuilder, VmTenant};
+pub use host::{DestSpec, HostSpec, VmTenant};
 pub use orchestrator::{run_scenario, ObservedHeap, Scenario, ScenarioOutcome};
 pub use profiles::{profile_heap, HeapProfile};
 pub use vm::{Collector, JavaVm, JavaVmConfig};

@@ -202,12 +202,6 @@ impl GuestKernel {
         self.netlink.subscribe(pid)
     }
 
-    /// Enables netlink fault injection (each message dropped independently
-    /// with probability `loss`); see [`NetlinkBus::inject_loss`].
-    pub fn inject_netlink_loss(&self, loss: f64, rng: DetRng) {
-        self.netlink.inject_loss(loss, rng);
-    }
-
     /// Arms structured fault injection (drop/delay/duplicate) on the
     /// netlink hop; see [`NetlinkBus::install_faults`].
     pub fn install_netlink_faults(&self, faults: simkit::LaneFaults, rng: DetRng) {

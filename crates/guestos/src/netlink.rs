@@ -8,10 +8,9 @@
 //! to every subscribed socket.
 //!
 //! Messages are [`CoordMsg`] envelopes stamped with [`Lane::Netlink`] and a
-//! per-direction sequence number. Two independent fault mechanisms exist:
-//! the legacy loss model ([`NetlinkBus::inject_loss`], modelling `ENOBUFS`
-//! under memory pressure) and the structured [`simkit::faults`] lane
-//! (drop/delay/duplicate) armed via [`NetlinkBus::install_faults`].
+//! per-direction sequence number. Faults on this hop — loss under memory
+//! pressure (`ENOBUFS`), delay, duplication — come from the
+//! [`simkit::faults`] lane armed via [`NetlinkBus::install_faults`].
 
 use crate::process::Pid;
 use simkit::faults::{insert_by_ready, LaneFaultState, MessageFate};
@@ -35,23 +34,12 @@ struct BusCore {
     next_sock: u32,
     kernel_seq: u64,
     app_seq: u64,
-    /// Legacy fault injection: probability of silently dropping a message.
-    loss: Option<(f64, DetRng)>,
-    /// Structured fault injection (drop/delay/duplicate) for the plan-driven
-    /// harness; independent of `loss`.
+    /// Fault injection (drop/delay/duplicate) on this hop.
     faults: Option<LaneFaultState>,
     telemetry: Recorder,
 }
 
 impl BusCore {
-    /// Returns `true` when legacy loss injection drops this message.
-    fn drops(&mut self) -> bool {
-        match &mut self.loss {
-            Some((p, rng)) => rng.chance(*p),
-            None => false,
-        }
-    }
-
     /// Applies the structured fault lane to one stamped message copy.
     /// Returns the delivery plan: (ready time, number of copies).
     fn fate(&mut self, ready: SimTime) -> Option<(SimTime, u32)> {
@@ -110,23 +98,15 @@ impl NetlinkBus {
                 next_sock: 0,
                 kernel_seq: 0,
                 app_seq: 0,
-                loss: None,
                 faults: None,
                 telemetry: Recorder::disabled(),
             })),
         }
     }
 
-    /// Enables legacy loss injection: every message (either direction) is
-    /// independently dropped with probability `loss`.
-    ///
-    /// Real netlink is lossy under memory pressure (`ENOBUFS`); the
-    /// framework must degrade to straggler handling rather than hang.
-    pub fn inject_loss(&self, loss: f64, rng: DetRng) {
-        self.core.borrow_mut().loss = Some((loss.clamp(0.0, 1.0), rng));
-    }
-
-    /// Arms structured fault injection (drop/delay/duplicate) on this hop.
+    /// Arms fault injection (drop/delay/duplicate) on this hop. Real
+    /// netlink is lossy under memory pressure (`ENOBUFS`); the framework
+    /// must degrade to straggler handling rather than hang.
     pub fn install_faults(&self, faults: LaneFaults, rng: DetRng) {
         self.core.borrow_mut().faults = Some(LaneFaultState::new(faults, rng));
     }
@@ -211,9 +191,6 @@ impl NetlinkSocket {
     /// Sends a message to the kernel.
     pub fn send(&self, now: SimTime, msg: impl Into<CoordMsg>) {
         let mut core = self.core.borrow_mut();
-        if core.drops() {
-            return;
-        }
         let mut msg = msg.into();
         msg.lane = Lane::Netlink;
         core.app_seq += 1;
@@ -260,9 +237,6 @@ impl KernelNetlink {
         let base_ready = now + core.latency;
         let socks: Vec<u32> = core.to_apps.keys().copied().collect();
         for sock in socks {
-            if core.drops() {
-                continue;
-            }
             let Some((ready, copies)) = core.fate(base_ready) else {
                 continue;
             };

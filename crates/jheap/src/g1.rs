@@ -488,6 +488,10 @@ impl HeapModel for G1Heap {
         &self.gc_log
     }
 
+    fn gc_log_mut(&mut self) -> &mut GcLog {
+        &mut self.gc_log
+    }
+
     fn young_committed(&self) -> u64 {
         self.regions
             .iter()

@@ -62,6 +62,14 @@ impl GcLog {
         &self.records
     }
 
+    /// Lengthens the newest collection's pause by `extra`, a pause the
+    /// JVM took on top of the collector's own.
+    pub fn extend_last(&mut self, extra: SimDuration) {
+        if let Some(last) = self.records.last_mut() {
+            last.duration += extra;
+        }
+    }
+
     /// Number of collections of the given kind.
     pub fn count(&self, kind: GcKind) -> usize {
         self.records.iter().filter(|r| r.kind == kind).count()

@@ -176,6 +176,11 @@ impl JvmHeap {
         &self.gc_log
     }
 
+    /// The GC log, to amend its newest record.
+    pub fn gc_log_mut(&mut self) -> &mut GcLog {
+        &mut self.gc_log
+    }
+
     /// The committed Young-generation VA ranges: Eden, S0, S1.
     ///
     /// These are the skip-over areas the JAVMM agent reports.

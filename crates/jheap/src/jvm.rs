@@ -283,11 +283,13 @@ impl JvmProcess {
             .heap
             .perform_minor_gc(kernel, &mut self.rng, &profile, now, kind);
         self.charge(writes);
-        let duration = match (enforced, self.gc_overrun) {
-            // Fault injection: the enforced collection overruns its budget.
-            (true, Some(o)) => rec.duration + o.extra,
-            _ => rec.duration,
-        };
+        let mut duration = rec.duration;
+        if let (true, Some(o)) = (enforced, self.gc_overrun) {
+            // Fault injection: the enforced collection overruns its budget,
+            // and the GC log records the pause the JVM really took.
+            duration += o.extra;
+            self.heap.gc_log_mut().extend_last(o.extra);
+        }
         self.telemetry.record_span(
             now,
             Subsystem::Gc,
@@ -426,9 +428,21 @@ impl GuestApp for JvmProcess {
         }
 
         // Service the agent first: queries are answered promptly and an
-        // enforced-GC request is picked up at the next quantum boundary.
+        // enforced-GC request is picked up at the next quantum boundary. A
+        // request that arrives while the enforced GC is pending, running or
+        // holding the threads is a duplicate (the LKM re-prompts every
+        // application when the daemon retries) and is ignored: one
+        // migration, one enforced GC.
         if let Some(agent) = &mut self.agent {
-            if agent.poll(now, self.heap.as_ref()) == AgentDirective::EnforceGc {
+            let enforced_underway = matches!(
+                self.state,
+                ExecState::ReachingSafepoint { enforced: true, .. }
+                    | ExecState::InGc { enforced: true, .. }
+                    | ExecState::Held
+            );
+            if agent.poll(now, self.heap.as_ref()) == AgentDirective::EnforceGc
+                && !enforced_underway
+            {
                 self.enforced_pending = true;
             }
             if matches!(self.state, ExecState::Held) && !agent.is_holding() {

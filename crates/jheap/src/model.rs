@@ -63,6 +63,9 @@ pub trait HeapModel: core::fmt::Debug {
     /// The GC log.
     fn gc_log(&self) -> &GcLog;
 
+    /// The GC log, to amend its newest record.
+    fn gc_log_mut(&mut self) -> &mut GcLog;
+
     /// Committed Young generation bytes.
     fn young_committed(&self) -> u64;
 
@@ -134,6 +137,10 @@ impl HeapModel for crate::heap::JvmHeap {
 
     fn gc_log(&self) -> &GcLog {
         crate::heap::JvmHeap::gc_log(self)
+    }
+
+    fn gc_log_mut(&mut self) -> &mut GcLog {
+        crate::heap::JvmHeap::gc_log_mut(self)
     }
 
     fn young_committed(&self) -> u64 {

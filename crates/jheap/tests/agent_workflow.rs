@@ -4,6 +4,7 @@
 use guestos::app::GuestApp;
 use guestos::kernel::{GuestKernel, GuestOsConfig};
 use guestos::lkm::{LkmConfig, LkmState};
+use guestos::process::Pid;
 use guestos::CoordPayload;
 use jheap::config::JvmConfig;
 use jheap::gc::GcKind;
@@ -14,6 +15,10 @@ use simkit::{DetRng, SimDuration, SimTime};
 use vmem::VmSpec;
 
 fn setup() -> (GuestKernel, JvmProcess, guestos::lkm::DaemonPort) {
+    setup_with(LkmConfig::default())
+}
+
+fn setup_with(lkm: LkmConfig) -> (GuestKernel, JvmProcess, guestos::lkm::DaemonPort) {
     let mut kernel = GuestKernel::boot(
         GuestOsConfig {
             spec: VmSpec::new(1024 * MIB, 2),
@@ -24,7 +29,7 @@ fn setup() -> (GuestKernel, JvmProcess, guestos::lkm::DaemonPort) {
         },
         DetRng::new(1),
     );
-    let port = kernel.load_lkm(LkmConfig::default());
+    let port = kernel.load_lkm(lkm);
     let profile = MutatorProfile {
         alloc_rate: 120e6,
         ..MutatorProfile::quiet()
@@ -89,6 +94,45 @@ fn enforced_gc_holds_threads_until_resume() {
     assert!(!jvm.is_held());
     assert!(jvm.ops_completed() > ops_before, "work resumed");
     assert_eq!(kernel.lkm().unwrap().state(), LkmState::Initialized);
+}
+
+/// A re-prompt must not run a second enforced GC. A silent second
+/// subscriber keeps the LKM waiting in `EnteringLastIter`, so the daemon's
+/// retry makes it re-multicast `PrepareSuspension` to a JVM whose enforced
+/// GC already ran and whose threads are held. The JVM treats it as a
+/// duplicate: one enforced GC, no hold after resume, and work resumes.
+#[test]
+fn reprompted_agent_runs_one_enforced_gc() {
+    let (mut kernel, mut jvm, port) = setup_with(LkmConfig {
+        reply_timeout: SimDuration::from_secs(2),
+        ..LkmConfig::default()
+    });
+    let _silent = kernel.subscribe_netlink(Pid(999));
+    let mut now = run(&mut kernel, &mut jvm, SimTime::ZERO, 3000);
+    port.send(now, CoordPayload::MigrationBegin);
+    now = run(&mut kernel, &mut jvm, now, 20);
+    port.send(now, CoordPayload::EnteringLastIter);
+    now = run(&mut kernel, &mut jvm, now, 1000);
+    assert!(jvm.is_held(), "the enforced GC ran and holds the threads");
+    assert_eq!(kernel.lkm().unwrap().state(), LkmState::EnteringLastIter);
+
+    // The daemon retries while the LKM still waits on the silent
+    // subscriber; the straggler deadline then releases the LKM.
+    port.send(now, CoordPayload::EnteringLastIter);
+    now = run(&mut kernel, &mut jvm, now, 1500);
+    assert_eq!(kernel.lkm().unwrap().state(), LkmState::SuspensionReady);
+
+    port.send(now, CoordPayload::VmResumed);
+    now = run(&mut kernel, &mut jvm, now, 1000);
+    let ops_after_resume = jvm.ops_completed();
+    now = run(&mut kernel, &mut jvm, now, 3000);
+    let _ = now;
+    assert_eq!(jvm.heap().gc_log().count(GcKind::EnforcedMinor), 1);
+    assert!(!jvm.is_held(), "no hold outlives the migration");
+    assert!(
+        jvm.ops_completed() > ops_after_resume,
+        "work resumed after the migration"
+    );
 }
 
 #[test]

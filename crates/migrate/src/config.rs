@@ -49,9 +49,8 @@ pub enum CompressionPolicy {
     Off,
     /// Compress every transferred page with one method.
     Uniform(CompressionMethod),
-    /// Choose the method per page class via the widened transfer map:
-    /// highly compressible classes get the strong method, code-like pages
-    /// the fast one.
+    /// Choose the method by each sent page's class: highly compressible
+    /// classes get the strong method, code-like pages the fast one.
     PerClass,
 }
 

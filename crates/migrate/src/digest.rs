@@ -510,7 +510,7 @@ pub struct FleetVmEntry {
     pub sla: crate::sla::SlaCost,
 }
 
-/// Incremental histogram merger for streamed drains: telemetry snapshots
+/// Incremental histogram merger for fleet drains: telemetry snapshots
 /// fold in one at a time — as each VM's migration completes — and the
 /// merged state is a bounded set of log-bucket histograms, not the
 /// snapshots themselves. Bucket-wise merging is commutative, so folding in

@@ -219,18 +219,11 @@ impl FaultKind {
     }
 }
 
-/// Runtime state for one faulty lane: the plan slice plus its forked RNG
-/// and fired-fault counters.
+/// Runtime state for one faulty lane: the plan slice plus its forked RNG.
 #[derive(Debug)]
 pub struct LaneFaultState {
     faults: LaneFaults,
     rng: crate::rng::DetRng,
-    /// Messages dropped so far.
-    pub dropped: u64,
-    /// Messages delayed so far.
-    pub delayed: u64,
-    /// Messages duplicated so far.
-    pub duplicated: u64,
 }
 
 /// The fate fault injection assigns one message.
@@ -249,31 +242,22 @@ pub enum MessageFate {
 impl LaneFaultState {
     /// Creates lane state from a plan slice and a forked RNG stream.
     pub fn new(faults: LaneFaults, rng: crate::rng::DetRng) -> Self {
-        Self {
-            faults,
-            rng,
-            dropped: 0,
-            delayed: 0,
-            duplicated: 0,
-        }
+        Self { faults, rng }
     }
 
     /// Decides the fate of one message. Draw order is fixed (drop, delay,
     /// duplicate) so plans replay identically.
     pub fn fate(&mut self) -> MessageFate {
         if self.faults.drop > 0.0 && self.rng.chance(self.faults.drop) {
-            self.dropped += 1;
             return MessageFate::Drop;
         }
         if self.faults.delay > 0.0 && self.rng.chance(self.faults.delay) {
-            self.delayed += 1;
             let extra = SimDuration::from_nanos(
                 (self.faults.delay_max.as_nanos() as f64 * self.rng.next_f64()) as u64,
             );
             return MessageFate::Delay(extra);
         }
         if self.faults.duplicate > 0.0 && self.rng.chance(self.faults.duplicate) {
-            self.duplicated += 1;
             return MessageFate::Duplicate;
         }
         MessageFate::Deliver
@@ -326,12 +310,9 @@ mod tests {
             let mut s = LaneFaultState::new(lane, DetRng::new(7));
             (0..64).map(|_| s.fate()).collect::<Vec<_>>()
         };
-        assert_eq!(run(), run());
-        let mut s = LaneFaultState::new(lane, DetRng::new(7));
-        for _ in 0..64 {
-            s.fate();
-        }
-        assert!(s.dropped + s.delayed + s.duplicated > 0);
+        let fates = run();
+        assert_eq!(fates, run());
+        assert!(fates.iter().any(|f| *f != MessageFate::Deliver));
     }
 
     #[test]

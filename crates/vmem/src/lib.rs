@@ -8,8 +8,7 @@
 //!   checkable at the destination;
 //! * the hypervisor's log-dirty mode ([`dirty::DirtyLog`]) with first-touch
 //!   fault reporting, the mechanism behind pre-copy and its overhead;
-//! * the framework's transfer bitmap ([`transfer::TransferBitmap`]) and its
-//!   widened per-page-compression variant ([`transfer::TransferMap`], §6);
+//! * the framework's transfer bitmap ([`transfer::TransferBitmap`]);
 //! * per-process page tables ([`pagetable::PageTable`]), stored as
 //!   512-entry leaf arrays as on x86-64, for the VA→PFN semantic-gap
 //!   bridging of §3.3.2;
@@ -34,4 +33,4 @@ pub use memory::GuestMemory;
 pub use page::{PageClass, PageInfo};
 pub use pagetable::PageTable;
 pub use pfncache::PfnCache;
-pub use transfer::{TransferBitmap, TransferCode, TransferMap};
+pub use transfer::TransferBitmap;

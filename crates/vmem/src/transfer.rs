@@ -6,9 +6,6 @@
 //! this page even if it is dirty". The bitmap is initialised with all bits
 //! set so that, absent application input, migration degenerates to vanilla
 //! pre-copy.
-//!
-//! The §6 compression extension widens each entry to a small code selecting
-//! a per-page compression method; [`TransferMap`] implements that variant.
 
 use crate::addr::Pfn;
 use crate::bitmap::Bitmap;
@@ -94,108 +91,6 @@ impl TransferBitmap {
     }
 }
 
-/// Per-page transfer decision for the widened (§6) map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(u8)]
-pub enum TransferCode {
-    /// Skip this page even if dirty.
-    Skip = 0,
-    /// Transfer uncompressed.
-    #[default]
-    Plain = 1,
-    /// Transfer with a cheap, fast compressor.
-    CompressFast = 2,
-    /// Transfer with a slower, stronger compressor.
-    CompressStrong = 3,
-}
-
-impl TransferCode {
-    /// Decodes a 2-bit value.
-    fn from_bits(v: u8) -> Self {
-        match v & 0b11 {
-            0 => TransferCode::Skip,
-            1 => TransferCode::Plain,
-            2 => TransferCode::CompressFast,
-            _ => TransferCode::CompressStrong,
-        }
-    }
-}
-
-/// A two-bit-per-page transfer map supporting per-page compression choice.
-///
-/// This is the paper's proposed extension: "the transfer bitmap can use
-/// multiple bits per VM memory page to indicate the suitable compression
-/// methods to apply before sending the page contents" (§6).
-///
-/// # Examples
-///
-/// ```
-/// use vmem::addr::Pfn;
-/// use vmem::transfer::{TransferCode, TransferMap};
-///
-/// let mut tm = TransferMap::new(16);
-/// assert_eq!(tm.get(Pfn(3)), TransferCode::Plain);
-/// tm.set(Pfn(3), TransferCode::CompressFast);
-/// assert_eq!(tm.get(Pfn(3)), TransferCode::CompressFast);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TransferMap {
-    /// Four 2-bit codes per byte.
-    codes: Vec<u8>,
-    npages: u64,
-}
-
-impl TransferMap {
-    /// Creates a map for `npages` pages, all [`TransferCode::Plain`].
-    pub fn new(npages: u64) -> Self {
-        // Plain = 0b01 in every 2-bit lane.
-        Self {
-            codes: vec![0b01_01_01_01; npages.div_ceil(4) as usize],
-            npages,
-        }
-    }
-
-    fn index(&self, pfn: Pfn) -> (usize, u32) {
-        assert!(
-            pfn.0 < self.npages,
-            "{pfn:?} out of range (len {})",
-            self.npages
-        );
-        ((pfn.0 / 4) as usize, (pfn.0 % 4) as u32 * 2)
-    }
-
-    /// Returns the code for `pfn`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pfn` is out of range.
-    pub fn get(&self, pfn: Pfn) -> TransferCode {
-        let (byte, shift) = self.index(pfn);
-        TransferCode::from_bits(self.codes[byte] >> shift)
-    }
-
-    /// Sets the code for `pfn`.
-    pub fn set(&mut self, pfn: Pfn, code: TransferCode) {
-        let (byte, shift) = self.index(pfn);
-        self.codes[byte] = (self.codes[byte] & !(0b11 << shift)) | ((code as u8) << shift);
-    }
-
-    /// Returns the number of pages.
-    pub fn len(&self) -> u64 {
-        self.npages
-    }
-
-    /// Returns `true` when the map covers zero pages.
-    pub fn is_empty(&self) -> bool {
-        self.npages == 0
-    }
-
-    /// Returns the memory used by the map in bytes.
-    pub fn byte_size(&self) -> u64 {
-        self.codes.len() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,31 +139,5 @@ mod tests {
         // 1 GiB of 4 KiB pages (paper §3.3.3).
         let tb = TransferBitmap::new(262_144);
         assert_eq!(tb.byte_size(), 32 * 1024);
-    }
-
-    #[test]
-    fn transfer_map_packs_lanes_independently() {
-        let mut tm = TransferMap::new(9);
-        tm.set(Pfn(0), TransferCode::Skip);
-        tm.set(Pfn(1), TransferCode::CompressStrong);
-        tm.set(Pfn(2), TransferCode::CompressFast);
-        assert_eq!(tm.get(Pfn(0)), TransferCode::Skip);
-        assert_eq!(tm.get(Pfn(1)), TransferCode::CompressStrong);
-        assert_eq!(tm.get(Pfn(2)), TransferCode::CompressFast);
-        assert_eq!(tm.get(Pfn(3)), TransferCode::Plain, "neighbours untouched");
-        assert_eq!(tm.get(Pfn(8)), TransferCode::Plain);
-    }
-
-    #[test]
-    fn transfer_map_overhead_doubles_bitmap() {
-        let tm = TransferMap::new(262_144);
-        assert_eq!(tm.byte_size(), 64 * 1024);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn transfer_map_bounds() {
-        let tm = TransferMap::new(4);
-        let _ = tm.get(Pfn(4));
     }
 }

@@ -5,7 +5,6 @@ use vmem::addr::{Pfn, VaRange, Vaddr, PAGE_SIZE};
 use vmem::bitmap::Bitmap;
 use vmem::pagetable::PageTable;
 use vmem::pfncache::PfnCache;
-use vmem::transfer::{TransferCode, TransferMap};
 
 proptest! {
     /// A bitmap built from an arbitrary set of indices reports exactly that
@@ -140,31 +139,6 @@ proptest! {
             prop_assert!(vpns.contains(&(pfn.0 - 10_000)));
         }
         prop_assert_eq!(taken.len() + cache.len(), vpns.len());
-    }
-
-    /// TransferMap get/set round-trips for arbitrary lanes without
-    /// disturbing neighbours.
-    #[test]
-    fn transfer_map_roundtrip(
-        npages in 1u64..512,
-        writes in prop::collection::vec((0u64..512, 0u8..4), 0..128),
-    ) {
-        let mut tm = TransferMap::new(npages);
-        let mut reference = vec![TransferCode::Plain; npages as usize];
-        for (idx, code) in writes {
-            let idx = idx % npages;
-            let code = match code {
-                0 => TransferCode::Skip,
-                1 => TransferCode::Plain,
-                2 => TransferCode::CompressFast,
-                _ => TransferCode::CompressStrong,
-            };
-            tm.set(Pfn(idx), code);
-            reference[idx as usize] = code;
-        }
-        for i in 0..npages {
-            prop_assert_eq!(tm.get(Pfn(i)), reference[i as usize]);
-        }
     }
 }
 

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example fleet_migration`
 
-use cluster::{roster, run_fleet, FleetPolicy};
+use cluster::{evacuate, roster, EvacuationPlan, FleetPolicy};
 
 fn main() {
     // `--example fleet_migration -- drain12` runs the 12-VM evaluation
@@ -29,10 +29,11 @@ fn main() {
         host.max_concurrent
     );
 
+    let plan = EvacuationPlan::single_host(host);
     println!("policy  eviction_s  agg_downtime_ms  total_MB  sla_cost  degraded  nonconverged");
     for policy in FleetPolicy::ALL {
-        let outcome = run_fleet(&host, policy).expect("drain failed");
-        let d = &outcome.digest;
+        let outcome = evacuate(&plan, policy).expect("drain failed");
+        let d = &outcome.hosts[0];
         println!(
             "{:<7} {:>9.2} {:>16.1} {:>9.1} {:>9.2} {:>9} {:>13}",
             policy.name(),
@@ -45,10 +46,10 @@ fn main() {
         );
     }
 
-    let fifo = run_fleet(&host, FleetPolicy::Fifo).expect("drain failed");
+    let fifo = evacuate(&plan, FleetPolicy::Fifo).expect("drain failed");
     println!("\nPer-VM schedule under FIFO:");
     println!("vm        admitted_s  ended_s  migration_s  downtime_ms  iters  stop");
-    for vm in &fifo.digest.vms {
+    for vm in &fifo.hosts[0].vms {
         println!(
             "{:<9} {:>9.2} {:>8.2} {:>12.2} {:>12.1} {:>6} {:>12}",
             vm.digest.meta.name,

@@ -10,7 +10,7 @@
 //! grows a counter, a section or a histogram bucket, these comparisons
 //! break before any behavioural test does.
 
-use cluster::{roster, run_fleet, FleetPolicy};
+use cluster::{evacuate, roster, EvacuationPlan, FleetPolicy};
 use javmm::orchestrator::{run_scenario_recorded, Scenario};
 use javmm::vm::JavaVmConfig;
 use migrate::config::MigrationConfig;
@@ -91,9 +91,13 @@ fn disabled_cold_assist_reproduces_committed_run_digests() {
 #[test]
 fn disabled_cold_assist_reproduces_committed_fleet_golden() {
     let golden = committed("fleet_drain12_cycle");
-    let out = run_fleet(&roster::drain12(7), FleetPolicy::CycleAware).expect("drain12 failed");
+    let out = evacuate(
+        &EvacuationPlan::single_host(roster::drain12(7)),
+        FleetPolicy::CycleAware,
+    )
+    .expect("drain12 failed");
     assert_eq!(
-        out.digest.to_json(),
+        out.hosts[0].to_json(),
         golden,
         "drain12 digest diverged from the committed golden"
     );

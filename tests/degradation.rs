@@ -23,7 +23,7 @@ use javmm::vm::{JavaVm, JavaVmConfig};
 use migrate::config::{CoordPolicy, FallbackPolicy, MigrationConfig};
 use migrate::error::{MigrateError, MigrationOutcome};
 use migrate::precopy::PrecopyEngine;
-use migrate::report::MigrationReport;
+use migrate::report::{DowntimeBreakdown, MigrationReport};
 use simkit::telemetry::{Recorder, Subsystem, Value};
 use simkit::units::MIB;
 use simkit::{
@@ -184,6 +184,49 @@ fn gc_overrun_past_straggler_deadline_degrades() {
     assert_eq!(degraded_fault(&report), FaultKind::AgentStraggler);
     assert!(report.verification.is_correct());
     assert_fault_reported(&report, FaultKind::AgentStraggler);
+}
+
+/// The downtime breakdown does not depend on whether a recorder watched
+/// the run. A recorded run reads the enforced GC from its spans and an
+/// unrecorded one from the GC log, so the log must carry the pause the
+/// JVM really took, overrun included.
+#[test]
+fn gc_overrun_breakdown_is_the_same_recorded_or_not() {
+    let faults = FaultPlan {
+        gc_overrun: Some(GcOverrun {
+            extra: SimDuration::from_millis(300),
+        }),
+        ..FaultPlan::none()
+    };
+    let run = |recorder: Recorder| {
+        let mut vm = small_vm(33);
+        let mut clock = SimClock::new();
+        vm.run_for(
+            &mut clock,
+            SimDuration::from_secs(10),
+            SimDuration::from_millis(2),
+        );
+        PrecopyEngine::new(faulty_config(faults.clone()))
+            .migrate_recorded(&mut vm, &mut clock, recorder)
+            .expect("a straggling enforced GC degrades the run, it does not fail it")
+    };
+    let recorded = run(Recorder::new());
+    let unrecorded = run(Recorder::disabled());
+    assert_eq!(recorded.total_duration, unrecorded.total_duration);
+    assert!(
+        recorded.downtime.enforced_gc >= SimDuration::from_millis(300),
+        "the overrun is part of the enforced pause"
+    );
+    let fields = |d: DowntimeBreakdown| {
+        [
+            d.safepoint_wait,
+            d.enforced_gc,
+            d.final_update,
+            d.last_iteration,
+            d.resume,
+        ]
+    };
+    assert_eq!(fields(recorded.downtime), fields(unrecorded.downtime));
 }
 
 #[test]

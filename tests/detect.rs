@@ -1,11 +1,18 @@
 //! Workload observatory acceptance: detected estimates must track the
 //! declared-hint oracle on the cyclic evaluation roster, stay honest
 //! (low confidence, working-set fallback) on rosters engineered to fool
-//! them, stream per-VM rows without changing the digest a byte, and go
-//! blind — predictably — when the sample ring is starved.
+//! them, and go blind — predictably — when the sample ring is starved.
 
-use cluster::{roster, run_fleet, run_fleet_streamed, FleetPolicy, FleetRowSink};
-use migrate::digest::FleetVmEntry;
+use cluster::{evacuate, roster, EvacuationPlan, FleetPolicy};
+use javmm::host::HostSpec;
+use migrate::digest::FleetDigest;
+
+/// Drains `host` alone under `policy` and returns its fleet digest.
+fn drain(host: &HostSpec, policy: FleetPolicy) -> FleetDigest {
+    let plan = EvacuationPlan::single_host(host.clone());
+    let mut out = evacuate(&plan, policy).expect("drain failed");
+    out.hosts.remove(0)
+}
 
 /// Detected estimates replace declared hints: on the 12-VM evaluation
 /// roster the cycle-aware drain scheduled from *detected* cycles must
@@ -14,12 +21,8 @@ use migrate::digest::FleetVmEntry;
 #[test]
 fn detected_estimates_track_declared_oracle_on_drain12() {
     let host = roster::drain12(7);
-    let detected = run_fleet(&host, FleetPolicy::CycleAware)
-        .expect("drain failed")
-        .digest;
-    let declared = run_fleet(&host, FleetPolicy::CycleDeclared)
-        .expect("drain failed")
-        .digest;
+    let detected = drain(&host, FleetPolicy::CycleAware);
+    let declared = drain(&host, FleetPolicy::CycleDeclared);
     let ratio = detected.eviction_ns as f64 / declared.eviction_ns as f64;
     assert!(
         ratio <= 1.05,
@@ -58,12 +61,8 @@ fn detected_estimates_track_declared_oracle_on_drain12() {
 #[test]
 fn adversarial_roster_lowers_confidence_and_falls_back() {
     let host = roster::adversarial(7);
-    let cycle = run_fleet(&host, FleetPolicy::CycleAware)
-        .expect("drain failed")
-        .digest;
-    let swsf = run_fleet(&host, FleetPolicy::SmallestWorkingSetFirst)
-        .expect("drain failed")
-        .digest;
+    let cycle = drain(&host, FleetPolicy::CycleAware);
+    let swsf = drain(&host, FleetPolicy::SmallestWorkingSetFirst);
 
     for name in ["drifting-0", "aperiodic-0"] {
         let vm = cycle
@@ -95,46 +94,6 @@ fn adversarial_roster_lowers_confidence_and_falls_back() {
     );
 }
 
-/// Collects streamed per-VM rows as (name, completion time) pairs.
-struct CollectRows(Vec<(String, u64)>);
-
-impl FleetRowSink for CollectRows {
-    fn row(&mut self, entry: &FleetVmEntry) {
-        self.0
-            .push((entry.digest.meta.name.clone(), entry.ended_at_ns));
-    }
-}
-
-/// Streaming the drain must be an observer, not a participant: the final
-/// digest is byte-identical to the batch path, rows arrive in completion
-/// order, and every tenant appears exactly once.
-#[test]
-fn streamed_drain_matches_batch_digest_byte_for_byte() {
-    let host = roster::drain4(7);
-    let batch = run_fleet(&host, FleetPolicy::CycleAware)
-        .expect("drain failed")
-        .digest;
-    let mut sink = CollectRows(Vec::new());
-    let streamed =
-        run_fleet_streamed(&host, FleetPolicy::CycleAware, &mut sink).expect("drain failed");
-    assert_eq!(
-        streamed.to_json(),
-        batch.to_json(),
-        "streamed and batch drains must produce byte-identical digests"
-    );
-    assert_eq!(sink.0.len(), host.tenants.len());
-    assert!(
-        sink.0.windows(2).all(|w| w[0].1 <= w[1].1),
-        "rows must stream in completion order: {:?}",
-        sink.0
-    );
-    let mut names: Vec<&str> = sink.0.iter().map(|(n, _)| n.as_str()).collect();
-    names.sort_unstable();
-    let mut roster_names: Vec<&str> = host.tenants.iter().map(|t| t.name.as_str()).collect();
-    roster_names.sort_unstable();
-    assert_eq!(names, roster_names);
-}
-
 /// Starving the sample ring below the detector's minimum window blinds
 /// the observatory: no estimate clears the gate, every cyclic admission
 /// is a window miss, and the drain still completes on the working-set
@@ -144,9 +103,7 @@ fn streamed_drain_matches_batch_digest_byte_for_byte() {
 fn starved_sample_ring_blinds_the_detector() {
     let mut host = roster::drain12(7);
     host.sense_capacity = 8; // below detect::MIN_SAMPLES
-    let digest = run_fleet(&host, FleetPolicy::CycleAware)
-        .expect("drain failed")
-        .digest;
+    let digest = drain(&host, FleetPolicy::CycleAware);
     assert_eq!(
         digest.detect.estimated, 0,
         "8 samples cannot clear the gate"

@@ -1,14 +1,9 @@
-//! The event-driven evacuation core: adapter byte-identity against the
-//! committed stepped-scheduler digests, whole-evacuation determinism,
-//! placement behaviour over the topology, and the event queue's tie
-//! order.
+//! The event-driven evacuation core: byte-identity of the single-host
+//! drain against the committed drain digest, whole-evacuation
+//! determinism, and placement behaviour over the topology.
 
-use cluster::{
-    evacuate, roster, run_fleet, EvacuationPlan, EventQueue, FleetPolicy, PipeFault, PipeSel,
-    PlacementPolicy, VmId,
-};
-use proptest::prelude::*;
-use simkit::{SimDuration, SimTime};
+use cluster::{evacuate, roster, EvacuationPlan, FleetPolicy, PipeFault, PipeSel, PlacementPolicy};
+use simkit::SimDuration;
 
 /// A two-rack plan small enough for debug-mode CI: two `drain4` hosts
 /// (tenants renamed fleet-unique) onto the standard destination pool.
@@ -26,11 +21,10 @@ fn small_plan(placement: PlacementPolicy) -> EvacuationPlan {
         .placement(placement)
 }
 
-/// The tentpole contract: `run_fleet` is now a thin adapter over the
-/// event-driven evacuation core, and under the degenerate one-host,
-/// no-destination plan it must reproduce the committed stepped-scheduler
-/// digest *byte for byte* — same admissions, same interleaving, same
-/// telemetry fold, same JSON.
+/// Under the degenerate one-host, no-destination plan the event-driven
+/// drain must reproduce the committed drain12 digest *byte for byte* —
+/// same admissions, same interleaving (the ready heap's `(time, host,
+/// slot)` tie order), same telemetry fold, same JSON.
 #[test]
 fn event_driven_drain_matches_committed_stepped_digest() {
     let committed = std::fs::read_to_string(concat!(
@@ -38,11 +32,15 @@ fn event_driven_drain_matches_committed_stepped_digest() {
         "/results/DIGEST_fleet_drain12_cycle.json"
     ))
     .expect("committed drain12 digest");
-    let out = run_fleet(&roster::drain12(7), FleetPolicy::CycleAware).expect("drain12 failed");
+    let out = evacuate(
+        &EvacuationPlan::single_host(roster::drain12(7)),
+        FleetPolicy::CycleAware,
+    )
+    .expect("drain12 failed");
     assert_eq!(
-        out.digest.to_json(),
+        out.hosts[0].to_json(),
         committed,
-        "event-driven drain diverged from the committed stepped baseline"
+        "event-driven drain diverged from the committed drain12 digest"
     );
 }
 
@@ -279,58 +277,5 @@ fn pipe_fault_schedule_degrades_a_source_nic() {
     assert_eq!(inert.mission.findings.len(), clean.mission.findings.len());
     for (x, y) in inert.hosts.iter().zip(&clean.hosts) {
         assert_eq!(x.to_json(), y.to_json(), "inert fault perturbed the drain");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The scheduler's heap never reorders ties: popping yields entries
-    /// sorted by `(SimTime, VmId)` with equal times resolved in host-major,
-    /// then slot order — exactly the laggard scan's tie-break. Times are
-    /// drawn from a tiny range so collisions are the norm, not the edge
-    /// case.
-    fn event_queue_pops_in_time_then_vmid_order(
-        entries in prop::collection::vec((0u64..8, 0u32..4, 0u32..4), 1..64),
-    ) {
-        let mut queue = EventQueue::new();
-        let mut expect: Vec<(SimTime, VmId)> = entries
-            .iter()
-            .map(|&(t, host, slot)| {
-                (SimTime::ZERO + SimDuration::from_nanos(t), VmId { host, slot })
-            })
-            .collect();
-        for &(at, vm) in &expect {
-            queue.push(at, vm);
-        }
-        expect.sort();
-        prop_assert_eq!(queue.len(), expect.len());
-        let mut popped = Vec::with_capacity(expect.len());
-        while let Some(e) = queue.pop() {
-            popped.push(e);
-        }
-        prop_assert!(queue.is_empty());
-        prop_assert_eq!(popped, expect);
-    }
-
-    /// Interleaving pushes and pops preserves the invariant the drain
-    /// relies on: every pop returns the minimum of everything currently
-    /// queued.
-    fn event_queue_pop_is_always_the_current_minimum(
-        ops in prop::collection::vec((any::<bool>(), 0u64..8, 0u32..4, 0u32..4), 1..64),
-    ) {
-        let mut queue = EventQueue::new();
-        let mut model: Vec<(SimTime, VmId)> = Vec::new();
-        for (push, t, host, slot) in ops {
-            if push {
-                let e = (SimTime::ZERO + SimDuration::from_nanos(t), VmId { host, slot });
-                queue.push(e.0, e.1);
-                model.push(e);
-            } else {
-                model.sort();
-                let want = if model.is_empty() { None } else { Some(model.remove(0)) };
-                prop_assert_eq!(queue.pop(), want);
-            }
-        }
     }
 }

@@ -10,7 +10,7 @@ use migrate::config::MigrationConfig;
 use migrate::precopy::PrecopyEngine;
 use migrate::report::MigrationReport;
 use simkit::units::MIB;
-use simkit::{DetRng, SimClock, SimDuration};
+use simkit::{DetRng, LaneFaults, SimClock, SimDuration};
 use workloads::catalog;
 
 fn migrate_with_loss(loss: f64, seed: u64) -> MigrationReport {
@@ -19,8 +19,13 @@ fn migrate_with_loss(loss: f64, seed: u64) -> MigrationReport {
     // A short deadline keeps lossy runs quick.
     config.lkm.reply_timeout = SimDuration::from_millis(800);
     let mut vm = JavaVm::launch(config);
-    vm.kernel_handle()
-        .inject_netlink_loss(loss, DetRng::new(seed ^ 0xfa17));
+    vm.kernel_handle().install_netlink_faults(
+        LaneFaults {
+            drop: loss,
+            ..LaneFaults::NONE
+        },
+        DetRng::new(seed ^ 0xfa17),
+    );
     let mut clock = SimClock::new();
     vm.run_for(
         &mut clock,

@@ -2,14 +2,22 @@
 //! equivalence, the policy inequalities on the 12-VM evaluation roster,
 //! and admission control's convergence guarantee.
 
-use cluster::{roster, run_fleet, FleetPolicy};
+use cluster::{evacuate, roster, EvacuationPlan, FleetPolicy};
+use javmm::host::HostSpec;
 use javmm::orchestrator::{run_scenario_recorded, Scenario};
 use javmm::vm::JavaVmConfig;
 use migrate::config::MigrationConfig;
-use migrate::digest::{DigestMeta, RunDigest};
+use migrate::digest::{DigestMeta, FleetDigest, RunDigest};
 use simkit::telemetry::Recorder;
 use simkit::SimDuration;
 use workloads::catalog;
+
+/// Drains `host` alone under `policy` and returns its fleet digest.
+fn drain(host: &HostSpec, policy: FleetPolicy) -> FleetDigest {
+    let plan = EvacuationPlan::single_host(host.clone());
+    let mut out = evacuate(&plan, policy).expect("drain failed");
+    out.hosts.remove(0)
+}
 
 /// Same seed + same policy must produce a byte-identical fleet digest —
 /// the whole drain, per-VM reports and merged histograms included.
@@ -17,8 +25,8 @@ use workloads::catalog;
 fn same_seed_same_policy_digest_is_byte_identical() {
     let host = roster::drain4(7);
     for policy in FleetPolicy::ALL {
-        let a = run_fleet(&host, policy).expect("drain failed").digest;
-        let b = run_fleet(&host, policy).expect("drain failed").digest;
+        let a = drain(&host, policy);
+        let b = drain(&host, policy);
         assert_eq!(
             a.to_json(),
             b.to_json(),
@@ -35,7 +43,11 @@ fn same_seed_same_policy_digest_is_byte_identical() {
 /// `tests/precopy_equivalence.rs` locks — bit for bit.
 #[test]
 fn solo_fifo_drain_reproduces_single_vm_golden() {
-    let fleet = run_fleet(&roster::solo(3), FleetPolicy::Fifo).expect("drain failed");
+    let fleet = evacuate(
+        &EvacuationPlan::single_host(roster::solo(3)),
+        FleetPolicy::Fifo,
+    )
+    .expect("drain failed");
 
     let outcome = run_scenario_recorded(
         &Scenario::quick(
@@ -57,16 +69,16 @@ fn solo_fifo_drain_reproduces_single_vm_golden() {
         &outcome.report,
     );
 
-    assert_eq!(fleet.digest.vms.len(), 1);
+    assert_eq!(fleet.hosts[0].vms.len(), 1);
     assert_eq!(
-        fleet.digest.vms[0].digest.to_json(),
+        fleet.hosts[0].vms[0].digest.to_json(),
         standalone.to_json(),
         "1-VM FIFO fleet must match the standalone run bit for bit"
     );
     // Spot-check against the literal golden locked in
     // tests/precopy_equivalence.rs, so this test fails loudly on its own
     // if the shared scenario ever drifts.
-    assert_eq!(fleet.reports[0].total_bytes, 1_108_190_808);
+    assert_eq!(fleet.reports[0][0].total_bytes, 1_108_190_808);
 }
 
 /// The 12-VM roster: both workload-aware policies must beat FIFO on total
@@ -75,15 +87,9 @@ fn solo_fifo_drain_reproduces_single_vm_golden() {
 #[test]
 fn drain12_policy_inequalities_hold() {
     let host = roster::drain12(7);
-    let fifo = run_fleet(&host, FleetPolicy::Fifo)
-        .expect("drain failed")
-        .digest;
-    let swsf = run_fleet(&host, FleetPolicy::SmallestWorkingSetFirst)
-        .expect("drain failed")
-        .digest;
-    let cycle = run_fleet(&host, FleetPolicy::CycleAware)
-        .expect("drain failed")
-        .digest;
+    let fifo = drain(&host, FleetPolicy::Fifo);
+    let swsf = drain(&host, FleetPolicy::SmallestWorkingSetFirst);
+    let cycle = drain(&host, FleetPolicy::CycleAware);
 
     assert!(
         swsf.eviction_ns < fifo.eviction_ns,
@@ -115,9 +121,7 @@ fn drain12_policy_inequalities_hold() {
 fn disabling_admission_control_causes_nonconvergence() {
     let mut host = roster::drain12(7);
     host.enforce_min_rate = false;
-    let digest = run_fleet(&host, FleetPolicy::Fifo)
-        .expect("drain failed")
-        .digest;
+    let digest = drain(&host, FleetPolicy::Fifo);
     assert!(
         digest.nonconverged > 0,
         "without min-rate admission the heavies must starve each other"
