@@ -3,7 +3,7 @@
 //! Not figures from the paper, but experiments DESIGN.md commits to:
 //!
 //! * **Selective compression** — compress only the pages that are actually
-//!   transferred, with a per-page method choice (the widened transfer map).
+//!   transferred, with a per-page method choice by page class.
 //! * **Final-update strategy** — the implemented incremental strategy
 //!   (shrink notifications + PFN cache) vs the §3.3.4 alternative that
 //!   re-walks the page tables of all skip-over areas at the final update.
@@ -71,10 +71,7 @@ pub fn final_update_strategy(opts: &FigOpts) -> String {
         .map(|(name, rewalk)| {
             let mut vm = JavaVmConfig::paper(catalog::derby(), true, 1);
             vm.lkm.rewalk_final_update = rewalk;
-            let mut config = MigrationConfig::javmm_default();
-            // The rewalk strategy performs no intermediate updates, so the
-            // last iteration must consider everything dirtied (§3.3.4).
-            config.last_iter_considers_all_dirtied = rewalk;
+            let config = MigrationConfig::javmm_default();
             let out = run_scenario(&Scenario::quick(vm, config, opts.warmup, opts.tail))
                 .expect("scenario failed");
             let lkm = out.report.lkm.as_ref().expect("assisted run has LKM stats");
@@ -258,8 +255,7 @@ pub fn parallel_walks(opts: &FigOpts) -> String {
             let mut vm = JavaVmConfig::paper(catalog::derby(), true, 1);
             vm.lkm.rewalk_final_update = true;
             vm.lkm.walk_parallelism = workers;
-            let mut config = MigrationConfig::javmm_default();
-            config.last_iter_considers_all_dirtied = true;
+            let config = MigrationConfig::javmm_default();
             let out = run_scenario(&Scenario::quick(vm, config, opts.warmup, opts.tail))
                 .expect("scenario failed");
             assert!(out.report.verification.is_correct());

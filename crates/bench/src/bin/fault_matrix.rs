@@ -24,7 +24,7 @@
 use javmm::orchestrator::{run_scenario, Scenario};
 use javmm::vm::{JavaVm, JavaVmConfig};
 use javmm_bench::cli::{check_flags, flag, num_flag};
-use migrate::config::{CoordPolicy, MigrationConfig};
+use migrate::config::MigrationConfig;
 use migrate::error::{MigrateError, MigrationOutcome};
 use migrate::precopy::PrecopyEngine;
 use migrate::report::MigrationReport;
@@ -137,10 +137,7 @@ fn rows() -> Vec<Row> {
 
 fn cell_config(faults: FaultPlan) -> MigrationConfig {
     MigrationConfig {
-        coord: CoordPolicy {
-            degrade_on_stragglers: true,
-            ..CoordPolicy::default()
-        },
+        degrade_on_stragglers: true,
         faults,
         ..MigrationConfig::javmm_default()
     }

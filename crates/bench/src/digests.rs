@@ -16,7 +16,7 @@
 
 use javmm::orchestrator::{run_scenario_recorded, Scenario};
 use javmm::vm::JavaVmConfig;
-use migrate::config::{CoordPolicy, MigrationConfig};
+use migrate::config::MigrationConfig;
 use migrate::digest::{DigestMeta, RunDigest};
 use simkit::telemetry::export::prometheus_to_string;
 use simkit::telemetry::Recorder;
@@ -63,10 +63,7 @@ fn degraded_beginack(seed: u64) -> (JavaVmConfig, MigrationConfig, SimDuration, 
     vm.young_max = Some(256 * MIB);
     vm.lkm.reply_timeout = SimDuration::from_millis(500);
     let config = MigrationConfig {
-        coord: CoordPolicy {
-            degrade_on_stragglers: true,
-            ..CoordPolicy::default()
-        },
+        degrade_on_stragglers: true,
         faults: FaultPlan {
             seed: 7,
             evtchn: LaneFaults {

@@ -4,7 +4,7 @@
 //! ([`DestSpec`]), each with finite slots and its own ingress NIC. At
 //! every admission the scheduler asks the placement policy for a
 //! destination; the answer fixes the flow's path through the
-//! [`Topology`](netsim::Topology) — and therefore which links its traffic
+//! [`Topology`] — and therefore which links its traffic
 //! contends on for the rest of its migration. Slots are consumed
 //! permanently: an evacuated VM stays where it was put.
 //!

@@ -10,7 +10,7 @@
 //!   once at drain start and admits ascending by resident working set —
 //!   the live-migration analogue of shortest-job-first.
 //! * [`FleetPolicy::CycleAware`] defers tenants the *workload
-//!   observatory* ([`crate::detect`]) predicts are at a dirty-rate peak
+//!   observatory* ([`detect`](mod@crate::detect)) predicts are at a dirty-rate peak
 //!   of their own detected cycle, after Baruchi et al., who showed that
 //!   migrating a VM during its write-quiet phase can cut transferred
 //!   bytes by a third or more. The policy sees only what the scheduler

@@ -1,85 +1,61 @@
-//! The coordination-plane envelope: one versioned message type for every
-//! hop of the assisted-migration protocol.
+//! The coordination plane: the message envelope every hop of the
+//! assisted-migration protocol carries, and the one delivery mechanism
+//! both transports share.
 //!
-//! Historically each direction had its own enum (`DaemonToLkm`,
-//! `LkmToDaemon`, `LkmToApp`, `AppToLkm`), which made cross-cutting
-//! concerns — sequence numbers for duplicate/stale detection, deadlines,
-//! fault injection, telemetry — impossible to express once. [`CoordMsg`]
-//! replaces the four with a single envelope: a protocol version, a
-//! per-direction sequence number stamped by the transport at send time, an
-//! optional sender deadline, the source [`Lane`], and a [`CoordPayload`]
-//! covering the full vocabulary of Figure 4 plus the abort handshake of the
-//! degradation ladder. Senders pass a [`CoordPayload`] (or a ready-made
+//! [`CoordMsg`] pairs a [`CoordPayload`] — the full vocabulary of Figure 4
+//! plus the abort handshake of the degradation ladder — with a
+//! per-direction sequence number the transport stamps at send time, so
+//! receivers can tell transport duplicates and stale reorderings from
+//! fresh messages. Senders pass a [`CoordPayload`] (or a ready-made
 //! `CoordMsg`) anywhere an `impl Into<CoordMsg>` is accepted; receivers
 //! match on [`CoordMsg::payload`].
+//!
+//! The event channel ([`crate::evtchn`]) and the netlink bus
+//! ([`crate::netlink`]) only stamp sequence numbers and pick the receiving
+//! queue. Everything else is one crate-private `Hop` per transport: its
+//! one-way latency, its fault lane (drop, delay, duplicate; see
+//! [`simkit::LaneFaults`]) with the RNG stream the fates are drawn from,
+//! and its recorder. The hop posts each message copy into a queue kept
+//! sorted by ready time, so an injected delay reorders at the receiver
+//! while the fault-free path stays plain FIFO, and drains what is ready.
 
-use simkit::{SimDuration, SimTime};
+use simkit::{DetRng, LaneFaults, Recorder, SimDuration, SimTime, Subsystem};
+use std::collections::VecDeque;
 use vmem::VaRange;
 
-/// Wire version of the coordination protocol.
-pub const COORD_VERSION: u8 = 1;
-
-/// The transport a coordination message rides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lane {
-    /// Daemon ↔ LKM over the Xen event channel.
-    Evtchn,
-    /// LKM ↔ applications over the netlink multicast group.
-    Netlink,
-}
-
-/// The unified coordination message envelope.
+/// The coordination message envelope.
 ///
-/// `seq` and `lane` are stamped by the transport when the message is sent;
-/// constructing a `CoordMsg` by hand (or via the compat `From` impls)
-/// leaves them at neutral defaults. `deadline` is the sender's intent — "I
-/// will stop waiting for the effect of this message at `deadline`" — and is
-/// purely informational: receivers keep their own timeout policies so that
-/// stamping a deadline never changes protocol timing.
+/// `seq` is stamped by the transport when the message is sent; a
+/// `CoordMsg` made from a payload carries 0 until then.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoordMsg {
-    /// Protocol version ([`COORD_VERSION`]).
-    pub version: u8,
     /// Per-direction sequence number, stamped at send. Duplicates injected
     /// by the transport share the original's seq so receivers can detect
     /// them; retries sent by the caller get fresh numbers.
     pub seq: u64,
-    /// Sender's give-up instant, if it has one.
-    pub deadline: Option<SimTime>,
-    /// Source transport, stamped at send.
-    pub lane: Lane,
     /// The actual protocol message.
     pub payload: CoordPayload,
 }
 
-impl CoordMsg {
-    /// Wraps a payload in a fresh envelope (seq/lane are stamped at send).
-    pub fn new(payload: CoordPayload) -> Self {
-        Self {
-            version: COORD_VERSION,
-            seq: 0,
-            deadline: None,
-            lane: Lane::Evtchn,
-            payload,
-        }
-    }
-
-    /// Sets the sender deadline.
-    pub fn with_deadline(mut self, deadline: SimTime) -> Self {
-        self.deadline = Some(deadline);
-        self
+impl From<CoordPayload> for CoordMsg {
+    fn from(payload: CoordPayload) -> Self {
+        CoordMsg { seq: 0, payload }
     }
 }
 
-impl From<CoordPayload> for CoordMsg {
-    fn from(payload: CoordPayload) -> Self {
-        CoordMsg::new(payload)
+/// Stamps `msg` with the next sequence number of the direction `seq`
+/// counts.
+pub(crate) fn stamp(seq: &mut u64, msg: impl Into<CoordMsg>) -> CoordMsg {
+    *seq += 1;
+    CoordMsg {
+        seq: *seq,
+        ..msg.into()
     }
 }
 
 /// Every message of the coordination protocol, all hops.
 ///
-/// The [`Lane`] and direction a payload is valid on is part of the protocol
+/// The hop and direction a payload is valid on is part of the protocol
 /// (documented per variant); receivers treat out-of-place payloads as
 /// protocol violations.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,32 +159,100 @@ impl CoordPayload {
     }
 }
 
+/// A queue of message copies in flight, sorted by the time each becomes
+/// visible to its receiver (FIFO among equal ready times).
+pub(crate) type Inbox<T> = VecDeque<(SimTime, T)>;
+
+/// One transport's delivery machinery: its one-way latency, its fault lane
+/// and its recorder. Both directions of a transport share one hop, hence
+/// one fate stream, so a fault plan replays identically whatever the
+/// traffic mix.
+#[derive(Debug)]
+pub(crate) struct Hop {
+    latency: SimDuration,
+    /// The armed fault lane and the RNG stream its fates are drawn from.
+    faults: Option<(LaneFaults, DetRng)>,
+    telemetry: Recorder,
+    /// The `net/` histogram each queued copy records its latency into.
+    metric: &'static str,
+}
+
+impl Hop {
+    /// A fault-free hop with no recorder.
+    pub(crate) fn new(latency: SimDuration, metric: &'static str) -> Self {
+        Self {
+            latency,
+            faults: None,
+            telemetry: Recorder::disabled(),
+            metric,
+        }
+    }
+
+    /// Arms fault injection on both directions of the transport.
+    pub(crate) fn install_faults(&mut self, faults: LaneFaults, rng: DetRng) {
+        self.faults = Some((faults, rng));
+    }
+
+    /// Attaches a flight recorder.
+    pub(crate) fn attach_telemetry(&mut self, recorder: Recorder) {
+        self.telemetry = recorder;
+    }
+
+    /// Posts `item`, sent at `now`, to `inbox`. Under fault injection the
+    /// copy is first given a fate, drawn in a fixed order (drop, delay,
+    /// duplicate) so plans replay identically; then zero, one or two
+    /// copies are queued at the ready time, each recording its
+    /// send-to-ready latency (injected delay included).
+    pub(crate) fn post<T: Clone>(&mut self, inbox: &mut Inbox<T>, now: SimTime, item: T) {
+        let mut ready = now + self.latency;
+        let mut copies = 1;
+        if let Some((faults, rng)) = &mut self.faults {
+            if faults.drop > 0.0 && rng.chance(faults.drop) {
+                return;
+            }
+            if faults.delay > 0.0 && rng.chance(faults.delay) {
+                let extra = faults.delay_max.as_nanos() as f64 * rng.next_f64();
+                ready += SimDuration::from_nanos(extra as u64);
+            } else if faults.duplicate > 0.0 && rng.chance(faults.duplicate) {
+                copies = 2;
+            }
+        }
+        for _ in 0..copies {
+            self.telemetry
+                .hist_dur(Subsystem::Net, self.metric, ready.saturating_since(now));
+            let at = inbox.partition_point(|&(r, _)| r <= ready);
+            inbox.insert(at, (ready, item.clone()));
+        }
+    }
+
+    /// Takes every item of `inbox` that is ready by `now`, in order.
+    pub(crate) fn drain<T>(inbox: &mut Inbox<T>, now: SimTime) -> Vec<T> {
+        let ready = inbox.partition_point(|&(r, _)| r <= now);
+        inbox.drain(..ready).map(|(_, item)| item).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evtchn::channel_pair_with_latency;
+    use crate::netlink::NetlinkBus;
+    use crate::process::Pid;
 
-    #[test]
-    fn payload_envelope_roundtrip() {
-        let m: CoordMsg = CoordPayload::ReadyToSuspend {
-            final_update: SimDuration::from_micros(250),
-            stragglers: 1,
-        }
-        .into();
-        assert_eq!(m.version, COORD_VERSION);
-        assert_eq!(
-            m.payload,
-            CoordPayload::ReadyToSuspend {
-                final_update: SimDuration::from_micros(250),
-                stragglers: 1,
-            }
-        );
+    fn t(us: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_micros(us)
     }
 
     #[test]
-    fn deadline_builder_sets_deadline() {
-        let t = SimTime::from_nanos(99);
-        let m = CoordMsg::new(CoordPayload::EnteringLastIter).with_deadline(t);
-        assert_eq!(m.deadline, Some(t));
+    fn payload_converts_into_an_unstamped_envelope() {
+        let m: CoordMsg = CoordPayload::EnteringLastIter.into();
+        assert_eq!(
+            m,
+            CoordMsg {
+                seq: 0,
+                payload: CoordPayload::EnteringLastIter
+            }
+        );
     }
 
     #[test]
@@ -227,5 +271,160 @@ mod tests {
         ];
         let set: std::collections::BTreeSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len());
+    }
+
+    #[test]
+    fn hop_fates_replay_identically() {
+        let lane = LaneFaults {
+            drop: 0.3,
+            delay: 0.3,
+            delay_max: SimDuration::from_millis(5),
+            duplicate: 0.3,
+        };
+        let run = || {
+            let mut hop = Hop::new(SimDuration::ZERO, "test_ns");
+            hop.install_faults(lane, DetRng::new(7));
+            let mut inbox = Inbox::new();
+            for i in 0..64u32 {
+                hop.post(&mut inbox, t(u64::from(i)), i);
+            }
+            inbox
+        };
+        let inbox = run();
+        assert_eq!(inbox, run());
+        // Some copies were dropped, delayed or duplicated.
+        let sent_order: Vec<(SimTime, u32)> = (0..64).map(|i| (t(u64::from(i)), i)).collect();
+        assert_ne!(inbox, Inbox::from(sent_order));
+    }
+
+    #[test]
+    fn ready_sorted_posts_keep_fifo_for_equal_times() {
+        let mut hop = Hop::new(SimDuration::ZERO, "test_ns");
+        let mut inbox = Inbox::new();
+        for (at, item) in [(10, 1), (10, 2), (5, 3), (20, 4), (10, 5)] {
+            hop.post(&mut inbox, t(at), item);
+        }
+        assert_eq!(Hop::drain(&mut inbox, t(10)), vec![3, 1, 2, 5]);
+        assert_eq!(Hop::drain(&mut inbox, t(20)), vec![4]);
+    }
+
+    /// One direction of one transport, freshly built with zero latency:
+    /// sends a payload, receives what is ready, and arms the transport's
+    /// fault lane (shared by both of its directions).
+    struct Route {
+        name: &'static str,
+        send: Box<dyn Fn(SimTime, CoordPayload)>,
+        recv: Box<dyn Fn(SimTime) -> Vec<CoordMsg>>,
+        arm: Box<dyn Fn(LaneFaults, DetRng)>,
+    }
+
+    /// Every route: both directions of the event channel and of the
+    /// netlink bus.
+    fn routes() -> Vec<Route> {
+        let mut out = Vec::new();
+        for to_lkm in [true, false] {
+            let (daemon, lkm) = channel_pair_with_latency(SimDuration::ZERO);
+            let arm_port = daemon.clone();
+            let arm: Box<dyn Fn(LaneFaults, DetRng)> =
+                Box::new(move |f, rng| arm_port.install_faults(f, rng));
+            out.push(if to_lkm {
+                Route {
+                    name: "evtchn daemon->lkm",
+                    send: Box::new(move |now, p| daemon.send(now, p)),
+                    recv: Box::new(move |now| lkm.recv(now)),
+                    arm,
+                }
+            } else {
+                Route {
+                    name: "evtchn lkm->daemon",
+                    send: Box::new(move |now, p| lkm.send(now, p)),
+                    recv: Box::new(move |now| daemon.recv(now)),
+                    arm,
+                }
+            });
+        }
+        for to_app in [true, false] {
+            let bus = NetlinkBus::with_latency(SimDuration::ZERO);
+            let sock = bus.subscribe(Pid(7));
+            let kernel = bus.kernel_end();
+            let arm: Box<dyn Fn(LaneFaults, DetRng)> =
+                Box::new(move |f, rng| bus.install_faults(f, rng));
+            out.push(if to_app {
+                Route {
+                    name: "netlink kernel->app",
+                    send: Box::new(move |now, p| kernel.multicast(now, p)),
+                    recv: Box::new(move |now| sock.recv(now)),
+                    arm,
+                }
+            } else {
+                Route {
+                    name: "netlink app->kernel",
+                    send: Box::new(move |now, p| sock.send(now, p)),
+                    recv: Box::new(move |now| {
+                        kernel.recv(now).into_iter().map(|(_, m)| m).collect()
+                    }),
+                    arm,
+                }
+            });
+        }
+        out
+    }
+
+    fn only(fault: fn(&mut LaneFaults)) -> LaneFaults {
+        let mut lane = LaneFaults::NONE;
+        fault(&mut lane);
+        lane
+    }
+
+    fn seqs(msgs: &[CoordMsg]) -> Vec<u64> {
+        msgs.iter().map(|m| m.seq).collect()
+    }
+
+    #[test]
+    fn fault_table_covers_both_hops_and_directions() {
+        type Case = (&'static str, fn(&Route));
+        let cases: [Case; 4] = [
+            ("fifo", |r| {
+                (r.send)(t(0), CoordPayload::MigrationBegin);
+                (r.send)(t(0), CoordPayload::EnteringLastIter);
+                let got = (r.recv)(t(0));
+                let payloads: Vec<_> = got.iter().map(|m| m.payload.clone()).collect();
+                assert_eq!(
+                    payloads,
+                    vec![CoordPayload::MigrationBegin, CoordPayload::EnteringLastIter]
+                );
+                assert_eq!(seqs(&got), vec![1, 2]);
+            }),
+            ("drop", |r| {
+                (r.arm)(only(|l| l.drop = 1.0), DetRng::new(1));
+                (r.send)(t(0), CoordPayload::MigrationBegin);
+                assert!((r.recv)(t(10)).is_empty());
+            }),
+            ("duplicate", |r| {
+                (r.arm)(only(|l| l.duplicate = 1.0), DetRng::new(1));
+                (r.send)(t(0), CoordPayload::MigrationBegin);
+                assert_eq!(seqs(&(r.recv)(t(10))), vec![1, 1]);
+            }),
+            ("delay reorders", |r| {
+                // The first message is delayed; the second, sent fault-free
+                // a microsecond later, overtakes it.
+                let delay = |l: &mut LaneFaults| {
+                    l.delay = 1.0;
+                    l.delay_max = SimDuration::from_millis(10);
+                };
+                (r.arm)(only(delay), DetRng::new(3));
+                (r.send)(t(0), CoordPayload::MigrationBegin);
+                assert!((r.recv)(t(0)).is_empty(), "delayed past its latency");
+                (r.arm)(LaneFaults::NONE, DetRng::new(0));
+                (r.send)(t(1), CoordPayload::EnteringLastIter);
+                assert_eq!(seqs(&(r.recv)(t(20_000))), vec![2, 1]);
+            }),
+        ];
+        for (case, check) in cases {
+            for route in routes() {
+                eprintln!("{case}: {}", route.name);
+                check(&route);
+            }
+        }
     }
 }

@@ -6,17 +6,15 @@
 //! is asynchronous with a small latency.
 //!
 //! The channel carries [`CoordMsg`] envelopes: each endpoint stamps a
-//! monotonically increasing per-direction sequence number and the
-//! [`Lane::Evtchn`] lane at send time. Fault injection (see
-//! [`simkit::faults`]) can drop, delay or duplicate messages on this hop;
-//! delayed messages are kept ready-time-sorted so reordering is observable
-//! at the receiver, while the fault-free path degenerates to plain FIFO.
+//! monotonically increasing per-direction sequence number at send time and
+//! hands the message to the channel's hop (see [`crate::coord`]), which
+//! applies the latency and any injected fault and queues it for the other
+//! end. Both directions share the hop, so one fault lane (see
+//! [`simkit::faults`]) and one fate stream cover the channel.
 
-use crate::coord::{CoordMsg, Lane};
-use simkit::faults::{insert_by_ready, LaneFaultState, MessageFate};
-use simkit::{DetRng, LaneFaults, Recorder, SimDuration, SimTime, Subsystem};
+use crate::coord::{stamp, CoordMsg, Hop, Inbox};
+use simkit::{DetRng, LaneFaults, Recorder, SimDuration, SimTime};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Default one-way latency of an event-channel notification.
@@ -24,50 +22,11 @@ pub const EVTCHN_LATENCY: SimDuration = SimDuration::from_micros(20);
 
 #[derive(Debug)]
 struct ChannelCore {
-    latency: SimDuration,
-    to_lkm: VecDeque<(SimTime, CoordMsg)>,
-    to_daemon: VecDeque<(SimTime, CoordMsg)>,
+    hop: Hop,
+    to_lkm: Inbox<CoordMsg>,
+    to_daemon: Inbox<CoordMsg>,
     daemon_seq: u64,
     lkm_seq: u64,
-    faults: Option<LaneFaultState>,
-    telemetry: Recorder,
-}
-
-impl ChannelCore {
-    /// Stamps, applies fault fate, and enqueues one message.
-    fn deliver(&mut self, now: SimTime, mut msg: CoordMsg, to_lkm: bool) {
-        msg.lane = Lane::Evtchn;
-        msg.seq = if to_lkm {
-            self.daemon_seq += 1;
-            self.daemon_seq
-        } else {
-            self.lkm_seq += 1;
-            self.lkm_seq
-        };
-        let mut ready = now + self.latency;
-        let mut copies = 1;
-        if let Some(faults) = &mut self.faults {
-            match faults.fate() {
-                MessageFate::Deliver => {}
-                MessageFate::Drop => return,
-                MessageFate::Delay(extra) => ready += extra,
-                MessageFate::Duplicate => copies = 2,
-            }
-        }
-        let queue = if to_lkm {
-            &mut self.to_lkm
-        } else {
-            &mut self.to_daemon
-        };
-        for _ in 0..copies {
-            self.telemetry.hist_dur(
-                Subsystem::Net,
-                "evtchn_delivery_ns",
-                ready.saturating_since(now),
-            );
-            insert_by_ready(queue, ready, msg.clone());
-        }
-    }
 }
 
 /// Creates a connected (daemon-side, LKM-side) endpoint pair.
@@ -94,13 +53,11 @@ pub fn channel_pair() -> (DaemonPort, LkmPort) {
 /// Creates a pair with a custom one-way latency.
 pub fn channel_pair_with_latency(latency: SimDuration) -> (DaemonPort, LkmPort) {
     let core = Rc::new(RefCell::new(ChannelCore {
-        latency,
-        to_lkm: VecDeque::new(),
-        to_daemon: VecDeque::new(),
+        hop: Hop::new(latency, "evtchn_delivery_ns"),
+        to_lkm: Inbox::new(),
+        to_daemon: Inbox::new(),
         daemon_seq: 0,
         lkm_seq: 0,
-        faults: None,
-        telemetry: Recorder::disabled(),
     }));
     (
         DaemonPort {
@@ -119,25 +76,27 @@ pub struct DaemonPort {
 impl DaemonPort {
     /// Sends a notification to the LKM.
     pub fn send(&self, now: SimTime, msg: impl Into<CoordMsg>) {
-        self.core.borrow_mut().deliver(now, msg.into(), true);
+        let core = &mut *self.core.borrow_mut();
+        let msg = stamp(&mut core.daemon_seq, msg);
+        core.hop.post(&mut core.to_lkm, now, msg);
     }
 
     /// Receives all LKM notifications that have arrived by `now`.
     pub fn recv(&self, now: SimTime) -> Vec<CoordMsg> {
-        drain_ready(&mut self.core.borrow_mut().to_daemon, now)
+        Hop::drain(&mut self.core.borrow_mut().to_daemon, now)
     }
 
     /// Arms fault injection on this hop (both directions share one fate
     /// stream so a plan replays identically regardless of traffic mix).
     pub fn install_faults(&self, faults: LaneFaults, rng: DetRng) {
-        self.core.borrow_mut().faults = Some(LaneFaultState::new(faults, rng));
+        self.core.borrow_mut().hop.install_faults(faults, rng);
     }
 
     /// Attaches a flight recorder: each enqueued copy records its
     /// send-to-ready delivery latency (including injected delay) into the
     /// `net/evtchn_delivery_ns` histogram.
     pub fn attach_telemetry(&self, recorder: Recorder) {
-        self.core.borrow_mut().telemetry = recorder;
+        self.core.borrow_mut().hop.attach_telemetry(recorder);
     }
 }
 
@@ -150,25 +109,15 @@ pub struct LkmPort {
 impl LkmPort {
     /// Sends a notification to the daemon.
     pub fn send(&self, now: SimTime, msg: impl Into<CoordMsg>) {
-        self.core.borrow_mut().deliver(now, msg.into(), false);
+        let core = &mut *self.core.borrow_mut();
+        let msg = stamp(&mut core.lkm_seq, msg);
+        core.hop.post(&mut core.to_daemon, now, msg);
     }
 
     /// Receives all daemon notifications that have arrived by `now`.
     pub fn recv(&self, now: SimTime) -> Vec<CoordMsg> {
-        drain_ready(&mut self.core.borrow_mut().to_lkm, now)
+        Hop::drain(&mut self.core.borrow_mut().to_lkm, now)
     }
-}
-
-fn drain_ready(queue: &mut VecDeque<(SimTime, CoordMsg)>, now: SimTime) -> Vec<CoordMsg> {
-    let mut out = Vec::new();
-    while let Some(&(ready, _)) = queue.front() {
-        if ready <= now {
-            out.push(queue.pop_front().expect("front checked").1);
-        } else {
-            break;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -188,7 +137,6 @@ mod tests {
         let got = lkm.recv(t(20));
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].payload, CoordPayload::MigrationBegin);
-        assert_eq!(got[0].lane, Lane::Evtchn);
         lkm.send(
             t(30),
             CoordPayload::ReadyToSuspend {
@@ -197,70 +145,5 @@ mod tests {
             },
         );
         assert_eq!(daemon.recv(t(50)).len(), 1);
-    }
-
-    #[test]
-    fn order_and_seq_preserved() {
-        let (daemon, lkm) = channel_pair_with_latency(SimDuration::ZERO);
-        daemon.send(t(0), CoordPayload::MigrationBegin);
-        daemon.send(t(0), CoordPayload::EnteringLastIter);
-        let got = lkm.recv(t(0));
-        assert_eq!(
-            got.iter().map(|m| m.payload.clone()).collect::<Vec<_>>(),
-            vec![CoordPayload::MigrationBegin, CoordPayload::EnteringLastIter]
-        );
-        assert_eq!(got.iter().map(|m| m.seq).collect::<Vec<_>>(), vec![1, 2]);
-    }
-
-    #[test]
-    fn drop_fault_loses_messages() {
-        let (daemon, lkm) = channel_pair_with_latency(SimDuration::ZERO);
-        daemon.install_faults(
-            LaneFaults {
-                drop: 1.0,
-                ..LaneFaults::NONE
-            },
-            DetRng::new(1),
-        );
-        daemon.send(t(0), CoordPayload::MigrationBegin);
-        assert!(lkm.recv(t(10)).is_empty());
-    }
-
-    #[test]
-    fn duplicate_fault_shares_seq() {
-        let (daemon, lkm) = channel_pair_with_latency(SimDuration::ZERO);
-        daemon.install_faults(
-            LaneFaults {
-                duplicate: 1.0,
-                ..LaneFaults::NONE
-            },
-            DetRng::new(1),
-        );
-        daemon.send(t(0), CoordPayload::MigrationBegin);
-        let got = lkm.recv(t(10));
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].seq, got[1].seq);
-    }
-
-    #[test]
-    fn delay_fault_reorders_behind_later_sends() {
-        let (daemon, lkm) = channel_pair_with_latency(SimDuration::ZERO);
-        // First message delayed; second sent fault-free afterwards.
-        daemon.install_faults(
-            LaneFaults {
-                delay: 1.0,
-                delay_max: SimDuration::from_millis(10),
-                ..LaneFaults::NONE
-            },
-            DetRng::new(3),
-        );
-        daemon.send(t(0), CoordPayload::MigrationBegin);
-        daemon.install_faults(LaneFaults::NONE, DetRng::new(0));
-        daemon.send(t(1), CoordPayload::EnteringLastIter);
-        let got = lkm.recv(t(20_000));
-        assert_eq!(got.len(), 2);
-        // The delayed MigrationBegin (seq 1) arrives after seq 2.
-        assert_eq!(got[0].seq, 2);
-        assert_eq!(got[1].seq, 1);
     }
 }

@@ -14,8 +14,9 @@
 //! * [`lkm::Lkm`] — the Loadable Kernel Module: state machine, transfer
 //!   bitmap ownership, first/shrink/final bitmap updates, PFN caching, and
 //!   straggler timeouts;
-//! * [`coord`] — the versioned [`coord::CoordMsg`] envelope every hop
-//!   carries (seq numbers, deadlines, source lane);
+//! * [`coord`] — the [`coord::CoordMsg`] envelope every hop carries (a
+//!   sequence number and a payload) and the one delivery mechanism both
+//!   transports share: latency, fault injection and telemetry;
 //! * [`app::GuestApp`] — the contract assisting applications fulfil.
 
 pub mod app;
@@ -29,9 +30,9 @@ pub mod process;
 pub mod procfs;
 
 pub use app::GuestApp;
-pub use coord::{CoordMsg, CoordPayload, Lane, COORD_VERSION};
+pub use coord::{CoordMsg, CoordPayload};
 pub use kernel::{GuestKernel, GuestOsConfig, WriteOutcome};
-pub use lkm::{DaemonPort, Lkm, LkmConfig, LkmConfigBuilder, LkmConfigError, LkmState, LkmStats};
+pub use lkm::{DaemonPort, Lkm, LkmConfig, LkmState, LkmStats};
 pub use netlink::{NetlinkBus, NetlinkSocket};
 pub use process::{Pid, Process};
 pub use procfs::{parse_ranges, ProcSkipOverEntry, ProcWriteError};

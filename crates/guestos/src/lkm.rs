@@ -35,16 +35,17 @@ use vmem::{Bitmap, Pfn, PfnCache, TransferBitmap, VaRange};
 
 pub use crate::evtchn::DaemonPort;
 
-/// Tunable costs and policies of the LKM.
+/// CPU time per page-table walk step (one page looked up).
+const WALK_COST_PER_PAGE: SimDuration = SimDuration::from_nanos(90);
+/// CPU time per transfer-bitmap bit flipped.
+const BIT_COST_PER_PAGE: SimDuration = SimDuration::from_nanos(30);
+
+/// Tunable policies of the LKM.
 ///
-/// Construct via [`LkmConfig::builder`] for validated settings, or use
-/// [`LkmConfig::default`] for the paper's calibration.
+/// Start from [`LkmConfig::default`] (the paper's calibration) with
+/// struct-update syntax.
 #[derive(Debug, Clone)]
 pub struct LkmConfig {
-    /// CPU time per page-table walk step (one page looked up).
-    pub walk_cost_per_page: SimDuration,
-    /// CPU time per transfer-bitmap bit flipped.
-    pub bit_cost_per_page: SimDuration,
     /// Deadline for application replies to `PrepareSuspension`; stragglers
     /// past this deadline are forcibly un-skipped so migration is not
     /// delayed unboundedly (§6).
@@ -62,110 +63,10 @@ pub struct LkmConfig {
 impl Default for LkmConfig {
     fn default() -> Self {
         Self {
-            walk_cost_per_page: SimDuration::from_nanos(90),
-            bit_cost_per_page: SimDuration::from_nanos(30),
             reply_timeout: SimDuration::from_secs(5),
             rewalk_final_update: false,
             walk_parallelism: 1,
         }
-    }
-}
-
-impl LkmConfig {
-    /// Starts a validating builder seeded with the defaults.
-    pub fn builder() -> LkmConfigBuilder {
-        LkmConfigBuilder {
-            cfg: LkmConfig::default(),
-        }
-    }
-}
-
-/// Why an [`LkmConfigBuilder`] rejected its settings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LkmConfigError {
-    /// `reply_timeout` must be positive; a zero deadline would declare
-    /// every application a straggler on the first service tick.
-    ZeroReplyTimeout,
-    /// `walk_parallelism` must be at least one worker.
-    ZeroParallelism,
-}
-
-impl core::fmt::Display for LkmConfigError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            LkmConfigError::ZeroReplyTimeout => write!(f, "reply_timeout must be positive"),
-            LkmConfigError::ZeroParallelism => write!(f, "walk_parallelism must be >= 1"),
-        }
-    }
-}
-
-impl std::error::Error for LkmConfigError {}
-
-/// Validating builder for [`LkmConfig`].
-///
-/// # Examples
-///
-/// ```
-/// use guestos::lkm::LkmConfig;
-/// use simkit::SimDuration;
-///
-/// let cfg = LkmConfig::builder()
-///     .reply_timeout(SimDuration::from_millis(800))
-///     .walk_parallelism(2)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.reply_timeout, SimDuration::from_millis(800));
-///
-/// assert!(LkmConfig::builder()
-///     .reply_timeout(SimDuration::ZERO)
-///     .build()
-///     .is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct LkmConfigBuilder {
-    cfg: LkmConfig,
-}
-
-impl LkmConfigBuilder {
-    /// Sets the CPU cost per page-table walk step.
-    pub fn walk_cost_per_page(mut self, cost: SimDuration) -> Self {
-        self.cfg.walk_cost_per_page = cost;
-        self
-    }
-
-    /// Sets the CPU cost per transfer-bitmap bit flipped.
-    pub fn bit_cost_per_page(mut self, cost: SimDuration) -> Self {
-        self.cfg.bit_cost_per_page = cost;
-        self
-    }
-
-    /// Sets the straggler reply deadline.
-    pub fn reply_timeout(mut self, timeout: SimDuration) -> Self {
-        self.cfg.reply_timeout = timeout;
-        self
-    }
-
-    /// Selects the §3.3.4 re-walk final-update strategy.
-    pub fn rewalk_final_update(mut self, rewalk: bool) -> Self {
-        self.cfg.rewalk_final_update = rewalk;
-        self
-    }
-
-    /// Sets the walk/bitmap worker count.
-    pub fn walk_parallelism(mut self, workers: u32) -> Self {
-        self.cfg.walk_parallelism = workers;
-        self
-    }
-
-    /// Validates and produces the config.
-    pub fn build(self) -> Result<LkmConfig, LkmConfigError> {
-        if self.cfg.reply_timeout.is_zero() {
-            return Err(LkmConfigError::ZeroReplyTimeout);
-        }
-        if self.cfg.walk_parallelism == 0 {
-            return Err(LkmConfigError::ZeroParallelism);
-        }
-        Ok(self.cfg)
     }
 }
 
@@ -340,6 +241,13 @@ impl Lkm {
     /// when migration begins, §3.3.3).
     pub fn transfer_bitmap(&self) -> &TransferBitmap {
         &self.transfer
+    }
+
+    /// Whether the LKM uses the §3.3.4 re-walk final-update strategy,
+    /// under which the stop-and-copy must consider every page dirtied
+    /// during the migration.
+    pub fn rewalks_final_update(&self) -> bool {
+        self.config.rewalk_final_update
     }
 
     /// Returns the cold bitmap, if the daemon asked for one and at least
@@ -660,7 +568,7 @@ impl Lkm {
             now,
             Subsystem::Lkm,
             "shrink_update",
-            self.config.bit_cost_per_page * set,
+            BIT_COST_PER_PAGE * set,
             vec![("pid", pid.0.into()), ("pages", set.into())],
         );
     }
@@ -798,7 +706,7 @@ impl Lkm {
                 );
             }
         }
-        self.pending_final_update += self.config.bit_cost_per_page * flips;
+        self.pending_final_update += BIT_COST_PER_PAGE * flips;
     }
 
     /// Once every known application is suspension-ready, report readiness to
@@ -902,8 +810,7 @@ impl Lkm {
     /// CPU time of a walk + bit-flip batch, divided across the configured
     /// worker threads (with a 10% coordination overhead per extra worker).
     fn parallel_cost(&self, walked: u64, flipped: u64) -> SimDuration {
-        let serial =
-            self.config.walk_cost_per_page * walked + self.config.bit_cost_per_page * flipped;
+        let serial = WALK_COST_PER_PAGE * walked + BIT_COST_PER_PAGE * flipped;
         let workers = self.config.walk_parallelism.max(1) as f64;
         serial.mul_f64((1.0 + 0.1 * (workers - 1.0)) / workers)
     }

@@ -106,12 +106,10 @@ proptest! {
             .alloc_map(pid, Vaddr(base * PAGE_SIZE), 8, PageClass::Anon)
             .expect("fits");
         // A short straggler deadline keeps the healed runway bounded.
-        let daemon = g.load_lkm(
-            LkmConfig::builder()
-                .reply_timeout(SimDuration::from_millis(100))
-                .build()
-                .expect("valid config"),
-        );
+        let daemon = g.load_lkm(LkmConfig {
+            reply_timeout: SimDuration::from_millis(100),
+            ..LkmConfig::default()
+        });
         let sock = g.subscribe_netlink(pid);
         let recorder = Recorder::new();
         g.attach_telemetry(recorder.clone());

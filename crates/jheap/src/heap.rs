@@ -463,8 +463,8 @@ impl JvmHeap {
     }
 
     /// The Old-generation regions that are live but cold: committed, below
-    /// `old_used`, and unwritten for at least [`COLD_EPOCH_THRESHOLD`] GC
-    /// epochs. Adjacent cold regions coalesce into one VA range; the tail
+    /// `old_used`, and unwritten for at least two (`COLD_EPOCH_THRESHOLD`)
+    /// GC epochs. Adjacent cold regions coalesce into one VA range; the tail
     /// range is clipped to the page-aligned end of the used Old generation.
     ///
     /// Reading the map is pure — no randomness, no kernel calls — so the

@@ -231,11 +231,6 @@ impl JvmProcess {
         matches!(self.state, ExecState::Held)
     }
 
-    /// Returns `true` if the JAVMM agent is loaded.
-    pub fn is_assisted(&self) -> bool {
-        self.agent.is_some()
-    }
-
     fn charge(&mut self, out: WriteOutcome) {
         self.stats.pages_written += out.pages;
         self.stats.faults += out.faults;
@@ -705,7 +700,6 @@ mod tests {
             false,
             DetRng::new(1),
         );
-        assert!(!jvm.is_assisted());
         assert!(!jvm.is_held());
     }
 }

@@ -99,11 +99,6 @@ impl PhasedMutator {
             in_phase: SimDuration::ZERO,
         }
     }
-
-    /// Index of the currently active phase.
-    pub fn current_phase(&self) -> usize {
-        self.current
-    }
 }
 
 impl Mutator for PhasedMutator {
@@ -187,12 +182,10 @@ mod tests {
         );
         assert_eq!(m.profile().alloc_rate, 1e6);
         m.advance_time(SimDuration::from_secs(2));
-        assert_eq!(m.current_phase(), 1);
         assert_eq!(m.profile().alloc_rate, 300e6);
         // Wraps across multiple cycles at once: 13 s = phase 1's remaining
         // 3 s + two full 5 s cycles, landing back at phase 0.
         m.advance_time(SimDuration::from_secs(13));
-        assert_eq!(m.current_phase(), 0);
         assert_eq!(m.profile().alloc_rate, 1e6);
     }
 

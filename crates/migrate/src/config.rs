@@ -1,10 +1,12 @@
 //! Migration engine configuration.
 //!
 //! [`MigrationConfig`] carries everything one run needs: link and quantum
-//! parameters, the Xen stop policy, the coordination-timeout policy
-//! ([`CoordPolicy`]), the fallback behaviour when coordination fails
-//! ([`FallbackPolicy`]) and the fault plan driving deterministic fault
-//! injection ([`simkit::FaultPlan`]). Construct it from a preset
+//! parameters, the Xen stop policy, the fallback behaviour when
+//! coordination fails ([`FallbackPolicy`]) and the fault plan driving
+//! deterministic fault injection ([`simkit::FaultPlan`]). The
+//! coordination timeouts and retry budget are constants of the protocol
+//! ([`BEGIN_ACK_TIMEOUT`], [`READY_TIMEOUT`], [`COORD_RETRY_LIMIT`],
+//! [`COORD_RETRY_BACKOFF`]). Construct it from a preset
 //! ([`MigrationConfig::xen_default`], [`MigrationConfig::javmm_default`])
 //! with struct-update syntax; [`MigrationConfig::validate`] checks it, and
 //! the engine runs that check on entry.
@@ -54,42 +56,24 @@ pub enum CompressionPolicy {
     PerClass,
 }
 
-/// Coordination timeouts and retry policy for the daemon↔LKM handshakes.
-///
-/// `MigrationBegin` and `EnteringLastIter` are idempotent (the LKM gates on
-/// sequence numbers), so the daemon retries them with exponential backoff;
-/// when the retry budget is exhausted the [`FallbackPolicy`] decides between
-/// degrading to vanilla pre-copy and failing the migration.
-#[derive(Debug, Clone, Copy)]
-pub struct CoordPolicy {
-    /// How long to wait for the LKM's `BeginAck` before resending
-    /// `MigrationBegin`.
-    pub begin_ack_timeout: SimDuration,
-    /// How long to wait for `ReadyToSuspend` before resending
-    /// `EnteringLastIter`. Must exceed the LKM's own straggler timeout or
-    /// the daemon gives up before the LKM's policy has a chance to act.
-    pub ready_timeout: SimDuration,
-    /// How many resends are attempted after the first timeout.
-    pub retry_limit: u32,
-    /// Each successive wait is the previous one times this factor (≥ 1).
-    pub retry_backoff: f64,
-    /// Treat a `ReadyToSuspend` reporting stragglers as a coordination
-    /// failure and degrade, instead of trusting the LKM's forcible
-    /// un-skipping of the stragglers' areas (the paper's behaviour).
-    pub degrade_on_stragglers: bool,
-}
+// The daemon↔LKM handshakes. `MigrationBegin` and `EnteringLastIter` are
+// idempotent (the LKM gates on sequence numbers), so the daemon resends
+// them with exponential backoff; when the retry budget is exhausted the
+// `FallbackPolicy` decides between degrading to vanilla pre-copy and
+// failing the migration.
 
-impl Default for CoordPolicy {
-    fn default() -> Self {
-        Self {
-            begin_ack_timeout: SimDuration::from_millis(50),
-            ready_timeout: SimDuration::from_secs(15),
-            retry_limit: 3,
-            retry_backoff: 2.0,
-            degrade_on_stragglers: false,
-        }
-    }
-}
+/// How long the daemon waits for the LKM's `BeginAck` before resending
+/// `MigrationBegin`.
+pub const BEGIN_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+/// How long the daemon waits for `ReadyToSuspend` before resending
+/// `EnteringLastIter`. It exceeds the LKM's own straggler deadline
+/// (`LkmConfig::reply_timeout`, 5 s by default), so the LKM's straggler
+/// policy acts before the daemon gives up.
+pub const READY_TIMEOUT: SimDuration = SimDuration::from_secs(15);
+/// How many resends a handshake gets after its first timeout.
+pub const COORD_RETRY_LIMIT: u32 = 3;
+/// Each successive wait is the previous one times this factor.
+pub const COORD_RETRY_BACKOFF: f64 = 2.0;
 
 /// What to do when a coordination handshake exhausts its retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -120,10 +104,6 @@ pub struct MigrationConfig {
     /// Device reconnection + activation time at the destination (the paper
     /// measures ≈170 ms).
     pub resume_time: SimDuration,
-    /// §3.3.4 alternative: in the last iteration, consider every page
-    /// dirtied at any point during migration (required for correctness when
-    /// the LKM uses the re-walk final-update strategy).
-    pub last_iter_considers_all_dirtied: bool,
     /// Compression extension.
     pub compression: CompressionPolicy,
     /// Daemon CPU cost per byte copied/sent.
@@ -133,8 +113,10 @@ pub struct MigrationConfig {
     /// The cold-page assist (defer / delta actions). Off by default; the
     /// zero-config path is locked byte-identical by the inertness goldens.
     pub cold: ColdAssistConfig,
-    /// Coordination timeouts and retries.
-    pub coord: CoordPolicy,
+    /// Treat a `ReadyToSuspend` reporting stragglers as a coordination
+    /// failure and degrade, instead of trusting the LKM's forcible
+    /// un-skipping of the stragglers' areas (the paper's behaviour).
+    pub degrade_on_stragglers: bool,
     /// Behaviour when coordination fails for good.
     pub fallback: FallbackPolicy,
     /// Deterministic fault-injection plan. [`FaultPlan::none`] (the preset
@@ -152,12 +134,11 @@ impl MigrationConfig {
             quantum: SimDuration::from_millis(1),
             stop: StopPolicy::default(),
             resume_time: SimDuration::from_millis(170),
-            last_iter_considers_all_dirtied: false,
             compression: CompressionPolicy::Off,
             cpu_cost_per_byte: 1.1e-9,
             cpu_cost_per_page_scan: SimDuration::from_nanos(250),
             cold: ColdAssistConfig::off(),
-            coord: CoordPolicy::default(),
+            degrade_on_stragglers: false,
             fallback: FallbackPolicy::default(),
             faults: FaultPlan::none(),
         }
@@ -185,12 +166,6 @@ impl MigrationConfig {
         }
         if self.stop.max_factor <= 0.0 {
             return Err(ConfigError::NonPositiveTrafficFactor);
-        }
-        if self.coord.begin_ack_timeout.is_zero() || self.coord.ready_timeout.is_zero() {
-            return Err(ConfigError::ZeroCoordTimeout);
-        }
-        if self.coord.retry_backoff < 1.0 {
-            return Err(ConfigError::BackoffBelowOne);
         }
         if !self.faults.is_valid() {
             return Err(ConfigError::InvalidFaultPlan);
@@ -232,14 +207,6 @@ mod tests {
             ..MigrationConfig::xen_default()
         };
         assert_eq!(zero_quantum.validate(), Err(ConfigError::ZeroQuantum));
-        let bad_coord = MigrationConfig {
-            coord: CoordPolicy {
-                retry_backoff: 0.5,
-                ..CoordPolicy::default()
-            },
-            ..MigrationConfig::xen_default()
-        };
-        assert_eq!(bad_coord.validate(), Err(ConfigError::BackoffBelowOne));
         let bad_plan = MigrationConfig {
             faults: FaultPlan {
                 link: Some(simkit::LinkDegrade {

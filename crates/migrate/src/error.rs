@@ -21,10 +21,6 @@ pub enum ConfigError {
     ZeroIterations,
     /// The traffic cap multiple must be positive.
     NonPositiveTrafficFactor,
-    /// Coordination timeouts must be non-zero.
-    ZeroCoordTimeout,
-    /// The retry backoff multiplier must be at least 1.
-    BackoffBelowOne,
     /// The fault plan is self-contradictory (e.g. a negative link factor
     /// or an out-of-range probability).
     InvalidFaultPlan,
@@ -60,8 +56,6 @@ impl core::fmt::Display for ConfigError {
             Self::NonPositiveBandwidth => "link bandwidth must be positive",
             Self::ZeroIterations => "stop policy needs at least one live iteration",
             Self::NonPositiveTrafficFactor => "traffic cap multiple must be positive",
-            Self::ZeroCoordTimeout => "coordination timeouts must be non-zero",
-            Self::BackoffBelowOne => "retry backoff multiplier must be >= 1",
             Self::InvalidFaultPlan => "fault plan is invalid",
             Self::ColdRequiresAssist => "cold assist requires the assisted protocol",
             Self::ZeroDeltaCache => "delta page cache needs at least one entry",

@@ -14,7 +14,8 @@
 //! skip-over machinery to RemusDB-style continuous replication.
 //!
 //! Coordination with the guest is fallible: every handshake carries a
-//! timeout from [`config::CoordPolicy`] with bounded retries, and when the
+//! timeout ([`config::BEGIN_ACK_TIMEOUT`], [`config::READY_TIMEOUT`]) with
+//! bounded retries ([`config::COORD_RETRY_LIMIT`]), and when the
 //! budget runs out the engine degrades to vanilla pre-copy (or fails, per
 //! [`config::FallbackPolicy`]) — see [`error::MigrationOutcome`] and
 //! [`error::MigrateError`]. Deterministic fault injection is configured
@@ -35,7 +36,7 @@ pub mod vmhost;
 
 pub use assist::{ColdAssistConfig, ColdReport};
 pub use checkpoint::{CheckpointConfig, CheckpointEngine, CheckpointReport};
-pub use config::{CompressionPolicy, CoordPolicy, FallbackPolicy, MigrationConfig, StopPolicy};
+pub use config::{CompressionPolicy, FallbackPolicy, MigrationConfig, StopPolicy};
 pub use destination::{DestinationVm, VerifyReport};
 pub use digest::{compare, CompareReport, DigestMeta, RunDigest, DIGEST_SCHEMA};
 pub use error::{ConfigError, CoordPhase, MigrateError, MigrationOutcome};

@@ -24,18 +24,19 @@
 //!
 //! # Coordination timeouts and graceful degradation
 //!
-//! Every daemon→LKM handshake is guarded by a deadline from
-//! [`CoordPolicy`](crate::config::CoordPolicy): `MigrationBegin` must be
-//! acknowledged (`BeginAck`) and `EnteringLastIter` must eventually be
-//! answered with `ReadyToSuspend`. Both messages are idempotent (the LKM
-//! gates on sequence numbers), so expired deadlines trigger bounded resends
-//! with exponential backoff. When the retry budget runs out the engine
+//! Both daemon→LKM handshakes are values of one type, each guarded by a
+//! deadline: `MigrationBegin` must be acknowledged (`BeginAck`) within
+//! [`BEGIN_ACK_TIMEOUT`] and `EnteringLastIter` must be answered with
+//! `ReadyToSuspend` within [`READY_TIMEOUT`]. Both messages are idempotent
+//! (the LKM gates on sequence numbers), so an expired deadline triggers a
+//! resend with exponential backoff ([`COORD_RETRY_BACKOFF`]), up to
+//! [`COORD_RETRY_LIMIT`] times. When the retry budget runs out the engine
 //! either **degrades**: it sends `AbortAssist`, abandons skip-over areas,
 //! stops consulting the transfer bitmap, re-sends every page it ever
 //! skipped on transfer-bit grounds, and completes as vanilla Xen pre-copy
 //! (reported as [`MigrationOutcome::DegradedVanilla`]) — or fails with
 //! [`MigrateError::CoordTimeout`], per the configured
-//! [`FallbackPolicy`](crate::config::FallbackPolicy).
+//! [`FallbackPolicy`].
 //!
 //! # Send path
 //!
@@ -53,7 +54,10 @@
 
 use crate::assist::delta::{DeltaOutcome, DELTA_CPU_PER_PAGE};
 use crate::assist::ColdState;
-use crate::config::{CompressionPolicy, FallbackPolicy, MigrationConfig};
+use crate::config::{
+    CompressionPolicy, FallbackPolicy, MigrationConfig, BEGIN_ACK_TIMEOUT, COORD_RETRY_BACKOFF,
+    COORD_RETRY_LIMIT, READY_TIMEOUT,
+};
 use crate::destination::DestinationVm;
 use crate::error::{CoordPhase, MigrateError, MigrationOutcome};
 use crate::report::{
@@ -61,7 +65,7 @@ use crate::report::{
 };
 use crate::vmhost::MigratableVm;
 use guestos::coord::CoordPayload;
-use guestos::lkm::DaemonPort;
+use guestos::lkm::{DaemonPort, Lkm};
 use netsim::{CompressionMethod, Link, PAGE_HEADER_BYTES};
 use simkit::units::Bandwidth;
 use simkit::{FaultKind, LinkDegrade, Recorder, SimClock, SimDuration, SimTime, Subsystem};
@@ -95,19 +99,88 @@ pub struct PrecopyEngine {
     config: MigrationConfig,
 }
 
-/// Coordination-deadline bookkeeping for the two guarded handshakes.
-struct CoordTrack {
-    begin_acked: bool,
-    begin_deadline: Option<SimTime>,
-    begin_wait: SimDuration,
-    begin_attempts: u32,
-    /// When the (latest) `MigrationBegin` went out; anchors the
-    /// begin-ack round-trip histogram.
-    begin_sent_at: SimTime,
-    ready_deadline: Option<SimTime>,
-    ready_wait: SimDuration,
-    ready_attempts: u32,
-    ready_since: Option<SimTime>,
+/// One guarded daemon→LKM handshake: a request the LKM must answer before
+/// a deadline, resent with backoff until the retry budget runs out. A run
+/// has two, `MigrationBegin` → `BeginAck` and `EnteringLastIter` →
+/// `ReadyToSuspend`.
+struct Handshake {
+    request: CoordPayload,
+    /// What degrades the run when the retries run out.
+    fault: FaultKind,
+    /// The current wait; it grows by [`COORD_RETRY_BACKOFF`] at each resend.
+    wait: SimDuration,
+    /// Resends so far.
+    attempts: u32,
+    /// When the next resend is due: `None` before the first send and once
+    /// the handshake is answered or exhausted.
+    deadline: Option<SimTime>,
+    /// When the request first went out; a timeout's `waited` counts from
+    /// here.
+    first_sent: SimTime,
+    /// When the latest (re)send went out.
+    last_sent: SimTime,
+}
+
+impl Handshake {
+    fn new(phase: CoordPhase) -> Self {
+        let (request, wait, fault) = match phase {
+            CoordPhase::BeginAck => (
+                CoordPayload::MigrationBegin,
+                BEGIN_ACK_TIMEOUT,
+                FaultKind::BeginAckTimeout,
+            ),
+            CoordPhase::Ready => (
+                CoordPayload::EnteringLastIter,
+                READY_TIMEOUT,
+                FaultKind::ReadyTimeout,
+            ),
+        };
+        Self {
+            request,
+            fault,
+            wait,
+            attempts: 0,
+            deadline: None,
+            first_sent: SimTime::ZERO,
+            last_sent: SimTime::ZERO,
+        }
+    }
+
+    /// Sends (or resends) the request and arms the deadline.
+    fn send(&mut self, port: &DaemonPort, now: SimTime) {
+        port.send(now, self.request.clone());
+        if self.attempts == 0 {
+            self.first_sent = now;
+        }
+        self.last_sent = now;
+        self.deadline = Some(now + self.wait);
+    }
+
+    /// Resends the request, with backoff, when its deadline has passed and
+    /// retries remain, recording a `coord_retry` instant. Returns the time
+    /// waited since the first send once the retries are used up.
+    fn poll(&mut self, port: &DaemonPort, now: SimTime, rec: &Recorder) -> Option<SimDuration> {
+        if self.deadline.is_none_or(|dl| now < dl) {
+            return None;
+        }
+        if self.attempts == COORD_RETRY_LIMIT {
+            self.deadline = None;
+            return Some(now.saturating_since(self.first_sent));
+        }
+        self.attempts += 1;
+        self.wait = SimDuration::from_secs_f64(self.wait.as_secs_f64() * COORD_RETRY_BACKOFF);
+        self.send(port, now);
+        rec.instant(
+            now,
+            Subsystem::Engine,
+            "coord_retry",
+            vec![
+                ("message", self.request.name().into()),
+                ("attempt", self.attempts.into()),
+            ],
+        );
+        None
+    }
 }
 
 /// One snapshot word, classified: the three disjoint masks the walk needs.
@@ -242,6 +315,10 @@ impl PrecopyEngine {
             None
         };
 
+        // The LKM's re-walk final-update strategy keeps no intermediate
+        // bookkeeping, so the stop-and-copy must consider every page
+        // dirtied during the run (§3.3.4).
+        let rewalk = config.assisted && vm.kernel().lkm().is_some_and(Lkm::rewalks_final_update);
         let mut link = Link::new(config.bandwidth);
         link.attach_telemetry(recorder.clone());
         let mut session = MigrationSession {
@@ -251,7 +328,7 @@ impl PrecopyEngine {
             link,
             dest: DestinationVm::new(npages),
             by_class: TrafficByClass::default(),
-            ever_dirtied: Bitmap::new(npages),
+            ever_dirtied: rewalk.then(|| Bitmap::new(npages)),
             deferred_skips: Bitmap::new(npages),
             cpu: SimDuration::ZERO,
             scan_pages: 0,
@@ -260,17 +337,8 @@ impl PrecopyEngine {
             assist: config.assisted,
             degraded: None,
             cold: None,
-            coord: CoordTrack {
-                begin_acked: !config.assisted,
-                begin_deadline: None,
-                begin_wait: config.coord.begin_ack_timeout,
-                begin_attempts: 0,
-                begin_sent_at: t0,
-                ready_deadline: None,
-                ready_wait: config.coord.ready_timeout,
-                ready_attempts: 0,
-                ready_since: None,
-            },
+            begin_hs: Handshake::new(CoordPhase::BeginAck),
+            ready_hs: Handshake::new(CoordPhase::Ready),
             t0,
             link_plan: config.faults.link,
             base_bandwidth: config.bandwidth,
@@ -292,8 +360,7 @@ impl PrecopyEngine {
             ],
         );
         if let Some(port) = &session.port {
-            port.send(clock.now(), CoordPayload::MigrationBegin);
-            session.coord.begin_deadline = Some(t0 + config.coord.begin_ack_timeout);
+            session.begin_hs.send(port, clock.now());
             if config.cold.enabled() {
                 session.cold = Some(ColdState::new(npages, &config.cold));
                 port.send(clock.now(), CoordPayload::QueryColdMap);
@@ -342,7 +409,9 @@ pub struct MigrationSession {
     link: Link,
     dest: DestinationVm,
     by_class: TrafficByClass,
-    ever_dirtied: Bitmap,
+    /// Every page dirtied during the run; kept only when the LKM re-walks
+    /// its skip-over areas at the final update, for the stop-and-copy.
+    ever_dirtied: Option<Bitmap>,
     /// Pages ever skipped because of a cleared transfer bit; re-examined at
     /// the stop-and-copy under the *final* bitmap so nothing live is lost.
     deferred_skips: Bitmap,
@@ -362,7 +431,8 @@ pub struct MigrationSession {
     /// Cold-page assist state; `None` unless the config enables it, so the
     /// zero-config path allocates and records nothing.
     cold: Option<ColdState>,
-    coord: CoordTrack,
+    begin_hs: Handshake,
+    ready_hs: Handshake,
     t0: SimTime,
     /// Pending link-degrade fault, consumed when its time arrives.
     link_plan: Option<LinkDegrade>,
@@ -508,7 +578,7 @@ impl MigrationSession {
                     ("stragglers", stragglers.into()),
                 ],
             );
-            if stragglers > 0 && self.config.coord.degrade_on_stragglers {
+            if stragglers > 0 && self.config.degrade_on_stragglers {
                 // The LKM gave up on some assistants; instead of trusting
                 // its forcible un-skip, abandon assistance wholesale.
                 self.degrade(clock.now(), FaultKind::AgentStraggler);
@@ -547,7 +617,7 @@ impl MigrationSession {
                 );
                 match &self.port {
                     Some(port) if self.assist => {
-                        port.send(clock.now(), CoordPayload::EnteringLastIter);
+                        self.ready_hs.send(port, clock.now());
                         self.recorder.instant(
                             clock.now(),
                             Subsystem::Engine,
@@ -555,9 +625,6 @@ impl MigrationSession {
                             vec![],
                         );
                         self.t_enter_last = Some(clock.now());
-                        self.coord.ready_since = Some(clock.now());
-                        self.coord.ready_deadline =
-                            Some(clock.now() + self.config.coord.ready_timeout);
                     }
                     _ => return self.finish(vm, clock),
                 }
@@ -834,87 +901,31 @@ impl MigrationSession {
         Ok(())
     }
 
-    /// Checks the coordination deadlines; resends idempotent handshake
-    /// messages with backoff, degrading (or failing) once the retry budget
-    /// is exhausted.
+    /// Polls both handshakes, in protocol order; the first to exhaust its
+    /// retries degrades (or fails) the run, which ends the check.
     fn check_coord_deadlines(
         &mut self,
         port: &DaemonPort,
         now: SimTime,
     ) -> Result<(), MigrateError> {
-        let (retry_limit, backoff) = (
-            self.config.coord.retry_limit,
-            self.config.coord.retry_backoff,
-        );
-        let coord = &mut self.coord;
-        if !coord.begin_acked && coord.begin_deadline.is_some_and(|dl| now >= dl) {
-            if coord.begin_attempts < retry_limit {
-                coord.begin_attempts += 1;
-                coord.begin_wait =
-                    SimDuration::from_secs_f64(coord.begin_wait.as_secs_f64() * backoff);
-                port.send(now, CoordPayload::MigrationBegin);
-                coord.begin_sent_at = now;
-                coord.begin_deadline = Some(now + coord.begin_wait);
-                let attempt = coord.begin_attempts;
-                self.record_retry(now, "migration_begin", attempt);
-            } else {
-                coord.begin_deadline = None;
-                let waited = now.saturating_since(self.t0);
-                return self.coord_exhausted(
-                    now,
-                    FaultKind::BeginAckTimeout,
-                    CoordPhase::BeginAck,
-                    waited,
-                );
-            }
-        }
-        let coord = &mut self.coord;
-        if self.assist && self.ready.is_none() && coord.ready_deadline.is_some_and(|dl| now >= dl) {
-            if coord.ready_attempts < retry_limit {
-                coord.ready_attempts += 1;
-                coord.ready_wait =
-                    SimDuration::from_secs_f64(coord.ready_wait.as_secs_f64() * backoff);
-                port.send(now, CoordPayload::EnteringLastIter);
-                coord.ready_deadline = Some(now + coord.ready_wait);
-                let attempt = coord.ready_attempts;
-                self.record_retry(now, "entering_last_iter", attempt);
-            } else {
-                coord.ready_deadline = None;
-                let waited = now.saturating_since(coord.ready_since.unwrap_or(self.t0));
-                return self.coord_exhausted(
-                    now,
-                    FaultKind::ReadyTimeout,
-                    CoordPhase::Ready,
-                    waited,
-                );
-            }
+        for phase in [CoordPhase::BeginAck, CoordPhase::Ready] {
+            let hs = match phase {
+                CoordPhase::BeginAck => &mut self.begin_hs,
+                CoordPhase::Ready => &mut self.ready_hs,
+            };
+            let Some(waited) = hs.poll(port, now, &self.recorder) else {
+                continue;
+            };
+            let fault = hs.fault;
+            return match self.config.fallback {
+                FallbackPolicy::Fail => Err(MigrateError::CoordTimeout { phase, waited }),
+                FallbackPolicy::DegradeToVanilla => {
+                    self.degrade(now, fault);
+                    Ok(())
+                }
+            };
         }
         Ok(())
-    }
-
-    fn record_retry(&self, now: SimTime, message: &'static str, attempt: u32) {
-        self.recorder.instant(
-            now,
-            Subsystem::Engine,
-            "coord_retry",
-            vec![("message", message.into()), ("attempt", attempt.into())],
-        );
-    }
-
-    fn coord_exhausted(
-        &mut self,
-        now: SimTime,
-        fault: FaultKind,
-        phase: CoordPhase,
-        waited: SimDuration,
-    ) -> Result<(), MigrateError> {
-        match self.config.fallback {
-            FallbackPolicy::Fail => Err(MigrateError::CoordTimeout { phase, waited }),
-            FallbackPolicy::DegradeToVanilla => {
-                self.degrade(now, fault);
-                Ok(())
-            }
-        }
     }
 
     /// One live iteration: scan the snapshot, transferring at link speed
@@ -999,22 +1010,24 @@ impl MigrationSession {
                         match msg.payload {
                             CoordPayload::BeginAck => {
                                 // The LKM re-acks every (retried) begin; only
-                                // the first ack is a meaningful round-trip.
-                                if !self.coord.begin_acked {
+                                // the first ack, which disarms the deadline, is
+                                // a meaningful round-trip, timed from the
+                                // latest send.
+                                let first_ack = self.begin_hs.deadline.take().is_some();
+                                if first_ack {
                                     self.recorder.hist_dur(
                                         Subsystem::Engine,
                                         "coord_begin_rtt_ns",
-                                        clock.now().saturating_since(self.coord.begin_sent_at),
+                                        clock.now().saturating_since(self.begin_hs.last_sent),
                                     );
                                 }
-                                self.coord.begin_acked = true;
-                                self.coord.begin_deadline = None;
                             }
                             CoordPayload::ReadyToSuspend {
                                 final_update,
                                 stragglers,
                             } => {
-                                if let Some(since) = self.coord.ready_since {
+                                // Timed from the first `EnteringLastIter`.
+                                if let Some(since) = self.t_enter_last {
                                     self.recorder.hist_dur(
                                         Subsystem::Engine,
                                         "coord_ready_rtt_ns",
@@ -1061,7 +1074,9 @@ impl MigrationSession {
             .memory_mut()
             .dirty_log_mut()
             .read_and_clear();
-        self.ever_dirtied.union_with(&snapshot);
+        if let Some(ever) = self.ever_dirtied.as_mut() {
+            ever.union_with(&snapshot);
+        }
         self.to_send = snapshot;
         if self.assist {
             if let Some(cold) = self.cold.as_mut() {
@@ -1195,7 +1210,6 @@ impl MigrationSession {
             .memory_mut()
             .dirty_log_mut()
             .read_and_clear();
-        self.ever_dirtied.union_with(&sendable);
         sendable.union_with(&self.to_send);
         sendable.union_with(&self.deferred_skips);
         if let Some(cold) = self.cold.as_mut() {
@@ -1206,8 +1220,8 @@ impl MigrationSession {
             sendable.union_with(&cold.pending);
             cold.pending.clear_all();
         }
-        if self.config.last_iter_considers_all_dirtied {
-            sendable.union_with(&self.ever_dirtied);
+        if let Some(ever) = &self.ever_dirtied {
+            sendable.union_with(ever);
         }
 
         // The VM is paused, so the final transfer bitmap is immutable: the

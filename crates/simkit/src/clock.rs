@@ -40,18 +40,6 @@ impl SimClock {
         self.now += dt;
         self.now
     }
-
-    /// Advances the clock to `target` if it lies in the future.
-    ///
-    /// Returns the time actually advanced, which is zero when `target` is in
-    /// the past. Advancing to a past instant is a no-op rather than an error
-    /// so that independent components can each "catch the clock up" to the
-    /// completion time of overlapping activities.
-    pub fn advance_to(&mut self, target: SimTime) -> SimDuration {
-        let dt = target.saturating_since(self.now);
-        self.now += dt;
-        dt
-    }
 }
 
 #[cfg(test)]
@@ -69,16 +57,5 @@ mod tests {
         c.advance(SimDuration::from_secs(1));
         c.advance(SimDuration::from_millis(500));
         assert_eq!(c.now().as_secs_f64(), 1.5);
-    }
-
-    #[test]
-    fn advance_to_is_monotone() {
-        let mut c = SimClock::new();
-        c.advance(SimDuration::from_secs(2));
-        let moved = c.advance_to(SimTime::ZERO + SimDuration::from_secs(1));
-        assert_eq!(moved, SimDuration::ZERO);
-        assert_eq!(c.now().as_secs_f64(), 2.0);
-        let moved = c.advance_to(SimTime::ZERO + SimDuration::from_secs(3));
-        assert_eq!(moved, SimDuration::from_secs(1));
     }
 }

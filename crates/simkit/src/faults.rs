@@ -14,9 +14,10 @@
 //! single random number for it and behaviour is bit-for-bit identical to a
 //! run without fault injection.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
-/// Per-hop message-fault probabilities (one lane = one transport).
+/// Per-hop message-fault probabilities (one lane = one transport). The
+/// coordination transports draw each message copy's fate from these.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneFaults {
     /// Probability a message is silently dropped.
@@ -219,68 +220,9 @@ impl FaultKind {
     }
 }
 
-/// Runtime state for one faulty lane: the plan slice plus its forked RNG.
-#[derive(Debug)]
-pub struct LaneFaultState {
-    faults: LaneFaults,
-    rng: crate::rng::DetRng,
-}
-
-/// The fate fault injection assigns one message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MessageFate {
-    /// Deliver normally.
-    Deliver,
-    /// Silently drop.
-    Drop,
-    /// Deliver after an extra delay.
-    Delay(SimDuration),
-    /// Deliver twice (the duplicate shares the original's ready time).
-    Duplicate,
-}
-
-impl LaneFaultState {
-    /// Creates lane state from a plan slice and a forked RNG stream.
-    pub fn new(faults: LaneFaults, rng: crate::rng::DetRng) -> Self {
-        Self { faults, rng }
-    }
-
-    /// Decides the fate of one message. Draw order is fixed (drop, delay,
-    /// duplicate) so plans replay identically.
-    pub fn fate(&mut self) -> MessageFate {
-        if self.faults.drop > 0.0 && self.rng.chance(self.faults.drop) {
-            return MessageFate::Drop;
-        }
-        if self.faults.delay > 0.0 && self.rng.chance(self.faults.delay) {
-            let extra = SimDuration::from_nanos(
-                (self.faults.delay_max.as_nanos() as f64 * self.rng.next_f64()) as u64,
-            );
-            return MessageFate::Delay(extra);
-        }
-        if self.faults.duplicate > 0.0 && self.rng.chance(self.faults.duplicate) {
-            return MessageFate::Duplicate;
-        }
-        MessageFate::Deliver
-    }
-}
-
-/// Inserts `(ready, item)` into a queue kept sorted by ready time,
-/// preserving FIFO order among equal ready times. With uniform latency
-/// every insert lands at the back, so the fault-free path is untouched.
-pub fn insert_by_ready<T>(
-    queue: &mut std::collections::VecDeque<(SimTime, T)>,
-    ready: SimTime,
-    item: T,
-) {
-    let at = queue.partition_point(|&(r, _)| r <= ready);
-    queue.insert(at, (ready, item));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::DetRng;
-    use std::collections::VecDeque;
 
     #[test]
     fn inert_plan_is_inactive_and_valid() {
@@ -296,36 +238,6 @@ mod tests {
         assert!(lane.is_valid());
         lane.drop = 1.5;
         assert!(!lane.is_valid());
-    }
-
-    #[test]
-    fn fates_are_deterministic() {
-        let lane = LaneFaults {
-            drop: 0.3,
-            delay: 0.3,
-            delay_max: SimDuration::from_millis(5),
-            duplicate: 0.3,
-        };
-        let run = || {
-            let mut s = LaneFaultState::new(lane, DetRng::new(7));
-            (0..64).map(|_| s.fate()).collect::<Vec<_>>()
-        };
-        let fates = run();
-        assert_eq!(fates, run());
-        assert!(fates.iter().any(|f| *f != MessageFate::Deliver));
-    }
-
-    #[test]
-    fn ready_sorted_insert_keeps_fifo_for_equal_times() {
-        let mut q: VecDeque<(SimTime, u32)> = VecDeque::new();
-        let t = |n| SimTime::from_nanos(n);
-        insert_by_ready(&mut q, t(10), 1);
-        insert_by_ready(&mut q, t(10), 2);
-        insert_by_ready(&mut q, t(5), 3);
-        insert_by_ready(&mut q, t(20), 4);
-        insert_by_ready(&mut q, t(10), 5);
-        let order: Vec<u32> = q.iter().map(|&(_, v)| v).collect();
-        assert_eq!(order, vec![3, 1, 2, 5, 4]);
     }
 
     #[test]

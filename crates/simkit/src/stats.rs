@@ -233,57 +233,6 @@ impl TimeSeries {
     }
 }
 
-/// A windowed rate meter: events per second over a sliding window.
-#[derive(Debug, Clone)]
-pub struct RateMeter {
-    window: SimDuration,
-    events: std::collections::VecDeque<(SimTime, f64)>,
-    total: f64,
-}
-
-impl RateMeter {
-    /// Creates a meter with the given averaging window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is zero.
-    pub fn new(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "rate meter window must be positive");
-        Self {
-            window,
-            events: std::collections::VecDeque::new(),
-            total: 0.0,
-        }
-    }
-
-    /// Records `amount` units at instant `at`.
-    pub fn record(&mut self, at: SimTime, amount: f64) {
-        self.events.push_back((at, amount));
-        self.total += amount;
-        self.evict(at);
-    }
-
-    /// Returns the average rate (units/second) over the window ending at `now`.
-    pub fn rate(&mut self, now: SimTime) -> f64 {
-        self.evict(now);
-        self.total / self.window.as_secs_f64()
-    }
-
-    fn evict(&mut self, now: SimTime) {
-        let cutoff = now
-            .saturating_since(SimTime::ZERO)
-            .saturating_sub(self.window);
-        while let Some(&(t, amount)) = self.events.front() {
-            if t.saturating_since(SimTime::ZERO) < cutoff {
-                self.events.pop_front();
-                self.total -= amount;
-            } else {
-                break;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,18 +312,5 @@ mod tests {
         ts.record(SimTime::from_nanos(0), 1.0);
         ts.extend_to(SimTime::from_nanos(3_500_000_000));
         assert_eq!(ts.bucket_values(), vec![1.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn rate_meter_window_eviction() {
-        let mut rm = RateMeter::new(SimDuration::from_secs(2));
-        rm.record(SimTime::from_nanos(0), 100.0);
-        rm.record(SimTime::from_nanos(1_000_000_000), 100.0);
-        // Window covers both events: 200 units over 2 s = 100/s.
-        assert!((rm.rate(SimTime::from_nanos(1_500_000_000)) - 100.0).abs() < 1e-9);
-        // At t=2.5s the first event fell out of the window.
-        assert!((rm.rate(SimTime::from_nanos(2_500_000_000)) - 50.0).abs() < 1e-9);
-        // At t=3.5s both events fell out.
-        assert!(rm.rate(SimTime::from_nanos(3_500_000_000)).abs() < 1e-9);
     }
 }

@@ -75,11 +75,6 @@ impl SimDuration {
         self.0 / 1_000
     }
 
-    /// Returns the duration in whole milliseconds, truncating.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Returns the duration in whole seconds, truncating.
     pub const fn as_secs(self) -> u64 {
         self.0 / 1_000_000_000

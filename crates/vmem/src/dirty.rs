@@ -79,11 +79,6 @@ impl DirtyLog {
         first
     }
 
-    /// Returns whether `pfn` is currently logged dirty.
-    pub fn is_dirty(&self, pfn: Pfn) -> bool {
-        self.dirty.get(pfn)
-    }
-
     /// Returns a snapshot of the log and clears it (Xen `OP_CLEAN`).
     pub fn read_and_clear(&mut self) -> Bitmap {
         let mut snap = Bitmap::new(self.dirty.len());
@@ -137,7 +132,6 @@ mod tests {
         let snap = log.read_and_clear();
         assert_eq!(snap.count_set(), 2);
         assert_eq!(log.dirty_count(), 0);
-        assert!(!log.is_dirty(Pfn(1)));
     }
 
     #[test]

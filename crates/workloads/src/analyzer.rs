@@ -70,25 +70,6 @@ impl Analyzer {
             pts.iter().sum::<f64>() / pts.len() as f64
         }
     }
-
-    /// The longest run of consecutive zero-throughput seconds within
-    /// `[from, to)` — the workload-visible downtime of Figure 11.
-    pub fn longest_gap_secs(&self, from: f64, to: f64) -> u64 {
-        let mut longest = 0u64;
-        let mut current = 0u64;
-        for (t, v) in self.points() {
-            if t < from || t >= to {
-                continue;
-            }
-            if v == 0.0 {
-                current += 1;
-                longest = longest.max(current);
-            } else {
-                current = 0;
-            }
-        }
-        longest
-    }
 }
 
 impl Default for Analyzer {
@@ -125,7 +106,8 @@ mod tests {
         // 4 seconds of suspension: no observations, then a burst.
         a.observe(t(7500), 40);
         a.finish(t(8000));
-        assert_eq!(a.longest_gap_secs(0.0, 9.0), 4);
+        let gap: Vec<f64> = a.points()[3..8].iter().map(|&(_, v)| v).collect();
+        assert_eq!(gap, vec![0.0, 0.0, 0.0, 0.0, 10.0]);
         assert!(a.mean_between(0.0, 3.0) > 0.0);
     }
 

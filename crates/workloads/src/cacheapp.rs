@@ -43,8 +43,8 @@ pub struct CacheAppConfig {
     /// Fraction of the cache held by the long-tail resident set: entries
     /// that stay live (they must migrate) but are updated only rarely. The
     /// band sits at the head of the region, is reported as a cold region
-    /// when the cold assist queries for one, and receives
-    /// [`COLD_TOUCH_CHANCE`] of the churn. `0.0` (the default) disables the
+    /// when the cold assist queries for one, and receives a tenth
+    /// (`COLD_TOUCH_CHANCE`) of the churn. `0.0` (the default) disables the
     /// band without changing a single rng draw. Clamped so the band never
     /// overlaps the skip-over tail.
     pub cold_fraction: f64,

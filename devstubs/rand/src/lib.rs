@@ -2,7 +2,7 @@
 //!
 //! The build environment has no network access, so the workspace vendors
 //! the tiny slice of `rand`'s API it actually consumes: the [`RngCore`]
-//! trait that [`simkit`]'s deterministic generator implements so it can be
+//! trait that `simkit`'s deterministic generator implements so it can be
 //! plugged into `rand`-based consumers. The trait contract matches
 //! `rand_core` 0.9.
 

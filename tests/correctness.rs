@@ -158,7 +158,7 @@ fn traffic_breakdown_reflects_skipping() {
 #[test]
 fn every_send_path_accounts_for_each_byte_and_page() {
     use javmm::vm::JavaVm;
-    use migrate::config::{CompressionPolicy, CoordPolicy};
+    use migrate::config::CompressionPolicy;
     use migrate::precopy::PrecopyEngine;
     use migrate::ColdAssistConfig;
     use simkit::units::{Bandwidth, MIB};
@@ -262,10 +262,7 @@ fn every_send_path_accounts_for_each_byte_and_page() {
     }
 
     let degrading = |faults: FaultPlan| MigrationConfig {
-        coord: CoordPolicy {
-            degrade_on_stragglers: true,
-            ..CoordPolicy::default()
-        },
+        degrade_on_stragglers: true,
         faults,
         ..cold(ColdAssistConfig::full())
     };

@@ -20,7 +20,7 @@
 
 use javmm::orchestrator::{run_scenario, Scenario};
 use javmm::vm::{JavaVm, JavaVmConfig};
-use migrate::config::{CoordPolicy, FallbackPolicy, MigrationConfig};
+use migrate::config::{FallbackPolicy, MigrationConfig, COORD_RETRY_LIMIT};
 use migrate::error::{MigrateError, MigrationOutcome};
 use migrate::precopy::PrecopyEngine;
 use migrate::report::{DowntimeBreakdown, MigrationReport};
@@ -42,10 +42,7 @@ fn small_vm(seed: u64) -> JavaVm {
 
 fn faulty_config(faults: FaultPlan) -> MigrationConfig {
     MigrationConfig {
-        coord: CoordPolicy {
-            degrade_on_stragglers: true,
-            ..CoordPolicy::default()
-        },
+        degrade_on_stragglers: true,
         faults,
         ..MigrationConfig::javmm_default()
     }
@@ -133,7 +130,7 @@ fn dead_coordination_channel_exhausts_begin_retries_and_degrades() {
         .telemetry
         .events_named(Subsystem::Engine, "coord_retry")
         .len() as u32;
-    assert_eq!(retries, CoordPolicy::default().retry_limit);
+    assert_eq!(retries, COORD_RETRY_LIMIT);
     // No assistance ever took effect.
     assert_eq!(report.pages_skipped_transfer(), 0);
 }
@@ -289,7 +286,7 @@ fn zero_fault_plan_is_bit_identical_to_the_locked_golden() {
     let preset = run(MigrationConfig::javmm_default());
     let harness = run(MigrationConfig {
         assisted: true,
-        coord: CoordPolicy::default(),
+        degrade_on_stragglers: false,
         fallback: FallbackPolicy::DegradeToVanilla,
         faults: FaultPlan::none(),
         ..MigrationConfig::xen_default()

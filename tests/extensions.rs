@@ -46,15 +46,18 @@ fn rewalk_final_update_is_correct_but_slower() {
     let run_strategy = |rewalk: bool| {
         let mut vm = JavaVmConfig::paper(catalog::derby(), true, 1);
         vm.lkm.rewalk_final_update = rewalk;
-        let mut config = MigrationConfig::javmm_default();
-        config.last_iter_considers_all_dirtied = rewalk;
-        run(config, vm)
+        run(MigrationConfig::javmm_default(), vm)
     };
     let incremental = run_strategy(false);
     let rewalk = run_strategy(true);
 
     assert!(incremental.report.verification.is_correct());
     assert!(rewalk.report.verification.is_correct());
+    // The rewalk strategy keeps no intermediate bookkeeping, so the engine
+    // learns it from the LKM and its stop-and-copy considers every page
+    // dirtied during the run (§3.3.4).
+    assert_eq!(rewalk.report.total_bytes, 1_155_678_192);
+    assert_eq!(rewalk.report.last_iteration().pages_to_send, 273_882);
 
     // The incremental strategy finishes the final update within the
     // paper's 300us; the rewalk walks every skip-over page again, which is

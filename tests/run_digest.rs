@@ -11,7 +11,7 @@
 
 use javmm::orchestrator::{run_scenario_recorded, Scenario};
 use javmm::vm::JavaVmConfig;
-use migrate::config::{CoordPolicy, MigrationConfig};
+use migrate::config::MigrationConfig;
 use migrate::digest::{compare, DigestMeta, RunDigest};
 use simkit::telemetry::Recorder;
 use simkit::units::MIB;
@@ -50,10 +50,7 @@ fn degraded_digest_json() -> String {
     vm.young_max = Some(256 * MIB);
     vm.lkm.reply_timeout = SimDuration::from_millis(500);
     let config = MigrationConfig {
-        coord: CoordPolicy {
-            degrade_on_stragglers: true,
-            ..CoordPolicy::default()
-        },
+        degrade_on_stragglers: true,
         faults: FaultPlan {
             seed: 7,
             evtchn: LaneFaults {
