@@ -232,19 +232,15 @@ impl MigratableVm for JavaVm {
     }
 
     fn install_faults(&mut self, plan: &simkit::FaultPlan) {
-        // Strict no-op for an inert plan: no RNG forks, no transport state
-        // changes, so zero-fault runs stay bit-for-bit identical.
-        if !plan.is_active() {
-            return;
-        }
+        // Every part of every plan is installed, the inert plan included,
+        // so a plan disarms whatever an earlier migration's plan armed. An
+        // inert lane keeps no RNG and draws nothing (forking is a pure
+        // function of the seed), so zero-fault runs stay bit-for-bit
+        // identical.
         let root = DetRng::new(plan.seed);
-        if plan.evtchn.is_active() {
-            self.port.install_faults(plan.evtchn, root.fork(1));
-        }
-        if plan.netlink.is_active() {
-            self.kernel
-                .install_netlink_faults(plan.netlink, root.fork(2));
-        }
+        self.port.install_faults(plan.evtchn, root.fork(1));
+        self.kernel
+            .install_netlink_faults(plan.netlink, root.fork(2));
         self.jvm.set_agent_stall(plan.agent_stall);
         self.jvm.set_gc_overrun(plan.gc_overrun);
         self.jvm.set_phase_shift(plan.phase_shift);

@@ -170,7 +170,8 @@ pub(crate) type Inbox<T> = VecDeque<(SimTime, T)>;
 #[derive(Debug)]
 pub(crate) struct Hop {
     latency: SimDuration,
-    /// The armed fault lane and the RNG stream its fates are drawn from.
+    /// The armed fault lane and the RNG stream its fates are drawn from;
+    /// `None` unless the lane is active.
     faults: Option<(LaneFaults, DetRng)>,
     telemetry: Recorder,
     /// The `net/` histogram each queued copy records its latency into.
@@ -188,9 +189,10 @@ impl Hop {
         }
     }
 
-    /// Arms fault injection on both directions of the transport.
+    /// Arms fault injection on both directions of the transport. An inert
+    /// lane disarms the hop instead: it keeps no RNG and draws nothing.
     pub(crate) fn install_faults(&mut self, faults: LaneFaults, rng: DetRng) {
-        self.faults = Some((faults, rng));
+        self.faults = faults.is_active().then_some((faults, rng));
     }
 
     /// Attaches a flight recorder.

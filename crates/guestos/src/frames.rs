@@ -5,7 +5,9 @@
 //! why a VA-contiguous skip-over area maps to non-contiguous PFNs and why
 //! the LKM must walk page tables instead of assuming identity mappings.
 //! A deterministic stride permutation reproduces that scattering without
-//! randomness.
+//! randomness: the `i`-th untouched frame handed out is
+//! `start + (i · stride) mod n`. The permutation is computed as frames are
+//! needed, not stored; only frames freed and not yet reused take memory.
 
 use vmem::Pfn;
 
@@ -25,8 +27,19 @@ use vmem::Pfn;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
-    /// Free frames, popped from the back.
-    free: Vec<Pfn>,
+    /// First frame of the pool.
+    start: u64,
+    /// Frames in the pool.
+    n: u64,
+    /// The permutation's stride, reduced mod `n`.
+    stride: u64,
+    /// Offset from `start` of the next untouched frame:
+    /// `(handed out · stride) mod n`.
+    cursor: u64,
+    /// Frames of the permutation not yet handed out.
+    untouched: u64,
+    /// Freed frames, reused LIFO before any untouched frame.
+    freed: Vec<Pfn>,
 }
 
 impl FrameAllocator {
@@ -38,38 +51,51 @@ impl FrameAllocator {
     pub fn new(start: u64, end: u64) -> Self {
         assert!(start < end, "empty frame pool [{start}, {end})");
         let n = end - start;
-        let stride = pick_stride(n);
-        // Visit the pool with a coprime stride so successive allocations are
-        // spread across the range; reverse so pop() yields index 0 first.
-        let mut free: Vec<Pfn> = (0..n).map(|i| Pfn(start + (i * stride) % n)).collect();
-        free.reverse();
-        Self { free }
+        Self {
+            start,
+            n,
+            stride: pick_stride(n) % n,
+            cursor: 0,
+            untouched: n,
+            freed: Vec::new(),
+        }
     }
 
     /// Allocates `n` frames, or `None` if the pool has fewer than `n` free.
     pub fn alloc(&mut self, n: u64) -> Option<Vec<Pfn>> {
-        if (self.free.len() as u64) < n {
+        if self.free_count() < n {
             return None;
         }
-        Some(
-            (0..n)
-                .map(|_| self.free.pop().expect("length checked"))
-                .collect(),
-        )
+        Some((0..n).map(|_| self.next()).collect())
+    }
+
+    /// Takes the most recently freed frame, else the next untouched one.
+    fn next(&mut self) -> Pfn {
+        if let Some(pfn) = self.freed.pop() {
+            return pfn;
+        }
+        let pfn = Pfn(self.start + self.cursor);
+        // cursor < n and stride < n, so one subtraction reduces mod n.
+        self.cursor += self.stride;
+        if self.cursor >= self.n {
+            self.cursor -= self.n;
+        }
+        self.untouched -= 1;
+        pfn
     }
 
     /// Returns frames to the pool.
     ///
-    /// Frames are pushed to the back of the free stack, so they are the next
-    /// to be reused — matching the LIFO behaviour of real free lists that
-    /// makes freed skip-over frames promptly reappear in other mappings.
+    /// Frames are pushed onto the free stack, so they are the next to be
+    /// reused — matching the LIFO behaviour of real free lists that makes
+    /// freed skip-over frames promptly reappear in other mappings.
     pub fn free(&mut self, frames: impl IntoIterator<Item = Pfn>) {
-        self.free.extend(frames);
+        self.freed.extend(frames);
     }
 
     /// Returns the number of free frames.
     pub fn free_count(&self) -> u64 {
-        self.free.len() as u64
+        self.freed.len() as u64 + self.untouched
     }
 }
 
@@ -102,6 +128,7 @@ fn gcd(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     #[test]
@@ -139,6 +166,91 @@ mod tests {
     fn single_frame_pool() {
         let mut fa = FrameAllocator::new(5, 6);
         assert_eq!(fa.alloc(1).unwrap(), vec![Pfn(5)]);
+    }
+
+    /// The reference model: the whole stride permutation stored up front
+    /// and popped from the back, with freed frames pushed onto the same
+    /// stack.
+    struct EagerReference(Vec<Pfn>);
+
+    impl EagerReference {
+        fn new(start: u64, end: u64) -> Self {
+            let n = end - start;
+            let stride = pick_stride(n);
+            let mut free: Vec<Pfn> = (0..n).map(|i| Pfn(start + (i * stride) % n)).collect();
+            free.reverse();
+            Self(free)
+        }
+
+        fn alloc(&mut self, n: u64) -> Option<Vec<Pfn>> {
+            if (self.0.len() as u64) < n {
+                return None;
+            }
+            Some(
+                (0..n)
+                    .map(|_| self.0.pop().expect("length checked"))
+                    .collect(),
+            )
+        }
+    }
+
+    /// Pool sizes: 1 and 2, primes, sizes whose gcd with the large stride
+    /// candidates makes `pick_stride` reject them (a multiple of 104,729;
+    /// 7,919 · 6; sizes below the candidates; 6, which falls back to
+    /// scanning), and small random pools.
+    fn pool_size() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(1u64),
+            Just(2u64),
+            Just(3u64),
+            Just(6u64),
+            Just(7919u64),
+            Just(6u64 * 7919),
+            Just(2u64 * 104_729),
+            Just(5000u64),
+            1u64..300,
+        ]
+    }
+
+    proptest! {
+        /// The computed permutation hands out exactly the frames, in
+        /// exactly the order, of the stored one, through any interleaving
+        /// of allocations and LIFO frees, exhaustion included.
+        #[test]
+        fn lazy_allocator_matches_eager_permutation(
+            n in pool_size(),
+            start in 0u64..1000,
+            ops in prop::collection::vec((any::<bool>(), 0u64..400, 0u64..64), 1..40),
+        ) {
+            let mut lazy = FrameAllocator::new(start, start + n);
+            let mut eager = EagerReference::new(start, start + n);
+            let mut held: Vec<Pfn> = Vec::new();
+            for (is_alloc, count, seed) in ops {
+                if is_alloc {
+                    // Sometimes ask for exactly what is left, or one more.
+                    let count = match seed % 4 {
+                        0 => lazy.free_count(),
+                        1 => lazy.free_count() + 1,
+                        _ => count,
+                    };
+                    let got = lazy.alloc(count);
+                    prop_assert_eq!(&got, &eager.alloc(count));
+                    held.extend(got.unwrap_or_default());
+                } else {
+                    let k = (count as usize).min(held.len());
+                    let at = (seed as usize) % (held.len() - k + 1);
+                    let back: Vec<Pfn> = held.drain(at..at + k).collect();
+                    lazy.free(back.iter().copied());
+                    eager.0.extend(back);
+                }
+                prop_assert_eq!(lazy.free_count(), eager.0.len() as u64);
+            }
+            // Drain to exhaustion: the rest matches too, then both refuse.
+            let rest = lazy.free_count();
+            prop_assert_eq!(lazy.alloc(rest), eager.alloc(rest));
+            prop_assert_eq!(lazy.alloc(1), None);
+            prop_assert_eq!(eager.alloc(1), None);
+        }
     }
 
     #[test]

@@ -79,8 +79,10 @@ pub struct GuestKernel {
     next_pid: u32,
     netlink: NetlinkBus,
     lkm: Option<Lkm>,
-    kernel_pfns: Vec<Pfn>,
-    pagecache_pfns: Vec<Pfn>,
+    /// Frames of the kernel image: `[0, kernel_pages)`.
+    kernel_pages: u64,
+    /// Frames of the page cache: `[kernel_pages, kernel_pages + cache_pages)`.
+    cache_pages: u64,
     noise_carry: f64,
     rng: DetRng,
 }
@@ -98,18 +100,14 @@ impl GuestKernel {
             "kernel + page cache exceed VM memory"
         );
 
-        let kernel_pfns: Vec<Pfn> = (0..kernel_pages).map(Pfn).collect();
-        let pagecache_pfns: Vec<Pfn> = (kernel_pages..kernel_pages + cache_pages)
-            .map(Pfn)
-            .collect();
-        for &pfn in &kernel_pfns {
-            memory.write(pfn, PageClass::Kernel);
+        let pool_start = kernel_pages + cache_pages;
+        for p in 0..kernel_pages {
+            memory.write(Pfn(p), PageClass::Kernel);
         }
-        for &pfn in &pagecache_pfns {
-            memory.write(pfn, PageClass::PageCache);
+        for p in kernel_pages..pool_start {
+            memory.write(Pfn(p), PageClass::PageCache);
         }
 
-        let pool_start = kernel_pages + cache_pages;
         let mut free_map = Bitmap::new(npages);
         for p in pool_start..npages {
             free_map.set(Pfn(p));
@@ -123,8 +121,8 @@ impl GuestKernel {
             next_pid: 1,
             netlink: NetlinkBus::new(),
             lkm: None,
-            kernel_pfns,
-            pagecache_pfns,
+            kernel_pages,
+            cache_pages,
             noise_carry: 0.0,
             config,
             rng,
@@ -252,12 +250,9 @@ impl GuestKernel {
     /// Panics if `pid` does not exist.
     pub fn unmap_free(&mut self, pid: Pid, range: VaRange) -> u64 {
         let proc = self.procs.get_mut(&pid).expect("unknown pid");
-        let mut freed = Vec::new();
-        for vpn in range.align_inward().vpns() {
-            if let Some(pfn) = proc.page_table.unmap(Vaddr(vpn * PAGE_SIZE)) {
-                self.free_map.set(pfn);
-                freed.push(pfn);
-            }
+        let freed = proc.page_table.unmap_range(range);
+        for &pfn in &freed {
+            self.free_map.set(pfn);
         }
         let n = freed.len() as u64;
         self.frames.free(freed);
@@ -332,14 +327,14 @@ impl GuestKernel {
             / (self.config.kernel_dirty_rate + self.config.pagecache_dirty_rate).max(1.0);
         for i in 0..pages {
             let use_kernel = (i as f64 / pages.max(1) as f64) < k_share;
-            let (pool, class) = if use_kernel && !self.kernel_pfns.is_empty() {
-                (&self.kernel_pfns, PageClass::Kernel)
-            } else if !self.pagecache_pfns.is_empty() {
-                (&self.pagecache_pfns, PageClass::PageCache)
+            let (start, len, class) = if use_kernel && self.kernel_pages > 0 {
+                (0, self.kernel_pages, PageClass::Kernel)
+            } else if self.cache_pages > 0 {
+                (self.kernel_pages, self.cache_pages, PageClass::PageCache)
             } else {
                 continue;
             };
-            let pfn = pool[self.rng.below(pool.len() as u64) as usize];
+            let pfn = Pfn(start + self.rng.below(len));
             out.pages += 1;
             if self.memory.write(pfn, class) {
                 out.faults += 1;

@@ -31,7 +31,7 @@ use crate::process::{Pid, Process};
 use simkit::{Recorder, SimDuration, SimTime, Subsystem};
 use std::collections::BTreeMap;
 use vmem::addr::subtract_ranges;
-use vmem::{Bitmap, Pfn, PfnCache, TransferBitmap, VaRange};
+use vmem::{Bitmap, PageTable, Pfn, TransferBitmap, VaRange, Vaddr, PAGE_SIZE};
 
 pub use crate::evtchn::DaemonPort;
 
@@ -39,6 +39,10 @@ pub use crate::evtchn::DaemonPort;
 const WALK_COST_PER_PAGE: SimDuration = SimDuration::from_nanos(90);
 /// CPU time per transfer-bitmap bit flipped.
 const BIT_COST_PER_PAGE: SimDuration = SimDuration::from_nanos(30);
+/// Modelled bytes per PFN-cache entry. The paper sizes the cache at 4
+/// bytes per entry: 1 MiB per GiB of skip-over area, a 0.1% overhead
+/// (§3.3.4).
+const PFN_CACHE_ENTRY_BYTES: u64 = 4;
 
 /// Tunable policies of the LKM.
 ///
@@ -143,7 +147,9 @@ pub struct LkmStats {
 struct AppRecord {
     /// Remembered (page-aligned) skip-over areas.
     areas: Vec<VaRange>,
-    cache: PfnCache,
+    /// The PFN cache: a VA→PFN table of the pages whose transfer bits this
+    /// application's areas cleared, drained when an area shrinks.
+    cache: PageTable,
     suspension_ready: bool,
     straggler: bool,
 }
@@ -274,7 +280,7 @@ impl Lkm {
     pub fn memory_footprint(&self) -> u64 {
         self.transfer.byte_size()
             + self.cold.as_ref().map_or(0, Bitmap::byte_size)
-            + self.apps.values().map(|a| a.cache.byte_size()).sum::<u64>()
+            + self.cache_bytes()
     }
 
     /// Drains and processes all pending daemon and application messages.
@@ -461,7 +467,7 @@ impl Lkm {
                 if self.transfer.clear(pfn) {
                     cleared += 1;
                 }
-                rec.cache.insert(vpn, pfn);
+                rec.cache.map(Vaddr(vpn * PAGE_SIZE), pfn);
             }
             rec.areas.push(aligned);
         }
@@ -551,7 +557,7 @@ impl Lkm {
         self.stats.shrink_events += 1;
         let mut set = 0u64;
         for range in left {
-            for pfn in rec.cache.take_range(*range) {
+            for pfn in rec.cache.unmap_range(*range) {
                 if self.transfer.set(pfn) {
                     set += 1;
                 }
@@ -611,7 +617,7 @@ impl Lkm {
                     if self.transfer.clear(pfn) {
                         flips += 1;
                     }
-                    rec.cache.insert(vpn, pfn);
+                    rec.cache.map(Vaddr(vpn * PAGE_SIZE), pfn);
                 }
             }
         } else {
@@ -625,13 +631,13 @@ impl Lkm {
                         flips += 1;
                         self.stats.final_expand_pages += 1;
                     }
-                    rec.cache.insert(vpn, pfn);
+                    rec.cache.map(Vaddr(vpn * PAGE_SIZE), pfn);
                 }
             }
             // Shrunk space: pages that left since the last notification.
             let shrunk = subtract_ranges(&rec.areas, &new_aligned);
             for range in &shrunk {
-                for pfn in rec.cache.take_range(*range) {
+                for pfn in rec.cache.unmap_range(*range) {
                     if self.transfer.set(pfn) {
                         flips += 1;
                         self.stats.final_set_pages += 1;
@@ -643,7 +649,7 @@ impl Lkm {
         // Must-send ranges "leave" the areas: their live contents (e.g. the
         // occupied From space) must go out in the last iteration.
         for range in must_send {
-            for pfn in rec.cache.take_range(*range) {
+            for pfn in rec.cache.unmap_range(*range) {
                 if self.transfer.set(pfn) {
                     flips += 1;
                     self.stats.final_set_pages += 1;
@@ -773,7 +779,7 @@ impl Lkm {
         self.transfer.reset();
         self.cold = None;
         for rec in self.apps.values_mut() {
-            rec.cache.clear();
+            rec.cache = PageTable::new();
             rec.areas.clear();
             rec.suspension_ready = true;
         }
@@ -795,7 +801,7 @@ impl Lkm {
         self.cold = None;
         for rec in self.apps.values_mut() {
             rec.areas.clear();
-            rec.cache.clear();
+            rec.cache = PageTable::new();
             rec.suspension_ready = false;
             rec.straggler = false;
         }
@@ -803,8 +809,12 @@ impl Lkm {
         self.pending_final_update = SimDuration::ZERO;
     }
 
+    /// The PFN caches' modelled footprint, counted as the paper counts it.
     fn cache_bytes(&self) -> u64 {
-        self.apps.values().map(|a| a.cache.byte_size()).sum()
+        self.apps
+            .values()
+            .map(|a| a.cache.mapped_count() * PFN_CACHE_ENTRY_BYTES)
+            .sum()
     }
 
     /// CPU time of a walk + bit-flip batch, divided across the configured
@@ -819,9 +829,9 @@ impl Lkm {
 impl AppRecord {
     /// Drains the PFN cache, returning every cached PFN.
     fn cache_drain(&mut self) -> Vec<Pfn> {
-        // take_range over the full VA space empties the cache.
-        let all = VaRange::new(vmem::Vaddr(0), vmem::Vaddr(!(vmem::PAGE_SIZE - 1)));
-        self.cache.take_range(all)
+        // Unmapping the full VA space empties the cache.
+        let all = VaRange::new(Vaddr(0), Vaddr(!(PAGE_SIZE - 1)));
+        self.cache.unmap_range(all)
     }
 }
 

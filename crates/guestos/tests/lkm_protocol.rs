@@ -328,6 +328,9 @@ fn lkm_memory_footprint_is_small() {
     g.service_lkm(t(3));
     let lkm = g.lkm().unwrap();
     assert_eq!(lkm.stats().first_update_pages, npages);
+    // The PFN cache counts 4 bytes per entry, as the paper does: exactly
+    // 1 MiB for the 1 GiB area.
+    assert_eq!(lkm.stats().peak_cache_bytes, 1024 * 1024);
     // Paper: transfer bitmap 32 KiB/GiB of VM + PFN cache 1 MiB/GiB of
     // skip-over area. 2 GiB VM + 1 GiB area = 64 KiB + 1 MiB ≈ 1.06 MiB.
     let footprint = lkm.memory_footprint();

@@ -17,16 +17,19 @@ use guestos::kernel::GuestKernel;
 use vmem::{Bitmap, PageInfo, Pfn};
 
 /// Receives pages at the destination host.
+///
+/// Only each page's version is kept, 8 bytes per page: verification and
+/// the delta gate compare versions, and nothing reads a received class.
 #[derive(Debug, Clone)]
 pub struct DestinationVm {
-    pages: Vec<PageInfo>,
+    versions: Vec<u64>,
 }
 
 impl DestinationVm {
     /// Creates a destination for a VM of `npages` pages (zero-filled).
     pub fn new(npages: u64) -> Self {
         Self {
-            pages: vec![PageInfo::default(); npages as usize],
+            versions: vec![0; npages as usize],
         }
     }
 
@@ -36,12 +39,7 @@ impl DestinationVm {
     ///
     /// Panics if `pfn` is out of range.
     pub fn receive(&mut self, pfn: Pfn, page: PageInfo) {
-        self.pages[pfn.0 as usize] = page;
-    }
-
-    /// Returns the stored page metadata.
-    pub fn page(&self, pfn: Pfn) -> PageInfo {
-        self.pages[pfn.0 as usize]
+        self.versions[pfn.0 as usize] = page.version;
     }
 
     /// `true` once a written version of `pfn` has been received — the
@@ -50,7 +48,7 @@ impl DestinationVm {
     /// (version 0) do not count; they are indistinguishable from the
     /// destination's own zero-fill.
     pub fn has_received(&self, pfn: Pfn) -> bool {
-        self.pages[pfn.0 as usize].version != 0
+        self.versions[pfn.0 as usize] != 0
     }
 
     /// Compares destination contents against the paused source.
@@ -62,9 +60,7 @@ impl DestinationVm {
         let npages = source.memory().page_count();
         for p in 0..npages {
             let pfn = Pfn(p);
-            let src = source.memory().page(pfn);
-            let dst = self.pages[p as usize];
-            if src.version == dst.version {
+            if source.memory().page(pfn).version == self.versions[p as usize] {
                 report.matching += 1;
                 continue;
             }

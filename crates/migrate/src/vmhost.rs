@@ -45,8 +45,10 @@ pub trait MigratableVm {
     /// agent stalls, GC overruns) before the migration begins.
     ///
     /// The default ignores the plan; implementations with coordination
-    /// transports and agents override it. Must be a strict no-op when
-    /// `!plan.is_active()` so a zero plan leaves runs bit-for-bit identical.
+    /// transports and agents override it. An override installs every part
+    /// of the plan, inert parts included, so each migration replaces what
+    /// an earlier plan armed. An inert part must draw no randomness, so a
+    /// zero plan leaves runs bit-for-bit identical.
     fn install_faults(&mut self, plan: &FaultPlan) {
         let _ = plan;
     }

@@ -4,16 +4,16 @@
 //! Models everything the migration machinery needs from a VM's memory:
 //!
 //! * pseudo-physical pages with content versions ([`memory::GuestMemory`],
-//!   [`page::PageInfo`]) — versions make migration correctness exactly
-//!   checkable at the destination;
+//!   one packed word per page, decoded as [`page::PageInfo`]) — versions
+//!   make migration correctness exactly checkable at the destination;
 //! * the hypervisor's log-dirty mode ([`dirty::DirtyLog`]) with first-touch
 //!   fault reporting, the mechanism behind pre-copy and its overhead;
 //! * the framework's transfer bitmap ([`transfer::TransferBitmap`]);
 //! * per-process page tables ([`pagetable::PageTable`]), stored as
-//!   512-entry leaf arrays as on x86-64, for the VA→PFN semantic-gap
-//!   bridging of §3.3.2;
-//! * the PFN cache ([`pfncache::PfnCache`]) that answers skip-over-area
-//!   shrink notifications after frames were reclaimed (§3.3.4).
+//!   512-entry leaf arrays as on x86-64 but with 32-bit entries, for the VA→PFN
+//!   semantic-gap bridging of §3.3.2. The LKM's PFN cache, which answers
+//!   skip-over-area shrink notifications after frames were reclaimed
+//!   (§3.3.4), is a page table too.
 
 pub mod addr;
 pub mod bitmap;
@@ -22,7 +22,6 @@ pub mod layout;
 pub mod memory;
 pub mod page;
 pub mod pagetable;
-pub mod pfncache;
 pub mod transfer;
 
 pub use addr::{Pfn, VaRange, Vaddr, PAGE_SIZE};
@@ -32,5 +31,4 @@ pub use layout::VmSpec;
 pub use memory::GuestMemory;
 pub use page::{PageClass, PageInfo};
 pub use pagetable::PageTable;
-pub use pfncache::PfnCache;
 pub use transfer::TransferBitmap;

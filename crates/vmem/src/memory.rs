@@ -5,10 +5,26 @@
 //! which bumps the page version, marks the dirty log, and reports whether
 //! the write took a log-dirty fault so the caller can charge the fault cost
 //! to the guest's execution time.
+//!
+//! Each page's metadata is one packed `u64`, 8 bytes per guest page: the
+//! version in the low 56 bits and [`PageClass::index`] in the top byte.
+//! [`GuestMemory::page`] decodes a word into its [`PageInfo`] view.
 
 use crate::addr::{Pfn, PAGE_SIZE};
 use crate::dirty::DirtyLog;
 use crate::page::{PageClass, PageInfo};
+
+/// Bits of a page word that hold the version; the class index sits above
+/// them. No run comes near 2^56 writes to one page, but
+/// [`GuestMemory::write`] checks it, since a carry would corrupt the class.
+const VERSION_BITS: u32 = 56;
+/// The largest version a page word can hold.
+const VERSION_MAX: u64 = (1 << VERSION_BITS) - 1;
+
+/// Packs a version and a class into one page word.
+fn pack(version: u64, class: PageClass) -> u64 {
+    version | ((class.index() as u64) << VERSION_BITS)
+}
 
 /// The memory of one VM.
 ///
@@ -26,7 +42,8 @@ use crate::page::{PageClass, PageInfo};
 /// ```
 #[derive(Debug, Clone)]
 pub struct GuestMemory {
-    pages: Vec<PageInfo>,
+    /// One packed word per page; see [`VERSION_BITS`].
+    words: Vec<u64>,
     dirty: DirtyLog,
 }
 
@@ -40,14 +57,15 @@ impl GuestMemory {
         assert!(bytes > 0, "VM memory must be non-empty");
         let npages = bytes.div_ceil(PAGE_SIZE);
         Self {
-            pages: vec![PageInfo::default(); npages as usize],
+            // Version 0, class `Zero`.
+            words: vec![0; npages as usize],
             dirty: DirtyLog::new(npages),
         }
     }
 
     /// Returns the number of pages.
     pub fn page_count(&self) -> u64 {
-        self.pages.len() as u64
+        self.words.len() as u64
     }
 
     /// Returns the memory size in bytes.
@@ -61,17 +79,27 @@ impl GuestMemory {
     ///
     /// Panics if `pfn` is out of range.
     pub fn page(&self, pfn: Pfn) -> PageInfo {
-        self.pages[self.check(pfn)]
+        let word = self.words[self.check(pfn)];
+        PageInfo {
+            version: word & VERSION_MAX,
+            class: PageClass::ALL[(word >> VERSION_BITS) as usize],
+        }
     }
 
     /// Records a guest write to `pfn`, tagging the page with `class`.
     ///
     /// Returns `true` when the write took a log-dirty fault (first write to
     /// the page since the dirty log was last cleaned).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pfn` is out of range, or if the page already holds
+    /// version 2^56 − 1.
     pub fn write(&mut self, pfn: Pfn, class: PageClass) -> bool {
         let idx = self.check(pfn);
-        self.pages[idx].version += 1;
-        self.pages[idx].class = class;
+        let version = (self.words[idx] & VERSION_MAX) + 1;
+        assert!(version <= VERSION_MAX, "{pfn:?} version overflows");
+        self.words[idx] = pack(version, class);
         self.dirty.mark(pfn)
     }
 
@@ -79,7 +107,7 @@ impl GuestMemory {
     /// hands a region to a new owner before any write happens).
     pub fn set_class(&mut self, pfn: Pfn, class: PageClass) {
         let idx = self.check(pfn);
-        self.pages[idx].class = class;
+        self.words[idx] = pack(self.words[idx] & VERSION_MAX, class);
     }
 
     /// Immutable access to the hypervisor dirty log.
@@ -94,9 +122,9 @@ impl GuestMemory {
 
     fn check(&self, pfn: Pfn) -> usize {
         assert!(
-            (pfn.0 as usize) < self.pages.len(),
+            (pfn.0 as usize) < self.words.len(),
             "{pfn:?} out of range ({} pages)",
-            self.pages.len()
+            self.words.len()
         );
         pfn.0 as usize
     }
@@ -140,6 +168,21 @@ mod tests {
     fn page_bounds_checked() {
         let mem = GuestMemory::new(PAGE_SIZE);
         let _ = mem.page(Pfn(1));
+    }
+
+    #[test]
+    fn write_past_the_version_field_panics_and_keeps_the_word() {
+        let mut mem = GuestMemory::new(PAGE_SIZE * 2);
+        mem.words[1] = pack((1 << 56) - 1, PageClass::HeapOld);
+        let before = mem.page(Pfn(1));
+        assert_eq!(before.version, (1 << 56) - 1);
+        assert_eq!(before.class, PageClass::HeapOld);
+        // The next write would carry into the class byte.
+        let write = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            mem.write(Pfn(1), PageClass::Anon)
+        }));
+        assert!(write.is_err(), "a version carry must panic");
+        assert_eq!(mem.page(Pfn(1)), before);
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! is then checkable exactly: the destination must hold the source's final
 //! version for every page the protocol promises to transfer, and the class
 //! drives the compressibility model of the §6 compression extension.
+//!
+//! [`crate::memory::GuestMemory`] stores both in one packed word per page;
+//! [`PageInfo`] is the decoded view of that word.
 
 /// What kind of content a page holds.
 ///
@@ -99,7 +102,8 @@ impl PageClass {
     }
 }
 
-/// Metadata for one guest page.
+/// Metadata for one guest page: the decoded view of its
+/// [`crate::memory::GuestMemory`] word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PageInfo {
     /// Content version; 0 means never written.

@@ -3,8 +3,9 @@
 use proptest::prelude::*;
 use vmem::addr::{Pfn, VaRange, Vaddr, PAGE_SIZE};
 use vmem::bitmap::Bitmap;
+use vmem::memory::GuestMemory;
+use vmem::page::{PageClass, PageInfo};
 use vmem::pagetable::PageTable;
-use vmem::pfncache::PfnCache;
 
 proptest! {
     /// A bitmap built from an arbitrary set of indices reports exactly that
@@ -114,16 +115,17 @@ proptest! {
         prop_assert_eq!(found, want);
     }
 
-    /// The PFN cache returns each inserted PFN exactly once across any
-    /// sequence of take_range calls.
+    /// The LKM's PFN cache (a page table drained by `unmap_range`) returns
+    /// each cached PFN exactly once across any sequence of shrinks, over
+    /// ranges that cross leaf edges.
     #[test]
     fn pfn_cache_takes_each_pfn_once(
-        vpns in prop::collection::btree_set(0u64..512, 1..64),
-        cuts in prop::collection::vec((0u64..512, 0u64..64), 1..16),
+        vpns in prop::collection::btree_set(0u64..2048, 1..96),
+        cuts in prop::collection::vec((0u64..2048, 0u64..700), 1..16),
     ) {
-        let mut cache = PfnCache::new();
+        let mut cache = PageTable::new();
         for &vpn in &vpns {
-            cache.insert(vpn, Pfn(vpn + 10_000));
+            cache.map(Vaddr(vpn * PAGE_SIZE), Pfn(vpn + 10_000));
         }
         let mut taken = Vec::new();
         for (start, len) in cuts {
@@ -131,14 +133,41 @@ proptest! {
                 Vaddr(start * PAGE_SIZE),
                 Vaddr((start + len) * PAGE_SIZE),
             );
-            taken.extend(cache.take_range(r));
+            taken.extend(cache.unmap_range(r));
         }
         let mut seen = std::collections::BTreeSet::new();
         for pfn in &taken {
             prop_assert!(seen.insert(pfn.0), "pfn {} returned twice", pfn.0);
             prop_assert!(vpns.contains(&(pfn.0 - 10_000)));
         }
-        prop_assert_eq!(taken.len() + cache.len(), vpns.len());
+        prop_assert_eq!(taken.len() as u64 + cache.mapped_count(), vpns.len() as u64);
+    }
+
+    /// The packed page words read back exactly as a `PageInfo` per page
+    /// would, over any sequence of writes and re-tags across all classes.
+    #[test]
+    fn guest_memory_matches_reference_pages(
+        npages in 1u64..64,
+        ops in prop::collection::vec((0u64..64, 0usize..9, any::<bool>()), 0..512),
+    ) {
+        let mut mem = GuestMemory::new(npages * PAGE_SIZE);
+        let mut reference = vec![PageInfo::default(); npages as usize];
+        for (page, class, write) in ops {
+            let pfn = Pfn(page % npages);
+            let class = PageClass::ALL[class];
+            let want = &mut reference[pfn.0 as usize];
+            if write {
+                mem.write(pfn, class);
+                want.version += 1;
+            } else {
+                mem.set_class(pfn, class);
+            }
+            want.class = class;
+            prop_assert_eq!(mem.page(pfn), *want);
+        }
+        for (p, want) in reference.iter().enumerate() {
+            prop_assert_eq!(mem.page(Pfn(p as u64)), *want);
+        }
     }
 }
 
@@ -152,19 +181,21 @@ mod pagetable_reference {
     /// regions (the code cache and the S1 survivor space).
     const BASES: [u64; 3] = [0, 0x7f10_0000_0000 >> 12, 0x7f60_0000_0000 >> 12];
 
-    /// VPNs crowding the leaf edges (511|512 and 1023|1024) of each base,
-    /// plus a spread over its first four leaves.
-    fn vpn() -> impl Strategy<Value = u64> {
-        (
-            0usize..3,
-            prop_oneof![508u64..516, 1020u64..1028, 0u64..2048],
-        )
-            .prop_map(|(base, off)| BASES[base] + off)
+    /// Offsets from a base crowding its leaf edges (511|512 and
+    /// 1023|1024), plus a spread over its first four leaves.
+    fn offset() -> impl Strategy<Value = u64> {
+        prop_oneof![508u64..516, 1020u64..1028, 0u64..2048]
     }
 
-    /// PFNs, with frame 0 (the first kernel-image frame) drawn often.
+    /// VPNs crowding the leaf edges of each base.
+    fn vpn() -> impl Strategy<Value = u64> {
+        (0usize..3, offset()).prop_map(|(base, off)| BASES[base] + off)
+    }
+
+    /// PFNs, with frame 0 (the first kernel-image frame) and the largest
+    /// frame a 32-bit entry holds drawn often.
     fn pfn() -> impl Strategy<Value = u64> {
-        prop_oneof![Just(0u64), 0u64..1_000_000]
+        prop_oneof![Just(0u64), Just(u64::from(u32::MAX) - 1), 0u64..1_000_000]
     }
 
     proptest! {
@@ -186,7 +217,9 @@ mod pagetable_reference {
                 if do_map {
                     prop_assert_eq!(pt.map(va, Pfn(pfn)), reference.insert(vpn, Pfn(pfn)));
                 } else {
-                    prop_assert_eq!(pt.unmap(va), reference.remove(&vpn));
+                    let taken = pt.unmap_range(VaRange::from_len(va, PAGE_SIZE));
+                    let want: Vec<Pfn> = reference.remove(&vpn).into_iter().collect();
+                    prop_assert_eq!(taken, want);
                 }
                 prop_assert_eq!(pt.mapped_count(), reference.len() as u64);
             }
@@ -205,6 +238,45 @@ mod pagetable_reference {
             let want: Vec<(u64, Pfn)> =
                 reference.range(lo..hi).map(|(&vpn, &pfn)| (vpn, pfn)).collect();
             prop_assert_eq!(found, want);
+        }
+    }
+
+    proptest! {
+        /// `unmap_range` removes and returns exactly the reference's
+        /// mapped pages of a window in VA order, whatever leaves it spans,
+        /// and leaves every other mapping in place.
+        #[test]
+        fn unmap_range_matches_reference_map(
+            maps in prop::collection::vec((vpn(), pfn()), 0..256),
+            cuts in prop::collection::vec(
+                (0usize..3, offset(), prop_oneof![0u64..8, 0u64..1100]),
+                1..6,
+            ),
+        ) {
+            let mut pt = PageTable::new();
+            let mut reference: BTreeMap<u64, Pfn> = BTreeMap::new();
+            for &(vpn, pfn) in &maps {
+                pt.map(Vaddr(vpn * PAGE_SIZE), Pfn(pfn));
+                reference.insert(vpn, Pfn(pfn));
+            }
+            for (base, start, len) in cuts {
+                let lo = BASES[base] + start;
+                let hi = lo + len;
+                let got = pt.unmap_range(VaRange::new(
+                    Vaddr(lo * PAGE_SIZE),
+                    Vaddr(hi * PAGE_SIZE),
+                ));
+                let gone: Vec<u64> = reference.range(lo..hi).map(|(&vpn, _)| vpn).collect();
+                let want: Vec<Pfn> = gone
+                    .iter()
+                    .map(|vpn| reference.remove(vpn).expect("listed"))
+                    .collect();
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(pt.mapped_count(), reference.len() as u64);
+            }
+            let everything = pt.walk_range(VaRange::new(Vaddr(0), Vaddr(!(PAGE_SIZE - 1))));
+            let want: Vec<(u64, Pfn)> = reference.iter().map(|(&vpn, &pfn)| (vpn, pfn)).collect();
+            prop_assert_eq!(everything, want);
         }
     }
 }

@@ -332,3 +332,41 @@ fn zero_fault_plan_is_bit_identical_to_the_locked_golden() {
     };
     assert_eq!(rows(&harness), rows(&preset));
 }
+
+/// A fault plan lasts one migration. A guest migrated first over a dead
+/// event channel, then again with the stock configuration, must run the
+/// second migration without the first plan's lane: it completes and its
+/// skip-over areas take effect.
+#[test]
+fn a_second_migration_does_not_inherit_the_first_plans_faults() {
+    let step = SimDuration::from_millis(2);
+    let mut vm = small_vm(5);
+    let mut clock = SimClock::new();
+    vm.run_for(&mut clock, SimDuration::from_secs(15), step);
+    let dead_channel = MigrationConfig {
+        faults: FaultPlan {
+            evtchn: LaneFaults {
+                drop: 1.0,
+                ..LaneFaults::NONE
+            },
+            ..FaultPlan::none()
+        },
+        ..MigrationConfig::javmm_default()
+    };
+    let first = PrecopyEngine::new(dead_channel)
+        .migrate(&mut vm, &mut clock)
+        .expect("degradation is not an error");
+    assert_eq!(degraded_fault(&first), FaultKind::BeginAckTimeout);
+
+    vm.run_for(&mut clock, SimDuration::from_secs(15), step);
+    let second = PrecopyEngine::new(MigrationConfig::javmm_default())
+        .migrate(&mut vm, &mut clock)
+        .expect("a fault-free migration succeeds");
+    assert_eq!(second.outcome, MigrationOutcome::Completed);
+    assert!(
+        second.verification.is_correct(),
+        "{:?}",
+        second.verification
+    );
+    assert!(second.pages_skipped_transfer() > 0);
+}

@@ -10,29 +10,36 @@ use migrate::config::MigrationConfig;
 use migrate::precopy::PrecopyEngine;
 use migrate::report::MigrationReport;
 use simkit::units::MIB;
-use simkit::{DetRng, LaneFaults, SimClock, SimDuration};
+use simkit::{FaultPlan, LaneFaults, SimClock, SimDuration};
 use workloads::catalog;
 
+/// Migrates a warmed-up guest whose netlink hop drops each message with
+/// probability `loss`. The loss rides the migration's fault plan, which
+/// arms (or disarms) every lane when the migration starts.
 fn migrate_with_loss(loss: f64, seed: u64) -> MigrationReport {
     let mut config = JavaVmConfig::paper(catalog::crypto(), true, seed);
     config.young_max = Some(256 * MIB);
     // A short deadline keeps lossy runs quick.
     config.lkm.reply_timeout = SimDuration::from_millis(800);
     let mut vm = JavaVm::launch(config);
-    vm.kernel_handle().install_netlink_faults(
-        LaneFaults {
-            drop: loss,
-            ..LaneFaults::NONE
-        },
-        DetRng::new(seed ^ 0xfa17),
-    );
     let mut clock = SimClock::new();
     vm.run_for(
         &mut clock,
         SimDuration::from_secs(15),
         SimDuration::from_millis(2),
     );
-    PrecopyEngine::new(MigrationConfig::javmm_default())
+    let lossy = MigrationConfig {
+        faults: FaultPlan {
+            seed: seed ^ 0xfa17,
+            netlink: LaneFaults {
+                drop: loss,
+                ..LaneFaults::NONE
+            },
+            ..FaultPlan::none()
+        },
+        ..MigrationConfig::javmm_default()
+    };
+    PrecopyEngine::new(lossy)
         .migrate(&mut vm, &mut clock)
         .expect("migration failed")
 }
