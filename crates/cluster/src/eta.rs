@@ -1,12 +1,17 @@
-//! Online ETA prediction, calibration, and the fleet SLO watchdog.
+//! Mission control for an evacuation: the drain's read-only observer,
+//! online ETA prediction and calibration, and the fleet SLO watchdog.
 //!
-//! Mission control for an evacuation needs two answers at every wakeup:
-//! *when will each VM land?* and *is anything quietly going wrong?*
+//! The drain hands the crate's `Mission` shared references at three
+//! per-VM moments — `admit`, `wakeup` and `complete` — plus `fault` when
+//! its own pipe-fault schedule re-rates a pipe. No `Mission` method takes
+//! a mutable topology, session or VM, so observation cannot steer the
+//! drain; [`MissionControl`] is what it leaves behind. At every wakeup it
+//! answers *when will each VM land?* and *is anything quietly going wrong?*
 //!
-//! [`EtaTracker`] answers the first. At each session wakeup the drain loop
+//! [`EtaTracker`] answers the first question. At each wakeup the mission
 //! projects the VM's completion time from its remaining transfer set, its
 //! just-granted bandwidth share and the observatory's dirty-rate model
-//! ([`project_eta_secs`]). Every projection is recorded; when the VM
+//! ([`project_eta_cycle_secs`]). Every projection is recorded; when the VM
 //! completes, each one is scored against the actual completion instant and
 //! the signed/absolute relative errors fold into a histogram. The tracker
 //! also *calibrates online*: terminal costs the projection cannot see
@@ -34,13 +39,22 @@
 //! [`CausalId`] of the wakeup that observed it, so a finding in the digest
 //! links straight into the causal flow trace.
 //!
-//! Everything here is pure arithmetic over values the drain loop already
-//! computes, in deterministic order: same plan, same findings, same
+//! The tracker and the watchdog are pure arithmetic over values the
+//! mission computes in deterministic order: same plan, same findings, same
 //! histogram bytes.
 
-use crate::detect::WorkloadEstimate;
-use netsim::{PipeTimelines, PAGE_HEADER_BYTES};
-use simkit::telemetry::{CausalId, Histogram};
+use std::collections::BTreeMap;
+
+use crate::detect::{WorkloadEstimate, CONFIDENCE_GATE};
+use crate::evac::{EvacuationPlan, PipeFault, VmId};
+use crate::place::PlacementRationale;
+use javmm::vm::JavaVm;
+use migrate::precopy::MigrationSession;
+use migrate::report::MigrationReport;
+use netsim::{PipeTimelines, Topology, PAGE_HEADER_BYTES};
+use simkit::telemetry::{CausalId, CausalKind, CausalLog, Histogram, SampleSeries};
+use simkit::units::Bandwidth;
+use simkit::SimTime;
 use vmem::PAGE_SIZE;
 
 /// Wire bytes one guest page costs (payload plus per-page header).
@@ -179,7 +193,6 @@ pub struct EtaPrediction {
 
 #[derive(Debug)]
 struct VmEta {
-    name: String,
     cohort: usize,
     predictions: Vec<EtaPrediction>,
     completed_ns: Option<u64>,
@@ -241,15 +254,10 @@ impl EtaTracker {
         }
     }
 
-    /// Whether re-projection is disabled (the drill switch).
-    pub fn frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Registers a VM under a calibration cohort (typically its workload
     /// profile name) and returns its tracker index. VMs in the same cohort
     /// share one terminal-bias EWMA, seeded at [`TERMINAL_COST_PRIOR_NS`].
-    pub fn admit(&mut self, name: &str, cohort: &str) -> usize {
+    pub fn admit(&mut self, cohort: &str) -> usize {
         let cohort = match self.cohorts.iter().position(|c| c.name == cohort) {
             Some(i) => i,
             None => {
@@ -261,7 +269,6 @@ impl EtaTracker {
             }
         };
         self.vms.push(VmEta {
-            name: name.to_string(),
             cohort,
             predictions: Vec::new(),
             completed_ns: None,
@@ -270,19 +277,20 @@ impl EtaTracker {
     }
 
     /// Records a projection computed by the caller (e.g. the cycle-aware
-    /// [`project_eta_cycle_secs`]): folds in the VM's cohort terminal bias
-    /// and stores the prediction. On a frozen tracker the fresh projection
-    /// is discarded and the VM's admission-time ETA is re-served — and
-    /// re-recorded at `at_ns`, so every stale serving is scored against
-    /// the actual landing just like a live one.
-    pub fn record(&mut self, vm: usize, at_ns: u64, eta_secs: f64) -> Option<u64> {
+    /// [`project_eta_cycle_secs`]): folds in the VM's cohort terminal bias,
+    /// stores the prediction and returns the predicted completion instant.
+    /// On a frozen tracker the fresh projection is discarded and the VM's
+    /// admission-time ETA is re-served — and re-recorded at `at_ns`, so
+    /// every stale serving is scored against the actual landing just like
+    /// a live one.
+    pub fn record(&mut self, vm: usize, at_ns: u64, eta_secs: f64) -> u64 {
         if self.frozen {
             if let Some(first) = self.vms[vm].predictions.first().copied() {
                 self.vms[vm].predictions.push(EtaPrediction {
                     at_ns,
                     predicted_end_ns: first.predicted_end_ns,
                 });
-                return Some(first.predicted_end_ns);
+                return first.predicted_end_ns;
             }
         }
         let bias_ns = self.cohorts[self.vms[vm].cohort].bias_ns;
@@ -292,7 +300,7 @@ impl EtaTracker {
             at_ns,
             predicted_end_ns,
         });
-        Some(predicted_end_ns)
+        predicted_end_ns
     }
 
     /// Scores every projection of VM `vm` against its actual completion
@@ -353,11 +361,6 @@ impl EtaTracker {
             },
         }
     }
-
-    /// The registered name of VM `vm`.
-    pub fn vm_name(&self, vm: usize) -> &str {
-        &self.vms[vm].name
-    }
 }
 
 /// One typed SLO violation, linked into the causal flow trace.
@@ -375,9 +378,8 @@ pub struct WatchdogFinding {
     pub detail: String,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct VmWatch {
-    name: String,
     last_wire: u64,
     stalled: u32,
     diverging: u32,
@@ -401,26 +403,20 @@ impl Watchdog {
     }
 
     /// Registers a VM and returns its watch index.
-    pub fn admit(&mut self, name: &str) -> usize {
-        self.vms.push(VmWatch {
-            name: name.to_string(),
-            last_wire: 0,
-            stalled: 0,
-            diverging: 0,
-            stall_flagged: false,
-            diverge_flagged: false,
-        });
+    pub fn admit(&mut self) -> usize {
+        self.vms.push(VmWatch::default());
         self.vms.len() - 1
     }
 
-    /// Feeds one wakeup observation for VM `vm`; `causal` is the wakeup's
-    /// causal event id, `iters_left`/`max_iters` the session's remaining
-    /// and total iteration budget. Returns the number of findings
-    /// appended.
+    /// Feeds one wakeup observation for VM `vm`, named `subject` in any
+    /// finding; `causal` is the wakeup's causal event id,
+    /// `iters_left`/`max_iters` the session's remaining and total iteration
+    /// budget. Returns the number of findings appended.
     #[allow(clippy::too_many_arguments)]
     pub fn observe_vm(
         &mut self,
         vm: usize,
+        subject: &str,
         at_ns: u64,
         causal: CausalId,
         wire_bytes: u64,
@@ -444,7 +440,7 @@ impl Watchdog {
             w.stall_flagged = true;
             self.findings.push(WatchdogFinding {
                 rule: "vm_stall",
-                subject: w.name.clone(),
+                subject: subject.to_string(),
                 at_ns,
                 causal,
                 detail: format!(
@@ -471,7 +467,7 @@ impl Watchdog {
             w.diverge_flagged = true;
             self.findings.push(WatchdogFinding {
                 rule: "nonconvergence",
-                subject: w.name.clone(),
+                subject: subject.to_string(),
                 at_ns,
                 causal,
                 detail: format!(
@@ -521,6 +517,359 @@ impl Watchdog {
     }
 }
 
+/// Observability record of one evacuation: everything mission control
+/// needs to replay *why* the drain unfolded the way it did.
+#[derive(Debug)]
+pub struct MissionControl {
+    /// The causal event log: admissions, placements, wakeups, re-grants,
+    /// completions, faults and findings, chained parent→child.
+    pub causal: CausalLog,
+    /// Per-pipe utilization and queued-demand timelines.
+    pub pipes: PipeTimelines,
+    /// ETA calibration summary (the CI-gated numbers).
+    pub eta: EtaSummary,
+    /// SLO watchdog findings, in firing order.
+    pub findings: Vec<WatchdogFinding>,
+}
+
+/// Ring capacity of each pipe timeline: enough to retain a whole 48-VM
+/// evacuation's wakeup-driven samples.
+const PIPE_SERIES_CAP: usize = 4096;
+
+/// One admitted VM's mission record, from admission to completion.
+struct VmMission {
+    /// Index into the ETA tracker and the watchdog.
+    index: usize,
+    /// `host/tenant`: the subject of the VM's causal events and findings.
+    name: String,
+    /// The observatory estimate frozen at admission, kept only when it
+    /// cleared the confidence gate: the projection's dirty-rate model.
+    estimate: Option<WorkloadEstimate>,
+    /// The VM's newest causal event, parent of whatever happens next.
+    last: CausalId,
+}
+
+/// The drain's read-only observer. It reads the plan, the topology and
+/// each VM's session, guest and dirty-rate sensor through shared
+/// references, and writes only its own state: the causal log, the pipe
+/// timelines, the ETA tracker and the watchdog. Nothing it computes feeds
+/// back into scheduling, re-rating or the digests, which is what keeps the
+/// committed digest baselines byte-identical.
+pub(crate) struct Mission<'a> {
+    plan: &'a EvacuationPlan,
+    causal: CausalLog,
+    pipes: PipeTimelines,
+    eta: EtaTracker,
+    watchdog: Watchdog,
+    /// Instant of the newest pipe sample; `None` before the first wakeup.
+    last_sample_at: Option<SimTime>,
+    /// Per-host drain-root causal events, parents of every admission.
+    host_roots: Vec<CausalId>,
+    vms: BTreeMap<VmId, VmMission>,
+}
+
+impl<'a> Mission<'a> {
+    /// Starts observing `plan` over `topo`, rooting each source host's
+    /// causal chain at its drain-begin instant (`drain_starts`, in plan
+    /// order).
+    pub(crate) fn new(
+        plan: &'a EvacuationPlan,
+        topo: &Topology,
+        drain_starts: impl IntoIterator<Item = SimTime>,
+    ) -> Self {
+        let mut causal = CausalLog::new();
+        let host_roots = plan
+            .sources
+            .iter()
+            .zip(drain_starts)
+            .map(|(host, at)| {
+                causal.emit(
+                    at.as_nanos(),
+                    CausalKind::Drain,
+                    None,
+                    host.name.clone(),
+                    vec![("tenants", host.tenants.len().to_string())],
+                )
+            })
+            .collect();
+        Self {
+            plan,
+            causal,
+            pipes: PipeTimelines::for_topology(topo, PIPE_SERIES_CAP),
+            eta: EtaTracker::new(plan.freeze_eta),
+            watchdog: Watchdog::new(),
+            last_sample_at: None,
+            host_roots,
+            vms: BTreeMap::new(),
+        }
+    }
+
+    /// Records VM `id`'s admission at `at`: its working set, the
+    /// observatory's `estimate` at that instant, and — when a destination
+    /// was chosen — the placement rationale, scored when the pick was made.
+    pub(crate) fn admit(
+        &mut self,
+        id: VmId,
+        at: SimTime,
+        ws_bytes: u64,
+        estimate: Option<WorkloadEstimate>,
+        placed: Option<(usize, PlacementRationale)>,
+    ) {
+        let host = &self.plan.sources[id.host as usize];
+        let tenant = &host.tenants[id.slot as usize];
+        let name = format!("{}/{}", host.name, tenant.name);
+        let index = self.eta.admit(tenant.vm.workload.name);
+        self.watchdog.admit();
+        let min_rate = tenant.min_rate.bytes_per_sec();
+        let confidence = estimate.as_ref().map_or(0.0, |e| e.confidence);
+        let mut last = self.causal.emit(
+            at.as_nanos(),
+            CausalKind::Admit,
+            Some(self.host_roots[id.host as usize]),
+            name.clone(),
+            vec![
+                ("ws_bytes", ws_bytes.to_string()),
+                ("min_rate_bps", format!("{min_rate:.0}")),
+                ("detect_confidence", format!("{confidence:.3}")),
+            ],
+        );
+        if let Some((d, r)) = placed {
+            let dests = &self.plan.destinations;
+            let mut detail = vec![
+                ("dest", dests[d].name.clone()),
+                ("policy", self.plan.placement.name().to_string()),
+                ("score", format!("{:.3}", r.chosen_score)),
+                ("candidates", r.candidates.to_string()),
+            ];
+            if let (Some(ru), Some(rs)) = (r.runner_up, r.runner_up_score) {
+                detail.push(("runner_up", dests[ru].name.clone()));
+                detail.push(("runner_up_score", format!("{rs:.3}")));
+            }
+            last = self.causal.emit(
+                at.as_nanos(),
+                CausalKind::Placement,
+                Some(last),
+                name.clone(),
+                detail,
+            );
+        }
+        let estimate = estimate.filter(|e| e.confidence >= CONFIDENCE_GATE);
+        self.vms.insert(
+            id,
+            VmMission {
+                index,
+                name,
+                estimate,
+                last,
+            },
+        );
+    }
+
+    /// Observes VM `id`'s wakeup at `at`, just before its session steps:
+    /// projects and records its landing, runs the per-VM watchdog rules,
+    /// notes a re-grant when the flow's share `granted` differs from the
+    /// rate last `applied` to the session, and samples every pipe of
+    /// `topo` over the window since the previous wakeup.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn wakeup(
+        &mut self,
+        id: VmId,
+        at: SimTime,
+        topo: &Topology,
+        session: &MigrationSession,
+        vm: &JavaVm,
+        sensor: &SampleSeries,
+        granted: Bandwidth,
+        applied: Bandwidth,
+    ) {
+        let tenant = &self.plan.sources[id.host as usize].tenants[id.slot as usize];
+        let rec = self.vms.get_mut(&id).expect("a waking VM was admitted");
+        let at_ns = at.as_nanos();
+        let iters = session.iterations();
+        // Measured protocol shrink, from the newest completed iterations:
+        // wire bytes per to-send page (compression and within-iteration
+        // skips) and the dirty->send survival ratio (transfer-bitmap
+        // consultation and re-dirty coalescing shrink the dirty set before
+        // it reaches the wire). Projecting raw dirty bytes without these
+        // runs 2-3x late.
+        let wire_per_page = match iters.last() {
+            Some(last) if last.pages_to_send > 0 => {
+                last.bytes_sent as f64 / last.pages_to_send as f64
+            }
+            _ => WIRE_PAGE_BYTES,
+        };
+        let survival = match iters.len() {
+            n if n >= 2 && iters[n - 2].pages_dirtied_during > 0 => {
+                (iters[n - 1].pages_to_send as f64 / iters[n - 2].pages_dirtied_during as f64)
+                    .clamp(0.05, 1.0)
+            }
+            // One completed iteration: no dirty->send pair yet, so borrow
+            // that iteration's own sent fraction — the transfer-bitmap
+            // skip rate is roughly stationary across iterations.
+            1 if iters[0].pages_to_send > 0 => {
+                (iters[0].pages_sent as f64 / iters[0].pages_to_send as f64).clamp(0.05, 1.0)
+            }
+            // No measurement yet (admission): fall back to the fleet
+            // prior rather than charging the full raw dirty rate.
+            _ => ADMISSION_SHRINK_PRIOR,
+        };
+        // The session's own pending set (the dirty snapshot intersected
+        // with the transfer bitmap) is the exact next transfer set — no
+        // estimate needed. Before the first iteration that set is the
+        // whole address space minus whatever the daemon has already
+        // marked skippable.
+        let remaining_bytes = session.pending_transferable_pages(vm) as f64 * wire_per_page;
+        let est = rec.estimate.as_ref();
+        // The mean rate the projection modulates: the observatory mean
+        // when a confident cycle estimate exists (the projection applies
+        // the cycle's ratio itself), else the freshest per-iteration rate
+        // — the long-run sensor mean still remembers the first
+        // iteration's cold-start dirtying and runs hot for workloads that
+        // have settled.
+        let mean_pps = match iters.last() {
+            Some(last) if est.is_none() && !last.duration.is_zero() => {
+                last.pages_dirtied_during as f64 / last.duration.as_secs_f64()
+            }
+            _ => sensor.mean(),
+        };
+        let dirty_bps =
+            est.map_or(mean_pps, |e| mean_pps * e.rate_ratio_at(at_ns)) * WIRE_PAGE_BYTES;
+        let eta_dirty_bps = mean_pps * survival * wire_per_page;
+        let max_iters = tenant.migration.stop.max_iterations;
+        let iters_left = max_iters.saturating_sub(iters.len() as u32);
+        // The live-phase drain plus the structural epilogue the config
+        // promises: the resume pause is paid by every migration and is
+        // invisible to the byte-rate model. Cohort calibration in the
+        // tracker covers what remains (readiness wait, final-set copy).
+        let eta_secs = project_eta_cycle_secs(
+            remaining_bytes,
+            granted.bytes_per_sec(),
+            eta_dirty_bps,
+            est,
+            at_ns,
+            iters_left,
+        ) + tenant.migration.resume_time.as_secs_f64();
+        let predicted = self.eta.record(rec.index, at_ns, eta_secs);
+
+        let wake = self.causal.emit(
+            at_ns,
+            CausalKind::Wakeup,
+            Some(rec.last),
+            rec.name.clone(),
+            vec![
+                ("granted_bps", format!("{:.0}", granted.bytes_per_sec())),
+                ("wire_bytes", session.wire_bytes().to_string()),
+                ("remaining_bytes", format!("{remaining_bytes:.0}")),
+                ("dirty_bps", format!("{dirty_bps:.0}")),
+                ("eta_dirty_bps", format!("{eta_dirty_bps:.0}")),
+                ("eta_secs", format!("{eta_secs:.3}")),
+                ("survival", format!("{survival:.3}")),
+                ("iterations", iters.len().to_string()),
+                ("predicted_end_ns", predicted.to_string()),
+            ],
+        );
+        rec.last = wake;
+
+        let found = self.watchdog.observe_vm(
+            rec.index,
+            &rec.name,
+            at_ns,
+            wake,
+            session.wire_bytes(),
+            dirty_bps,
+            granted.bytes_per_sec(),
+            iters.len(),
+            iters_left,
+            max_iters,
+        );
+        log_findings(&mut self.causal, &self.watchdog, found);
+
+        if granted != applied {
+            self.causal.emit(
+                at_ns,
+                CausalKind::Regrant,
+                Some(wake),
+                rec.name.clone(),
+                vec![
+                    ("old_bps", format!("{:.0}", applied.bytes_per_sec())),
+                    ("new_bps", format!("{:.0}", granted.bytes_per_sec())),
+                ],
+            );
+        }
+
+        // Sample every pipe over the window since the previous wakeup and
+        // run the saturation rule over the fresh samples. Wakeup times are
+        // monotone (the heap pops minima), so windows never overlap.
+        if let Some(prev) = self.last_sample_at.replace(at).filter(|&p| at > p) {
+            topo.sample_pipes(at, at.saturating_since(prev), &mut self.pipes);
+            let found = self.watchdog.observe_pipes(at_ns, wake, &self.pipes);
+            log_findings(&mut self.causal, &self.watchdog, found);
+        }
+    }
+
+    /// Scores VM `id`'s projections against its landing at `ended` and
+    /// closes its causal chain; the VM's mission record ends here.
+    pub(crate) fn complete(&mut self, id: VmId, ended: SimTime, report: &MigrationReport) {
+        let rec = self.vms.remove(&id).expect("a completing VM was admitted");
+        self.eta.complete(rec.index, ended.as_nanos());
+        let downtime = report.downtime.workload_downtime().as_nanos();
+        self.causal.emit(
+            ended.as_nanos(),
+            CausalKind::Complete,
+            Some(rec.last),
+            rec.name,
+            vec![
+                ("bytes", report.total_bytes.to_string()),
+                ("downtime_ns", downtime.to_string()),
+            ],
+        );
+    }
+
+    /// Logs a pipe `fault` the drain fired at `at`, reading the degraded
+    /// pipe's name and new rate back from `topo`.
+    pub(crate) fn fault(&mut self, at: SimTime, topo: &Topology, fault: &PipeFault) {
+        let rate = topo.pipe_rate(fault.pipe).expect("a fault fires");
+        let name = topo.pipe_name(fault.pipe).expect("a fault fires");
+        self.causal.emit(
+            at.as_nanos(),
+            CausalKind::Fault,
+            None,
+            name.to_string(),
+            vec![
+                ("fault", "pipe_degrade".to_string()),
+                ("pipe", fault.pipe.label()),
+                ("factor", format!("{}", fault.factor)),
+                ("rate_bps", format!("{:.0}", rate.bytes_per_sec())),
+            ],
+        );
+    }
+
+    /// Ends the observation.
+    pub(crate) fn finish(self) -> MissionControl {
+        MissionControl {
+            causal: self.causal,
+            pipes: self.pipes,
+            eta: self.eta.summary(),
+            findings: self.watchdog.into_findings(),
+        }
+    }
+}
+
+/// Emits a causal `finding` event for each of the watchdog's `n` newest
+/// findings, parented on the wakeup that observed it.
+fn log_findings(causal: &mut CausalLog, watchdog: &Watchdog, n: usize) {
+    let findings = watchdog.findings();
+    for f in &findings[findings.len() - n..] {
+        causal.emit(
+            f.at_ns,
+            CausalKind::Finding,
+            Some(f.causal),
+            f.subject.clone(),
+            vec![("rule", f.rule.to_string()), ("evidence", f.detail.clone())],
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,11 +893,10 @@ mod tests {
     #[test]
     fn tracker_scores_predictions_against_actual_completion() {
         let mut t = EtaTracker::new(false);
-        let vm = t.admit("vm0", "w");
+        let vm = t.admit("w");
         // Perfect projection: 10 MB at 1 MB/s, no dirtying, plus the
         // terminal-cost prior -> lands at exactly 10.05 s.
-        t.record(vm, 0, project_eta_secs(10e6, 1e6, 0.0, 30))
-            .unwrap();
+        t.record(vm, 0, project_eta_secs(10e6, 1e6, 0.0, 30));
         t.complete(vm, 10_050_000_000);
         let s = t.summary();
         assert_eq!(s.vms, 1);
@@ -567,10 +915,8 @@ mod tests {
         let mut first_err = None;
         let mut last_err = None;
         for i in 0..5 {
-            let vm = t.admit(&format!("vm{i}"), "w");
-            let p = t
-                .record(vm, 0, project_eta_secs(10e6, 1e6, 0.0, 30))
-                .unwrap();
+            let vm = t.admit("w");
+            let p = t.record(vm, 0, project_eta_secs(10e6, 1e6, 0.0, 30));
             let actual = 10_400_000_000u64; // 10 s projected + 0.4 s overhead
             let err = (actual as f64 - p as f64).abs();
             if i == 0 {
@@ -593,20 +939,15 @@ mod tests {
         let mut t = EtaTracker::new(false);
         // One cohort lands 0.4 s late on every completion; a fresh cohort
         // must still project from the prior, not the other's residuals.
-        for i in 0..5 {
-            let vm = t.admit(&format!("h{i}"), "gc-heavy");
-            t.record(vm, 0, project_eta_secs(10e6, 1e6, 0.0, 30))
-                .unwrap();
+        for _ in 0..5 {
+            let vm = t.admit("gc-heavy");
+            t.record(vm, 0, project_eta_secs(10e6, 1e6, 0.0, 30));
             t.complete(vm, 10_400_000_000);
         }
-        let heavy = t.admit("h-last", "gc-heavy");
-        let ph = t
-            .record(heavy, 0, project_eta_secs(10e6, 1e6, 0.0, 30))
-            .unwrap();
-        let idle = t.admit("i0", "idle");
-        let pi = t
-            .record(idle, 0, project_eta_secs(10e6, 1e6, 0.0, 30))
-            .unwrap();
+        let heavy = t.admit("gc-heavy");
+        let ph = t.record(heavy, 0, project_eta_secs(10e6, 1e6, 0.0, 30));
+        let idle = t.admit("idle");
+        let pi = t.record(idle, 0, project_eta_secs(10e6, 1e6, 0.0, 30));
         assert!(ph > pi, "the late cohort must have learned extra cost");
         assert_eq!(pi, 10_000_000_000 + TERMINAL_COST_PRIOR_NS as u64);
     }
@@ -614,19 +955,17 @@ mod tests {
     #[test]
     fn frozen_tracker_reserves_the_admission_projection() {
         let mut t = EtaTracker::new(true);
-        let vm = t.admit("vm0", "w");
-        let first = t
-            .record(vm, 0, project_eta_secs(10e6, 1e6, 0.0, 30))
-            .unwrap();
+        let vm = t.admit("w");
+        let first = t.record(vm, 0, project_eta_secs(10e6, 1e6, 0.0, 30));
         // Later wakeups keep serving the stale admission ETA verbatim,
         // and every serving is scored.
         assert_eq!(
             t.record(vm, 5_000_000_000, project_eta_secs(5e6, 1e6, 0.0, 30)),
-            Some(first)
+            first
         );
         assert_eq!(
             t.record(vm, 19_000_000_000, project_eta_secs(1e6, 1e6, 0.0, 30)),
-            Some(first)
+            first
         );
         t.complete(vm, 20_000_000_000);
         let s = t.summary();
@@ -639,43 +978,50 @@ mod tests {
     #[test]
     fn stall_rule_needs_consecutive_frozen_wakeups() {
         let mut w = Watchdog::new();
-        let vm = w.admit("vm0");
+        let vm = w.admit();
         let c = CausalId(1);
         for i in 0..STALL_WAKEUPS {
-            assert_eq!(w.observe_vm(vm, i as u64, c, 500, 0.0, 1e6, 3, 27, 30), 0);
+            assert_eq!(
+                w.observe_vm(vm, "vm0", i as u64, c, 500, 0.0, 1e6, 3, 27, 30),
+                0
+            );
         }
         // One more frozen wakeup crosses the threshold, exactly once.
-        assert_eq!(w.observe_vm(vm, 99, c, 500, 0.0, 1e6, 3, 27, 30), 1);
-        assert_eq!(w.observe_vm(vm, 100, c, 500, 0.0, 1e6, 3, 27, 30), 0);
+        assert_eq!(w.observe_vm(vm, "vm0", 99, c, 500, 0.0, 1e6, 3, 27, 30), 1);
+        assert_eq!(w.observe_vm(vm, "vm0", 100, c, 500, 0.0, 1e6, 3, 27, 30), 0);
         assert_eq!(w.findings()[0].rule, "vm_stall");
+        assert_eq!(w.findings()[0].subject, "vm0");
         // Progress resets the counter.
-        let vm2 = w.admit("vm1");
+        let vm2 = w.admit();
         for i in 0..20u64 {
-            assert_eq!(w.observe_vm(vm2, i, c, 500 + i, 0.0, 1e6, 3, 27, 30), 0);
+            assert_eq!(
+                w.observe_vm(vm2, "vm1", i, c, 500 + i, 0.0, 1e6, 3, 27, 30),
+                0
+            );
         }
     }
 
     #[test]
     fn nonconvergence_rule_requires_sustained_outrun() {
         let mut w = Watchdog::new();
-        let vm = w.admit("vm0");
+        let vm = w.admit();
         let c = CausalId(2);
         // Two budget-thin outrun wakeups, then relief: no finding.
-        w.observe_vm(vm, 0, c, 1, 2e6, 1e6, 24, 6, 30);
-        w.observe_vm(vm, 1, c, 2, 2e6, 1e6, 25, 5, 30);
-        w.observe_vm(vm, 2, c, 3, 0.5e6, 1e6, 26, 4, 30);
+        w.observe_vm(vm, "vm0", 0, c, 1, 2e6, 1e6, 24, 6, 30);
+        w.observe_vm(vm, "vm0", 1, c, 2, 2e6, 1e6, 25, 5, 30);
+        w.observe_vm(vm, "vm0", 2, c, 3, 0.5e6, 1e6, 26, 4, 30);
         assert!(w.findings().is_empty());
         // Three consecutive outruns fire exactly once.
-        w.observe_vm(vm, 3, c, 4, 2e6, 1e6, 27, 3, 30);
-        w.observe_vm(vm, 4, c, 5, 2e6, 1e6, 28, 2, 30);
-        assert_eq!(w.observe_vm(vm, 5, c, 6, 2e6, 1e6, 29, 1, 30), 1);
+        w.observe_vm(vm, "vm0", 3, c, 4, 2e6, 1e6, 27, 3, 30);
+        w.observe_vm(vm, "vm0", 4, c, 5, 2e6, 1e6, 28, 2, 30);
+        assert_eq!(w.observe_vm(vm, "vm0", 5, c, 6, 2e6, 1e6, 29, 1, 30), 1);
         assert_eq!(w.findings()[0].rule, "nonconvergence");
-        assert_eq!(w.observe_vm(vm, 6, c, 7, 2e6, 1e6, 29, 1, 30), 0);
+        assert_eq!(w.observe_vm(vm, "vm0", 6, c, 7, 2e6, 1e6, 29, 1, 30), 0);
         // The same outrun with most of the budget left is a peak, not a
         // divergence: the rule stays quiet.
-        let vm2 = w.admit("vm1");
+        let vm2 = w.admit();
         for i in 0..10u64 {
-            assert_eq!(w.observe_vm(vm2, i, c, i, 2e6, 1e6, 5, 25, 30), 0);
+            assert_eq!(w.observe_vm(vm2, "vm1", i, c, i, 2e6, 1e6, 5, 25, 30), 0);
         }
     }
 

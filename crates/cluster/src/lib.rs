@@ -29,10 +29,8 @@ pub mod policy;
 pub mod roster;
 
 pub use detect::{detect, WorkloadEstimate};
-pub use eta::{EtaSummary, EtaTracker, Watchdog, WatchdogFinding};
-pub use evac::{
-    evacuate, DestSpec, EvacOutcome, EvacuationPlan, MissionControl, PipeFault, VmPlacement,
-};
+pub use eta::{EtaSummary, MissionControl, WatchdogFinding};
+pub use evac::{evacuate, DestSpec, EvacOutcome, EvacuationPlan, PipeFault, VmPlacement};
 pub use netsim::PipeSel;
 pub use place::{DestState, PlacementPolicy};
 pub use policy::FleetPolicy;

@@ -139,7 +139,7 @@ impl JavaVm {
     /// rewriting), bytes/second — the application-assisted signal a
     /// cycle-aware fleet scheduler consults before admitting this VM's
     /// migration.
-    pub fn dirty_rate_hint(&mut self) -> f64 {
+    pub fn dirty_rate_hint(&self) -> f64 {
         let profile = self.jvm.mutator_profile();
         profile.alloc_rate + profile.old_write_rate
     }

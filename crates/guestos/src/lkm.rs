@@ -462,13 +462,13 @@ impl Lkm {
             if aligned.is_empty() {
                 continue;
             }
-            for (vpn, pfn) in proc.page_table.walk_range(aligned) {
+            proc.page_table.walk_range(aligned, |vpn, pfn| {
                 walked += 1;
                 if self.transfer.clear(pfn) {
                     cleared += 1;
                 }
                 rec.cache.map(Vaddr(vpn * PAGE_SIZE), pfn);
-            }
+            });
             rec.areas.push(aligned);
         }
         let cost = self.parallel_cost(walked, cleared);
@@ -521,12 +521,12 @@ impl Lkm {
             if aligned.is_empty() {
                 continue;
             }
-            for (_vpn, pfn) in proc.page_table.walk_range(aligned) {
+            proc.page_table.walk_range(aligned, |_vpn, pfn| {
                 walked += 1;
                 if cold.set(pfn) {
                     marked += 1;
                 }
-            }
+            });
         }
         let cost = self.parallel_cost(walked, marked);
         self.stats.cold_map_pages += marked;
@@ -612,27 +612,27 @@ impl Lkm {
                 }
             }
             for area in &new_aligned {
-                for (vpn, pfn) in proc.page_table.walk_range(*area) {
+                proc.page_table.walk_range(*area, |vpn, pfn| {
                     walked += 1;
                     if self.transfer.clear(pfn) {
                         flips += 1;
                     }
                     rec.cache.map(Vaddr(vpn * PAGE_SIZE), pfn);
-                }
+                });
             }
         } else {
             // Expanded space: pages joining the areas get their bits cleared
             // now (deferred from during migration, §3.3.4).
             let expanded = subtract_ranges(&new_aligned, &rec.areas);
             for range in &expanded {
-                for (vpn, pfn) in proc.page_table.walk_range(*range) {
+                proc.page_table.walk_range(*range, |vpn, pfn| {
                     walked += 1;
                     if self.transfer.clear(pfn) {
                         flips += 1;
                         self.stats.final_expand_pages += 1;
                     }
                     rec.cache.map(Vaddr(vpn * PAGE_SIZE), pfn);
-                }
+                });
             }
             // Shrunk space: pages that left since the last notification.
             let shrunk = subtract_ranges(&rec.areas, &new_aligned);

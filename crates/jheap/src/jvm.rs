@@ -221,7 +221,7 @@ impl JvmProcess {
     /// would report if an external scheduler asked "how hard are you
     /// dirtying right now?". Phased mutators answer for the phase they
     /// are in at this instant.
-    pub fn mutator_profile(&mut self) -> crate::mutator::MutatorProfile {
+    pub fn mutator_profile(&self) -> crate::mutator::MutatorProfile {
         self.mutator.profile()
     }
 

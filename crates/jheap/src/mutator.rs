@@ -48,7 +48,7 @@ impl MutatorProfile {
 /// A source of heap-usage behaviour, possibly time-varying.
 pub trait Mutator {
     /// Returns the current profile.
-    fn profile(&mut self) -> MutatorProfile;
+    fn profile(&self) -> MutatorProfile;
 
     /// A short name for reports.
     fn name(&self) -> &str;
@@ -102,7 +102,7 @@ impl PhasedMutator {
 }
 
 impl Mutator for PhasedMutator {
-    fn profile(&mut self) -> MutatorProfile {
+    fn profile(&self) -> MutatorProfile {
         self.phases[self.current].profile
     }
 
@@ -137,7 +137,7 @@ impl SteadyMutator {
 }
 
 impl Mutator for SteadyMutator {
-    fn profile(&mut self) -> MutatorProfile {
+    fn profile(&self) -> MutatorProfile {
         self.profile
     }
 

@@ -539,6 +539,15 @@ impl HistMerger {
         }
     }
 
+    /// Records one sample straight into the `subsystem/name` histogram —
+    /// the same key a recorder's histogram of that name folds into.
+    pub fn record(&mut self, subsystem: Subsystem, name: &str, value: u64) {
+        self.merged
+            .entry(format!("{subsystem}/{name}"))
+            .or_default()
+            .record(value);
+    }
+
     /// Finishes the merge into per-family digest summaries.
     pub fn finish(self) -> BTreeMap<String, HistDigest> {
         self.merged

@@ -142,17 +142,15 @@ impl PageTable {
         }
     }
 
-    /// Walks the table over `range` (aligned inward), returning `(vpn, pfn)`
+    /// Walks the table over `range` (aligned inward), calling `f(vpn, pfn)`
     /// for the mapped pages in VA order.
     ///
     /// Unmapped pages are skipped silently: a skip-over area may legitimately
     /// contain not-yet-faulted-in virtual pages, which simply have no frame
     /// to skip.
-    pub fn walk_range(&self, range: VaRange) -> Vec<(u64, Pfn)> {
+    pub fn walk_range(&self, range: VaRange, f: impl FnMut(u64, Pfn)) {
         let (lo, hi) = vpn_bounds(range);
-        let mut out = Vec::new();
-        self.for_each_mapped(lo, hi, |vpn, pfn| out.push((vpn, pfn)));
-        out
+        self.for_each_mapped(lo, hi, f);
     }
 
     /// Unmaps every mapped page of `range` (aligned inward), returning
@@ -233,10 +231,11 @@ mod tests {
         for vpn in [510, 511, 512, 1024] {
             pt.map(Vaddr(vpn * PAGE_SIZE), Pfn(vpn));
         }
-        let found = pt.walk_range(VaRange::new(
-            Vaddr(511 * PAGE_SIZE),
-            Vaddr(1025 * PAGE_SIZE),
-        ));
+        let mut found = Vec::new();
+        pt.walk_range(
+            VaRange::new(Vaddr(511 * PAGE_SIZE), Vaddr(1025 * PAGE_SIZE)),
+            |vpn, pfn| found.push((vpn, pfn)),
+        );
         assert_eq!(
             found,
             vec![(511, Pfn(511)), (512, Pfn(512)), (1024, Pfn(1024))]
@@ -322,7 +321,10 @@ mod tests {
         pt.map(Vaddr(0x4000), Pfn(1));
         pt.map(Vaddr(0x5000), Pfn(2));
         // Partial first and last pages are excluded.
-        let found = pt.walk_range(VaRange::new(Vaddr(0x3b00), Vaddr(0x5b00)));
+        let mut found = Vec::new();
+        pt.walk_range(VaRange::new(Vaddr(0x3b00), Vaddr(0x5b00)), |vpn, pfn| {
+            found.push((vpn, pfn))
+        });
         assert_eq!(found, vec![(4, Pfn(1))]);
     }
 }

@@ -7,6 +7,13 @@ use vmem::memory::GuestMemory;
 use vmem::page::{PageClass, PageInfo};
 use vmem::pagetable::PageTable;
 
+/// Every `(vpn, pfn)` pair `walk_range` visits, in visiting order.
+fn walked(pt: &PageTable, range: VaRange) -> Vec<(u64, Pfn)> {
+    let mut out = Vec::new();
+    pt.walk_range(range, |vpn, pfn| out.push((vpn, pfn)));
+    out
+}
+
 proptest! {
     /// A bitmap built from an arbitrary set of indices reports exactly that
     /// set back, regardless of insertion order and duplicates.
@@ -107,7 +114,7 @@ proptest! {
             Vaddr(q_start * PAGE_SIZE),
             Vaddr((q_start + q_len) * PAGE_SIZE),
         );
-        let found = pt.walk_range(range);
+        let found = walked(&pt, range);
         let want: Vec<(u64, Pfn)> = mapped
             .range(q_start..q_start + q_len)
             .map(|(&vpn, &pfn)| (vpn, Pfn(pfn)))
@@ -177,6 +184,8 @@ mod pagetable_reference {
     use vmem::addr::{Pfn, VaRange, Vaddr, PAGE_SIZE};
     use vmem::pagetable::PageTable;
 
+    use super::walked;
+
     /// VPN bases: the bottom of the address space and two far-apart JVM
     /// regions (the code cache and the S1 survivor space).
     const BASES: [u64; 3] = [0, 0x7f10_0000_0000 >> 12, 0x7f60_0000_0000 >> 12];
@@ -231,7 +240,7 @@ mod pagetable_reference {
             }
             let lo = BASES[q_base] + q_start;
             let hi = lo + q_len;
-            let found = pt.walk_range(VaRange::new(
+            let found = walked(&pt, VaRange::new(
                 Vaddr(lo * PAGE_SIZE),
                 Vaddr(hi * PAGE_SIZE),
             ));
@@ -274,7 +283,7 @@ mod pagetable_reference {
                 prop_assert_eq!(got, want);
                 prop_assert_eq!(pt.mapped_count(), reference.len() as u64);
             }
-            let everything = pt.walk_range(VaRange::new(Vaddr(0), Vaddr(!(PAGE_SIZE - 1))));
+            let everything = walked(&pt, VaRange::new(Vaddr(0), Vaddr(!(PAGE_SIZE - 1))));
             let want: Vec<(u64, Pfn)> = reference.iter().map(|(&vpn, &pfn)| (vpn, pfn)).collect();
             prop_assert_eq!(everything, want);
         }

@@ -207,6 +207,92 @@ fn watchdog_flags_a_mid_drain_core_degrade() {
     }
 }
 
+/// FNV-1a, 64-bit: a dependency-free fingerprint of an export's bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Mission control's exports are pinned byte for byte: the causal JSONL,
+/// the pipe exposition and the per-kind event counts of a faulted drain.
+/// Every kind of causal event appears, so any change to how mission
+/// control observes the drain shows up here.
+#[test]
+fn mission_control_exports_are_pinned() {
+    use simkit::telemetry::causal::jsonl_to_string;
+    use simkit::telemetry::export::{pipes_prometheus_to_string, PipeSeriesView};
+    use simkit::telemetry::CausalKind;
+
+    let plan = small_plan(PlacementPolicy::SlaAware).pipe_fault(PipeFault {
+        pipe: PipeSel::Core,
+        after: SimDuration::from_secs(4),
+        factor: 0.1,
+    });
+    let out = evacuate(&plan, FleetPolicy::CycleAware).expect("faulted evacuation");
+    let jsonl = jsonl_to_string(&out.mission.causal);
+    let views: Vec<PipeSeriesView<'_>> = out
+        .mission
+        .pipes
+        .pipes()
+        .iter()
+        .map(|p| PipeSeriesView {
+            name: &p.name,
+            utilization: &p.utilization,
+            queued_demand: &p.queued_demand,
+        })
+        .collect();
+    let prom = pipes_prometheus_to_string(&views);
+    let kinds = [
+        CausalKind::Drain,
+        CausalKind::Admit,
+        CausalKind::Placement,
+        CausalKind::Wakeup,
+        CausalKind::Regrant,
+        CausalKind::Complete,
+        CausalKind::Finding,
+        CausalKind::Fault,
+    ];
+    let counts: Vec<(&str, usize)> = kinds
+        .iter()
+        .map(|&k| {
+            let n = out
+                .mission
+                .causal
+                .events()
+                .iter()
+                .filter(|e| e.kind == k)
+                .count();
+            (k.as_str(), n)
+        })
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("drain", 2),
+            ("admit", 8),
+            ("placement", 8),
+            ("wakeup", 139),
+            ("regrant", 22),
+            ("complete", 8),
+            ("finding", 2),
+            ("fault", 1),
+        ]
+    );
+    assert_eq!(jsonl.len(), 54_712);
+    assert_eq!(
+        fnv1a64(jsonl.as_bytes()),
+        0x01a1_1b80_000d_005f,
+        "causal JSONL moved"
+    );
+    assert_eq!(prom.len(), 3_319);
+    assert_eq!(
+        fnv1a64(prom.as_bytes()),
+        0xdd71_e05f_177d_7ede,
+        "pipe exposition moved"
+    );
+}
+
 /// The generalised fault schedule reaches every pipe of the fabric, not
 /// just the core: a seeded degrade of a source NIC surfaces as a
 /// `pipe_saturation` finding naming that host's egress pipe, the causal
